@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Run every workload on several seeds and write the results as a ledger.
 
-    python3 perfbench/ledger.py --seeds 1-10 --seconds 20 --out perfbench/BENCH_seed.json
+    python3 perfbench/ledger.py --out perfbench/BENCH_seed.json
 
-For each workload: the end-to-end metrics of one untraced run per seed
-(median, quartiles and quartile spread as a share of the median), and the
-per-layer metrics of one traced run on the first seed.  From the traced
+For each workload: the end-to-end metrics of one untraced run on each of
+SEEDS (median, quartiles and quartile spread as a share of the median),
+and the per-layer metrics of one traced run on the first seed.  Each run
+measures for BENCHMARK.json's ``run_seconds``.  From the traced
 runs it fits the paper's two cost laws:
 
 * embedding costs O(#levels) per point: ``embedding.ns_per_row_level``
@@ -27,6 +28,7 @@ import workloads
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
+SEEDS = tuple(range(1, 11))
 
 
 def run(workload, seed, seconds, trace):
@@ -88,29 +90,22 @@ def cost_laws(layers):
     }
 
 
-def seed_range(text):
-    lo, _, hi = text.partition("-")
-    return list(range(int(lo), int(hi or lo) + 1))
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--seeds", type=seed_range, default=seed_range("1-10"))
-    ap.add_argument("--seconds", type=float, default=20)
-    ap.add_argument("--workloads", default=",".join(workloads.NAMES))
-    ap.add_argument("--out")
+    ap.add_argument("--out", help="also write the ledger to this file")
     args = ap.parse_args()
-    names = args.workloads.split(",")
-    ledger = {"seeds": args.seeds, "seconds": args.seconds, "workloads": {}}
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        seconds = json.load(fh)["run_seconds"]
+    ledger = {"seeds": list(SEEDS), "seconds": seconds, "workloads": {}}
     layers = {}
-    for name in names:
-        runs = [run(name, seed, args.seconds, 0) for seed in args.seeds]
+    for name in workloads.NAMES:
+        runs = [run(name, seed, seconds, 0) for seed in SEEDS]
         ledger["machine"] = runs[-1][1]
         metrics = {}
         for result, _ in runs:
             for key, m in result["metrics"].items():
                 metrics.setdefault(key, []).append(m["value"])
-        traced, _ = run(name, args.seeds[0], args.seconds, 1)
+        traced, _ = run(name, SEEDS[0], seconds, 1)
         layers[name] = {k: m["value"] for k, m in traced["metrics"].items()}
         ledger["workloads"][name] = {
             "correct": all(r["correct"] for r, _ in runs) and traced["correct"],
@@ -118,8 +113,7 @@ def main():
             "attempted": sum(r["attempted"] for r, _ in runs),
             "end_to_end": {k: summary(v) for k, v in metrics.items()},
             "per_layer": layers[name]}
-    if {"train-reg-d8", "train-wide-d2"} <= set(layers):
-        ledger["cost_laws"] = cost_laws(layers)
+    ledger["cost_laws"] = cost_laws(layers)
     text = json.dumps(ledger, indent=1, sort_keys=True)
     if args.out:
         with open(args.out, "w") as fh:

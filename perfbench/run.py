@@ -11,12 +11,12 @@ processes with ``src`` on the import path and ``EOF_THREADS`` unset:
 ``SETUP_PROBES`` that only time set-up, and one that sets up, runs a warm-up
 pass and then times passes back to back for ``--seconds`` (see worker.py).
 
-Times are wall times rescaled to a fixed host speed (see worker.Reference);
-the unscaled medians are printed too.  With ``--trace 0`` it prints the
+Times are wall times scaled to a fixed host speed (see probe.py); the
+unscaled medians are printed too.  With ``--trace 0`` it prints the
 end-to-end metrics; with ``--trace 1`` the per-layer metrics of traced
-passes and the tracing overhead.  Every metric is printed by name and unit,
-and the last line of standard output is one JSON object: ``correct``,
-``attempted``, ``failed`` and ``metrics``.
+passes and the tracing overhead.  Every metric is printed by name and
+unit, and the last line of standard output is one JSON object:
+``correct``, ``attempted``, ``failed`` and ``metrics``.
 """
 
 import argparse
@@ -34,7 +34,7 @@ import workloads
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
-SETUP_PROBES = 2        # set-up processes besides the measuring worker
+SETUP_PROBES = 6        # set-up processes besides the measuring worker
 DEADLINE_S = 170.0      # a run must end within 180 s
 
 END_TO_END = {"setup_s": "s", "pass_s": "s", "peak_rss_mb": "MB", "test_mse": "1"}
@@ -68,36 +68,38 @@ def _show(name, value, unit, note=""):
 
 def measure(args, tmp, started):
     spec = workloads.make_inputs(args.workload, args.seed, tmp)
-    setups = []
-    if not args.trace:
-        setups = [_worker(spec, started, "--setup-only")
-                  for _ in range(SETUP_PROBES)]
+    # half the set-up probes run before the measuring worker and half after
+    # it, so that their median spans the run's changes in host speed
+    probes = SETUP_PROBES // 2 if not args.trace else 0
+    setups = [_worker(spec, started, "--setup-only") for _ in range(probes)]
     res = _worker(spec, started, "--seconds", str(args.seconds),
                   "--trace", str(args.trace))
     setups.append(res)
+    setups += [_worker(spec, started, "--setup-only") for _ in range(probes)]
+    setup_wall_s = statistics.median(r["setup_wall_s"] for r in setups)
     pass_s = statistics.median(res["pass_s"])
     print("machine:", json.dumps(res["machine"], sort_keys=True))
     print(f"workload {args.workload}, seed {args.seed}: {len(res['pass_s'])} "
           f"timed passes after 1 warm-up pass, one client, closed loop; "
-          f"wall times scaled by ~{res['speed_scale']:.4f} to reference speed")
+          f"wall times scaled by {res['speed_scale']:.4f} to reference speed")
     if args.trace:
-        metrics = {k: v for k, v in res["layers"].items() if k != "pass_s"}
+        metrics = dict(res["layers"])
         metrics["bench.synthetic_rkhs_dataset.s"] = res["synthetic_rkhs_dataset_s"]
-        metrics["trace.overhead_s"] = res["layers"]["pass_s"] - pass_s
+        metrics["trace.overhead_s"] = res["trace_overhead_s"]
         units = {k: spans.unit_of(k) for k in metrics}
     else:
-        metrics = {"setup_s": statistics.median(r["setup_s"] for r in setups),
+        metrics = {"setup_s": setup_wall_s * res["speed_scale"],
                    "pass_s": pass_s,
                    "peak_rss_mb": res["peak_rss_mb"],
                    "test_mse": res["quality"].get("test_mse")}
         units = END_TO_END
     notes = {"setup_s": f"median of {len(setups)} fresh processes",
-             "pass_s": f"median of {len(res['pass_s'])} passes"}
+             "pass_s": f"median of {len(res['pass_s'])} passes",
+             "trace.overhead_s": "median of traced minus untraced pass"}
     for name in sorted(metrics):
         _show(name, metrics[name], units[name], notes.get(name, ""))
     if not args.trace:
-        _show("setup_wall_s", statistics.median(r["setup_wall_s"] for r in setups),
-              "s", "unscaled")
+        _show("setup_wall_s", setup_wall_s, "s", "unscaled")
         _show("pass_wall_s", statistics.median(res["pass_wall_s"]), "s", "unscaled")
         for name, unit in WORKLOAD_QUALITY.items():
             if name in res["quality"]:

@@ -94,8 +94,8 @@ def _count_design(t, args, kwargs, result):
         t.add("design.features", len(result))
 
 
-# (module, function, span name, counter); a module or function the library
-# does not have is skipped, so the table may name layers a version lacks
+# (module, function, span name, counter); each must exist in the library,
+# so that a moved or renamed layer stops the traced run instead of reading 0
 LAYERS = (
     ("eof.embedding", "embed_batch", "embedding", _count_embedding),
     ("eof.learn", "ridge_fit", "learn.ridge_fit", _count_ridge),
@@ -135,7 +135,7 @@ def installed(tracer):
 
     Each function is patched in every loaded eof module that binds the same
     object, since modules import some of them by name; all are restored on
-    exit.
+    exit.  A LAYERS entry the library lacks raises LookupError.
     """
     modules = [sys.modules[m] for m in EOF_MODULES if m in sys.modules]
     saved = []
@@ -143,7 +143,7 @@ def installed(tracer):
         for mod_name, fn_name, span, counter in LAYERS:
             fn = getattr(sys.modules.get(mod_name), fn_name, None)
             if fn is None:
-                continue
+                raise LookupError(f"layer {mod_name}.{fn_name} not found in eof")
             wrapper = _wrap(tracer, span, fn, counter)
             for mod in modules:
                 if mod.__dict__.get(fn_name) is fn:

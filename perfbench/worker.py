@@ -3,11 +3,14 @@
 With ``--setup-only`` it times set-up (import the library, build or load
 the inputs) and exits.  Otherwise it sets up, runs one warm-up pass that is
 checked but not timed, and then runs passes back to back, one client in a
-closed loop, until ``--seconds`` have passed, with a reference probe
-between passes.  With ``--trace 1`` every iteration runs a traced pass and
-then an untraced one, so that the tracing overhead is measured in the same
-process.  Times are reported scaled to the reference speed, and the main
-wall times also unscaled.  The result is one JSON line on standard output.
+closed loop, until ``--seconds`` have passed, timing the reference probe
+(probe.py) after each pass.  With ``--trace 1`` every iteration runs a
+traced pass and then an untraced one, back to back in the same process; the
+tracing overhead is the median of their differences.  Times are reported
+scaled to the probe's reference speed, and the wall times too.  The peak
+RSS is that of this process, which holds nothing but the library, its
+inputs and the output checks.  The result is one JSON line on standard
+output.
 """
 
 import time
@@ -15,7 +18,6 @@ import time
 _START = time.perf_counter()
 
 import argparse  # noqa: E402
-import contextlib  # noqa: E402
 import json  # noqa: E402
 import os  # noqa: E402
 import resource  # noqa: E402
@@ -24,6 +26,11 @@ import sys  # noqa: E402
 
 import spans  # noqa: E402
 import workloads  # noqa: E402
+from probe import REFERENCE_S, Probe  # noqa: E402
+
+
+# probes timed after each pass; their median over the run sets its scale
+PROBES_PER_PASS = 2
 
 
 def _medians(rows):
@@ -62,46 +69,6 @@ def _blas_threads(numpy):
     return None
 
 
-# Seconds the reference probe takes at full speed on the 2-core x86-64 host
-# the benchmark was tuned on; times are reported at that speed.
-REFERENCE_S = 0.25
-
-
-class Reference:
-    """A fixed mix of interpreter, NumPy and LAPACK work, timed.
-
-    The host's speed drifts by up to ~60% over tens of seconds (shared
-    cores), for the library and any other code alike.  The probe runs
-    between timed passes, and each pass's wall time is scaled by
-    REFERENCE_S over the mean of the probes on either side of it; set-up
-    times by the probe of their own process, or the run's median probe.
-    The probe shares no code with the library, so no change to the library
-    can move it.
-    """
-
-    def __init__(self):
-        import numpy as np
-        self._np = np
-        A = np.random.default_rng(0).standard_normal((800, 800))
-        self._A = A @ A.T + 800.0 * np.eye(800)
-        self._b = np.ones(800)
-        np.linalg.solve(self._A, self._b)   # the first call starts BLAS threads
-
-    def seconds(self):
-        np = self._np
-        t0 = time.perf_counter()
-        table, hits = {}, 0
-        for i in range(375_000):
-            table[(i & 1023, i >> 10)] = i
-            hits += table.get((i & 511, 3), 0) & 1
-        v = np.linspace(0.0, 1.0, 200_000)
-        for _ in range(100):
-            v = np.sqrt(v * 1.0001 + 1.0)
-        for _ in range(5):
-            np.linalg.solve(self._A, self._b)
-        return time.perf_counter() - t0
-
-
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--spec", required=True)
@@ -115,49 +82,39 @@ def main():
     state, synth_s = workloads.setup(spec)
     setup_s = time.perf_counter() - _START
     if args.setup_only:
-        probe = Reference().seconds()
-        print(json.dumps({"setup_s": setup_s * REFERENCE_S / probe,
-                          "setup_wall_s": setup_s}))
+        print(json.dumps({"setup_wall_s": setup_s}))
         return 0
 
     passes = [workloads.run_pass(spec, state)]   # warm-up, not timed
-    ref = Reference()
-    probes = [ref.seconds()]
-
-    def probed_pass(tracer=None):
-        """Run a pass; return it and the mean speed scale of the probes
-        on either side of it."""
-        with spans.installed(tracer) if tracer else contextlib.nullcontext():
-            p = workloads.run_pass(spec, state)
-        passes.append(p)
-        probes.append(ref.seconds())
-        return p, REFERENCE_S / statistics.fmean(probes[-2:])
-
-    timed, walls, layers = [], [], []
+    walls, layers, overheads, probes = [], [], [], []
     t_end = time.perf_counter() + args.seconds
-    while True:
-        if args.trace:
-            tracer = spans.Tracer()
-            p, scale = probed_pass(tracer)
-            layer = {k: v * scale if spans.unit_of(k) in spans.TIME_UNITS else v
-                     for k, v in spans.layer_metrics(tracer).items()}
-            layer["pass_s"] = p.seconds * scale
-            layer["bench.failed_seeds"] = p.failed_fits
-            layers.append(layer)
-        p, scale = probed_pass()
-        timed.append(p.seconds * scale)
-        walls.append(p.seconds)
-        if time.perf_counter() >= t_end:
-            break
+    with Probe() as ref:
+        while True:
+            if args.trace:
+                tracer = spans.Tracer()
+                with spans.installed(tracer):
+                    traced = workloads.run_pass(spec, state)
+                passes.append(traced)
+                probes += [ref.seconds() for _ in range(PROBES_PER_PASS)]
+                layer = spans.layer_metrics(tracer)
+                layer["bench.failed_seeds"] = traced.failed_fits
+                layers.append(layer)
+            p = workloads.run_pass(spec, state)
+            passes.append(p)
+            probes += [ref.seconds() for _ in range(PROBES_PER_PASS)]
+            walls.append(p.seconds)
+            if args.trace:
+                overheads.append(traced.seconds - p.seconds)
+            if time.perf_counter() >= t_end:
+                break
 
-    run_scale = REFERENCE_S / statistics.median(probes)
+    scale = REFERENCE_S / statistics.median(probes)
     result = {
-        "setup_s": setup_s * run_scale,
+        "speed_scale": scale,
         "setup_wall_s": setup_s,
-        "synthetic_rkhs_dataset_s": synth_s * run_scale,
-        "pass_s": timed,
+        "synthetic_rkhs_dataset_s": synth_s * scale,
+        "pass_s": [w * scale for w in walls],
         "pass_wall_s": walls,
-        "speed_scale": run_scale,
         "quality": _medians([p.metrics for p in passes[1:]]),
         "attempted": sum(p.attempted for p in passes),
         "failed": sum(p.failed for p in passes),
@@ -167,7 +124,10 @@ def main():
         "machine": machine(),
     }
     if args.trace:
-        result["layers"] = _medians(layers)
+        result["layers"] = {
+            k: v * scale if spans.unit_of(k) in spans.TIME_UNITS else v
+            for k, v in _medians(layers).items()}
+        result["trace_overhead_s"] = statistics.median(overheads) * scale
     print(json.dumps(result))
     return 0
 
