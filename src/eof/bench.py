@@ -24,7 +24,7 @@ from . import baselines, learn
 from .design import enumerate_sparse_grid, level_for_feature_count, truncate_random
 from .embedding import SCALE_PLAIN, embed_batch
 from .errors import DegenerateData, EofError, InvalidData, ParseError
-from .kernels import KernelSpec, kernel_eval
+from .kernels import KernelSpec, _kernel_rows
 
 EOF_METHOD = "eof"
 ALL_METHODS = (EOF_METHOD, baselines.RKS, baselines.ORF, baselines.LKRF,
@@ -342,7 +342,7 @@ def synthetic_rkhs_dataset(N_train: int = 2000, N_test: int = 500, D: int = 2,
     def target(X):
         out = np.zeros(X.shape[0])
         for c, ctr in zip(coefs, centers):
-            out += c * np.array([kernel_eval(spec, x, ctr) for x in X])
+            out += c * _kernel_rows(spec, X, ctr)
         return out
 
     X_train = rng.uniform(0.0, 1.0, (N_train, D))

@@ -3,23 +3,26 @@
 For each level vector in the design, at most one position index can be
 nonzero at a given point (supports within a level have disjoint interiors),
 and it is found directly from the dyadic coordinates of the point: the odd
-member of {ceil(x 2^l), floor(x 2^l)} per dimension.  The embedding therefore
-costs O(#levels) per point regardless of the total feature count.
+member of {ceil(x 2^l), floor(x 2^l)} per dimension.  ``embed_batch`` finds
+that position and the 1-D feature value there once per (dimension, level)
+pair, for all rows at once.  Each level vector keys its columns by the
+mixed-radix code of (i_d - 1) / 2, sorted, and one binary search per row
+finds the row's column or shows that truncation dropped it.  A point thus
+costs O(#levels) array steps plus a logarithmic search, and the lookup holds
+O(M) keys however deep the levels are.  ``embed`` is the one-row case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from .design import IndexSet
 from .errors import DimError
-from .features import _sinh_ratio, phi_1d
-from .kernels import (BROWNIAN_BRIDGE, LAPLACE, SOBOLEV, KernelSpec,
-                      _prepare_point, expansion_coeff)
+from .features import _profile_1d
+from .kernels import KernelSpec, _prepare_point, expansion_coeff
 
 SCALE_SQRT = "sqrt"   # value = sqrt(C) * phi; makes z(x).z(x') track k(x,x')
 SCALE_RAW = "raw"     # value = C * phi; the literal per-level update rule
@@ -46,19 +49,9 @@ class SparseVec:
     def dot(self, other: "SparseVec") -> float:
         if self.dim != other.dim:
             raise DimError("sparse vectors have different dimensions")
-        out = 0.0
-        ia = ib = 0
-        while ia < self.nnz and ib < other.nnz:
-            ca, cb = self.cols[ia], other.cols[ib]
-            if ca == cb:
-                out += self.vals[ia] * other.vals[ib]
-                ia += 1
-                ib += 1
-            elif ca < cb:
-                ia += 1
-            else:
-                ib += 1
-        return float(out)
+        _, ia, ib = np.intersect1d(self.cols, other.cols, assume_unique=True,
+                                   return_indices=True)
+        return float(self.vals[ia] @ other.vals[ib])
 
 
 def _scale_value(spec: KernelSpec, l, scale: str) -> float:
@@ -70,96 +63,75 @@ def _scale_value(spec: KernelSpec, l, scale: str) -> float:
 
 def embed(spec: KernelSpec, S: IndexSet, x, scale: str = SCALE_SQRT) -> SparseVec:
     """Sparse feature vector z(x) over the columns of ``S``."""
-    x = _prepare_point(spec, x)
-    if S.dim and x.shape[0] != S.dim:
-        raise DimError(f"point dimension {x.shape[0]} != design dimension {S.dim}")
-    cols = []
-    vals = []
-    for l, positions in S.by_level().items():
-        i = []
-        ok = True
-        for d, ld in enumerate(l):
-            t = x[d] * 2.0 ** ld
-            up, dn = int(np.ceil(t)), int(np.floor(t))
-            if up % 2 == 1:
-                i.append(up)
-            elif dn % 2 == 1:
-                i.append(dn)
-            else:
-                # x_d sits on an even grid node; every feature of this level
-                # vanishes there
-                ok = False
-                break
-        if not ok:
-            continue
-        col = positions.get(tuple(i))
-        if col is None:
-            continue
-        val = _scale_value(spec, l, scale)
-        for d, ld in enumerate(l):
-            val *= phi_1d(spec, ld, i[d], x[d])
-        if val != 0.0:
-            cols.append(col)
-            vals.append(val)
-    order = np.argsort(cols) if cols else []
-    return SparseVec(len(S),
-                     np.asarray(cols, dtype=np.int64)[order] if cols else np.empty(0, np.int64),
-                     np.asarray(vals, dtype=float)[order] if cols else np.empty(0))
+    row = embed_batch(spec, S, np.atleast_1d(np.asarray(x, dtype=float))[None],
+                      scale=scale)
+    return SparseVec(len(S), row.indices.astype(np.int64), row.data)
+
+
+def _dyadic_profile(spec: KernelSpec, level: int, x: np.ndarray):
+    """Per row: (i - 1) // 2 of the odd position i at ``level``, or -1 when the
+    row sits on an even node (no feature of the level is nonzero there), and
+    the 1-D feature value at i."""
+    t = x * 2.0 ** level
+    up = np.ceil(t).astype(np.int64)
+    i = np.where(up % 2 == 1, up, np.floor(t).astype(np.int64))
+    odd = i % 2 == 1
+    # rows on even nodes are evaluated at i = 1 and dropped later, so that
+    # the (p, q) form never sees a point outside [0, 1]
+    value = _profile_1d(spec, level, np.where(odd, i, 1), x)
+    return np.where(odd, i // 2, -1), value
+
+
+def _level_keys(l, positions):
+    """Sorted mixed-radix keys of one level's positions, and their columns."""
+    pos = np.array(list(positions), dtype=np.int64).reshape(-1, len(l))
+    keys = np.zeros(len(pos), dtype=np.int64)
+    for d, ld in enumerate(l):
+        keys = keys * 2 ** (ld - 1) + pos[:, d] // 2
+    order = np.argsort(keys)
+    return keys[order], np.fromiter(positions.values(), np.int64)[order]
 
 
 def embed_batch(spec: KernelSpec, S: IndexSet, X,
                 scale: str = SCALE_SQRT) -> sp.csr_matrix:
-    """Embed N points into an N x M CSR matrix, vectorized per level."""
+    """Embed N points into an N x M CSR matrix with sorted column indices."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise DimError("X must be a 2-D array of shape (N, D)")
     if S.dim and X.shape[1] != S.dim:
         raise DimError(f"row dimension {X.shape[1]} != design dimension {S.dim}")
-    if not np.all(np.isfinite(X)):
-        raise DimError("X contains non-finite values")
-    if spec.strict:
-        if np.any(X < 0.0) or np.any(X > 1.0):
-            raise DimError("X outside [0,1]^D in strict mode")
-    else:
-        X = np.clip(X, 0.0, 1.0)
+    X = _prepare_point(spec, X)
     N = X.shape[0]
+    profiles = {}
     rows_out, cols_out, vals_out = [], [], []
     for l, positions in S.by_level().items():
-        valid = np.ones(N, dtype=bool)
-        idx_mat = np.zeros((N, len(l)), dtype=np.int64)
-        value = np.full(N, _scale_value(spec, l, scale))
+        keys, cols = _level_keys(l, positions)
+        code = np.zeros(N, dtype=np.int64)
+        hit = np.ones(N, dtype=bool)
         for d, ld in enumerate(l):
-            t = X[:, d] * 2.0 ** ld
-            up = np.ceil(t).astype(np.int64)
-            dn = np.floor(t).astype(np.int64)
-            i_d = np.where(up % 2 == 1, up, dn)
-            valid &= (i_d % 2 == 1)
-            idx_mat[:, d] = i_d
-            value *= _phi_profile(spec, ld, np.abs(X[:, d] - i_d * 2.0 ** (-ld)))
-        for r in np.nonzero(valid & (value != 0.0))[0]:
-            col = positions.get(tuple(idx_mat[r]))
-            if col is not None:
-                rows_out.append(r)
-                cols_out.append(col)
-                vals_out.append(value[r])
-    mat = sp.coo_matrix((vals_out, (rows_out, cols_out)), shape=(N, len(S)))
-    out = mat.tocsr()
+            if (d, ld) not in profiles:
+                profiles[d, ld] = _dyadic_profile(spec, ld, X[:, d])
+            half = profiles[d, ld][0]
+            code = code * 2 ** (ld - 1) + half
+            hit &= half >= 0
+        at = np.minimum(np.searchsorted(keys, code), len(keys) - 1)
+        hit &= keys[at] == code
+        rows = np.flatnonzero(hit)
+        value = np.full(len(rows), _scale_value(spec, l, scale))
+        for d, ld in enumerate(l):
+            value *= profiles[d, ld][1][rows]
+        keep = value != 0.0
+        rows_out.append(rows[keep])
+        cols_out.append(cols[at[rows[keep]]])
+        vals_out.append(value[keep])
+    del profiles    # D*n columns of N rows; freed before the CSR copies
+    out = sp.csr_matrix(
+        (np.concatenate(vals_out or [np.empty(0)]),
+         (np.concatenate(rows_out or [np.empty(0, np.int64)]),
+          np.concatenate(cols_out or [np.empty(0, np.int64)]))),
+        shape=(N, len(S)))
     out.sort_indices()
     return out
-
-
-def _phi_profile(spec: KernelSpec, level: int, dist: np.ndarray) -> np.ndarray:
-    """1-D feature value as a function of |x - center| (vectorized)."""
-    h = 2.0 ** (-level)
-    inside = dist < h
-    if spec.kind in (BROWNIAN_BRIDGE, SOBOLEV):
-        return np.where(inside, 1.0 - dist / h, 0.0)
-    if spec.kind == LAPLACE:
-        return np.where(inside,
-                        _sinh_ratio(spec.omega * (h - np.minimum(dist, h)),
-                                    spec.omega * h),
-                        0.0)
-    raise NotImplementedError("batch embedding of custom kernels")
 
 
 def kernel_approx(spec: KernelSpec, S: IndexSet, x, xp) -> float:

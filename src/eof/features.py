@@ -69,25 +69,35 @@ def phi_1d(spec: KernelSpec, l: int, i: int, x) -> float:
         raise InvalidIndex(f"position {i} must be odd")
     if not 1 <= i <= 2 ** l - 1:
         raise InvalidIndex(f"position {i} out of range for level {l}")
-    x = np.asarray(x, dtype=float)
+    val = _profile_1d(spec, l, i, np.asarray(x, dtype=float))
+    if val.ndim == 0:
+        return float(val)
+    return val
+
+
+def _profile_1d(spec: KernelSpec, l: int, i, x: np.ndarray) -> np.ndarray:
+    """1-D feature at level ``l`` and position(s) ``i`` evaluated at ``x``.
+
+    ``i`` and ``x`` broadcast against each other, so one call evaluates a
+    whole column of points, each at its own position.  No validation: the
+    caller passes valid odd positions.  Kinds without a closed form use the
+    generic (p, q) form, whose two halves are the solutions of the kernel's
+    differential equation through the support endpoints.
+    """
     h = 2.0 ** (-l)
     z = i * h
     dist = np.abs(x - z)
     inside = dist < h
     if spec.kind in (BROWNIAN_BRIDGE, SOBOLEV):
-        val = np.where(inside, 1.0 - dist / h, 0.0)
-    elif spec.kind == LAPLACE:
-        val = np.where(inside, _sinh_ratio(spec.omega * (h - np.minimum(dist, h)),
-                                           spec.omega * h), 0.0)
-    else:
-        p, q = spec.pq()
-        zm, zp = z - h, z + h
-        left = (p(x) * q(zm) - q(x) * p(zm)) / (p(z) * q(zm) - q(z) * p(zm))
-        right = (q(x) * p(zp) - p(x) * q(zp)) / (q(z) * p(zp) - p(z) * q(zp))
-        val = np.where(inside, np.where(x <= z, left, right), 0.0)
-    if val.ndim == 0:
-        return float(val)
-    return val
+        return np.where(inside, 1.0 - dist / h, 0.0)
+    if spec.kind == LAPLACE:
+        return np.where(inside, _sinh_ratio(spec.omega * (h - np.minimum(dist, h)),
+                                            spec.omega * h), 0.0)
+    p, q = spec.pq()
+    zm, zp = z - h, z + h
+    left = (p(x) * q(zm) - q(x) * p(zm)) / (p(z) * q(zm) - q(z) * p(zm))
+    right = (q(x) * p(zp) - p(x) * q(zp)) / (q(z) * p(zp) - p(z) * q(zp))
+    return np.where(inside, np.where(x <= z, left, right), 0.0)
 
 
 def _sinh_ratio(a, b):

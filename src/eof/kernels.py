@@ -111,14 +111,22 @@ def kernel_eval(spec: KernelSpec, x, xp) -> float:
     xp = _prepare_point(spec, xp)
     if x.shape != xp.shape or x.shape[0] != spec.dim:
         raise InvalidPoint(f"expected points of dimension {spec.dim}")
+    return float(_kernel_rows(spec, x, xp))
+
+
+def _kernel_rows(spec: KernelSpec, X: np.ndarray, xp: np.ndarray):
+    """k(x, x') for every row x of ``X`` (coordinates on the last axis).
+
+    Both arguments must already be prepared: finite and inside [0,1]^D.
+    """
     if spec.kind == LAPLACE:
-        return float(np.exp(-spec.omega * np.sum(np.abs(x - xp))))
+        return np.exp(-spec.omega * np.sum(np.abs(X - xp), axis=-1))
     if spec.kind == SOBOLEV:
-        return float(np.prod(spec.omega * np.minimum(x, xp) + 1.0))
+        return np.prod(spec.omega * np.minimum(X, xp) + 1.0, axis=-1)
     if spec.kind == BROWNIAN_BRIDGE:
-        return float(np.prod(np.minimum(x, xp) * (1.0 - np.maximum(x, xp))))
+        return np.prod(np.minimum(X, xp) * (1.0 - np.maximum(X, xp)), axis=-1)
     p, q = spec.pq()
-    return float(np.prod(p(np.minimum(x, xp)) * q(np.maximum(x, xp))))
+    return np.prod(p(np.minimum(X, xp)) * q(np.maximum(X, xp)), axis=-1)
 
 
 @lru_cache(maxsize=None)

@@ -5,6 +5,7 @@ import pytest
 
 from eof import bench, learn
 from eof.errors import DegenerateData, EofError, InvalidData, ParseError
+from eof.kernels import KernelSpec, kernel_eval
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -243,3 +244,26 @@ class TestSyntheticDataset:
         assert ds.X_train.shape == (64, 3) and ds.X_test.shape == (16, 3)
         assert np.all(ds.X_train >= 0.0) and np.all(ds.X_train <= 1.0)
         assert ds.task == learn.REGRESSION
+
+    @pytest.mark.parametrize("kernel", ["laplace", "sobolev", "bb"])
+    @pytest.mark.parametrize("D", [1, 2, 5])
+    def test_targets_equal_pointwise_kernel_sum(self, kernel, D):
+        # the reference draws the same stream and sums kernel_eval per point
+        ds = bench.synthetic_rkhs_dataset(N_train=40, N_test=12, D=D, seed=5,
+                                          kernel=kernel, noise=0.05)
+        rng = np.random.default_rng(5)
+        spec = KernelSpec(kernel, omega=2.0, dim=D)
+        centers = rng.uniform(0.0, 1.0, (5, D))
+        coefs = rng.uniform(-1.0, 1.0, 5)
+
+        def target(X):
+            out = np.zeros(X.shape[0])
+            for c, ctr in zip(coefs, centers):
+                out += c * np.array([kernel_eval(spec, x, ctr) for x in X])
+            return out
+
+        rng.uniform(0.0, 1.0, (40, D))    # X_train and X_test, read from ds
+        rng.uniform(0.0, 1.0, (12, D))
+        np.testing.assert_array_equal(
+            ds.y_train, target(ds.X_train) + 0.05 * rng.standard_normal(40))
+        np.testing.assert_array_equal(ds.y_test, target(ds.X_test))

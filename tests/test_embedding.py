@@ -1,3 +1,4 @@
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -8,11 +9,12 @@ from hypothesis import strategies as st
 from eof.design import IndexSet, enumerate_sparse_grid, truncate_random
 from eof.embedding import (SCALE_PLAIN, SCALE_RAW, SCALE_SQRT, SparseVec,
                            embed, embed_batch, kernel_approx)
-from eof.errors import DimError
-from eof.features import phi_nd
+from eof.errors import DimError, InvalidPoint
+from eof.features import FeatureIndex, phi_nd
 from eof.kernels import KernelSpec, expansion_coeff, kernel_eval
 
 BB1 = KernelSpec("bb", dim=1)
+SCALES = [SCALE_SQRT, SCALE_RAW, SCALE_PLAIN]
 
 
 def dense_oracle(spec, S, x, scale=SCALE_SQRT):
@@ -133,6 +135,51 @@ class TestEmbedBatch:
         with pytest.raises(DimError):
             embed_batch(spec, S, np.array([0.1, 0.2]))
 
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 4), st.integers(1, 5),
+           st.sampled_from(["laplace", "sobolev", "bb"]), st.sampled_from(SCALES))
+    def test_truncated_designs_match_dense_oracle(self, seed, D, n, kind, scale):
+        rng = np.random.default_rng(seed)
+        full = enumerate_sparse_grid(D, n)
+        S = truncate_random(full, int(rng.integers(1, len(full) + 1)), seed=seed)
+        spec = KernelSpec(kind, omega=float(rng.uniform(0.5, 4.0)), dim=D)
+        # generic rows, rows on dyadic nodes of every level in the design,
+        # and the corners 0 and 1
+        X = np.vstack([rng.uniform(0.0, 1.0, (6, D)),
+                       rng.integers(0, 2 ** n + 1, (6, D)) / 2.0 ** n,
+                       np.zeros(D), np.ones(D)])
+        got = embed_batch(spec, S, X, scale=scale)
+        assert got.has_sorted_indices
+        dense = np.array([dense_oracle(spec, S, x, scale=scale) for x in X])
+        np.testing.assert_allclose(got.toarray(), dense, atol=1e-12)
+
+    def test_deep_single_feature_level(self):
+        # the lookup holds one key, not a table of 2^29 positions
+        S = IndexSet((FeatureIndex((30,), (2 ** 29 + 1,)),))
+        X = np.array([[0.5 + 2.0 ** -30], [0.5 + 2.0 ** -31], [0.5], [0.25]])
+        tracemalloc.start()
+        try:
+            F = embed_batch(BB1, S, X, scale=SCALE_PLAIN)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        np.testing.assert_array_equal(F.toarray()[:, 0], [1.0, 0.5, 0.0, 0.0])
+
+    def test_custom_pq_matches_closed_form(self):
+        omega = 2.0
+        custom = KernelSpec("custom", omega=omega, dim=2,
+                            p=lambda x: np.exp(omega * x),
+                            q=lambda x: np.exp(-omega * x))
+        lap = KernelSpec("laplace", omega=omega, dim=2)
+        S = truncate_random(enumerate_sparse_grid(2, 5), 60, seed=2)
+        rng = np.random.default_rng(4)
+        X = np.vstack([rng.uniform(0.0, 1.0, (40, 2)), [[0.0, 0.25], [1.0, 0.5]]])
+        for scale in SCALES:
+            np.testing.assert_allclose(
+                embed_batch(custom, S, X, scale=scale).toarray(),
+                embed_batch(lap, S, X, scale=scale).toarray(), atol=1e-12)
+
     def test_scale_options_consistent(self):
         spec = KernelSpec("laplace", omega=1.0, dim=1)
         S = enumerate_sparse_grid(1, 3)
@@ -143,6 +190,19 @@ class TestEmbedBatch:
         C = np.array([expansion_coeff(spec, idx.l) for idx in S])
         np.testing.assert_allclose(raw, plain * C, atol=1e-14)
         np.testing.assert_allclose(sq, plain * np.sqrt(C), atol=1e-14)
+
+
+@pytest.mark.parametrize("embed_fn", [
+    lambda spec, S, x: embed(spec, S, x),
+    lambda spec, S, x: embed_batch(spec, S, np.array([x, [0.5, 0.5]]))],
+    ids=["embed", "embed_batch"])
+@pytest.mark.parametrize("x, strict", [
+    ([np.nan, 0.5], False), ([0.2, np.inf], False), ([0.2, -np.inf], True),
+    ([1.5, 0.5], True), ([0.5, -0.1], True)])
+def test_invalid_points_raise_invalid_point(embed_fn, x, strict):
+    spec = KernelSpec("laplace", omega=1.0, dim=2, strict=strict)
+    with pytest.raises(InvalidPoint):
+        embed_fn(spec, enumerate_sparse_grid(2, 3), x)
 
 
 class TestKernelApprox:
