@@ -8,7 +8,8 @@ random-feature baselines.
 """
 
 from .design import (IndexSet, enumerate_sparse_grid, entropic_select,
-                     level_for_feature_count, sparse_grid_size, truncate_random)
+                     level_for_feature_count, select_design, sparse_grid_size,
+                     truncate_random)
 from .embedding import (SCALE_PLAIN, SCALE_RAW, SCALE_SQRT, SparseVec, embed,
                         embed_batch, kernel_approx)
 from .features import (FeatureIndex, hierarchical_surplus, phi_1d, phi_nd,
@@ -19,7 +20,7 @@ __all__ = [
     "KernelSpec", "kernel_eval", "norm_const", "expansion_coeff",
     "FeatureIndex", "phi_1d", "phi_nd", "support_box", "hierarchical_surplus",
     "IndexSet", "enumerate_sparse_grid", "entropic_select", "truncate_random",
-    "sparse_grid_size", "level_for_feature_count",
+    "sparse_grid_size", "level_for_feature_count", "select_design",
     "SparseVec", "embed", "embed_batch", "kernel_approx",
     "SCALE_SQRT", "SCALE_RAW", "SCALE_PLAIN",
 ]

@@ -98,32 +98,25 @@ def kernel_estimate(fmap: RandomFeatureMap, x, xp) -> float:
     return float(2.0 * rf_embed(fmap, x) @ rf_embed(fmap, xp))
 
 
-def _raw_cosines(fmap: RandomFeatureMap, X) -> np.ndarray:
-    return np.cos(np.asarray(X, dtype=float) @ fmap.frequencies.T + fmap.phases)
-
-
-def _top_m(scores: np.ndarray, M: int) -> np.ndarray:
+def _select(method: str, score, pool: RandomFeatureMap, y, X,
+            M: int) -> RandomFeatureMap:
+    """Keep the top-M pool candidates by ``score(y^T Z, N)`` over the raw
+    cosine matrix Z of the training points."""
+    if M > pool.M:
+        raise InvalidM(f"M={M} exceeds pool size {pool.M}")
+    y = np.asarray(y, dtype=float)
+    Z = np.cos(np.asarray(X, dtype=float) @ pool.frequencies.T + pool.phases)
     # stable: ties keep the lower candidate index
-    return np.sort(np.argsort(-scores, kind="stable")[:M])
+    keep = np.sort(np.argsort(-score(y @ Z, len(y)), kind="stable")[:M])
+    return RandomFeatureMap(method, pool.frequencies[keep], pool.phases[keep],
+                            pool.sigma, pool.seed, M0=pool.M)
 
 
 def lkrf_select(pool: RandomFeatureMap, y, X, M: int) -> RandomFeatureMap:
     """Keep the top-M pool candidates by squared label alignment."""
-    if M > pool.M:
-        raise InvalidM(f"M={M} exceeds pool size {pool.M}")
-    Z = _raw_cosines(pool, X)
-    scores = (np.asarray(y, dtype=float) @ Z) ** 2
-    keep = _top_m(scores, M)
-    return RandomFeatureMap(LKRF, pool.frequencies[keep], pool.phases[keep],
-                            pool.sigma, pool.seed, M0=pool.M)
+    return _select(LKRF, lambda a, N: a ** 2, pool, y, X, M)
 
 
 def eerf_select(pool: RandomFeatureMap, y, X, M: int) -> RandomFeatureMap:
     """Keep the top-M pool candidates by absolute first-moment score."""
-    if M > pool.M:
-        raise InvalidM(f"M={M} exceeds pool size {pool.M}")
-    Z = _raw_cosines(pool, X)
-    scores = np.abs(np.asarray(y, dtype=float) @ Z) / len(y)
-    keep = _top_m(scores, M)
-    return RandomFeatureMap(EERF, pool.frequencies[keep], pool.phases[keep],
-                            pool.sigma, pool.seed, M0=pool.M)
+    return _select(EERF, lambda a, N: np.abs(a) / N, pool, y, X, M)

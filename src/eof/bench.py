@@ -15,13 +15,13 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from . import baselines, learn
-from .design import enumerate_sparse_grid, level_for_feature_count, truncate_random
+from .design import select_design, sparse_grid_size
 from .embedding import SCALE_PLAIN, embed_batch
 from .errors import DegenerateData, EofError, InvalidData, ParseError
 from .kernels import KernelSpec, _kernel_rows
@@ -82,8 +82,9 @@ class BenchResult:
     errors: List[float] = field(default_factory=list)
 
 
-def load_csv(path, target_column: str, task: str) -> RawData:
-    """Parse a rectangular numeric CSV with a header row."""
+def read_table(path) -> Tuple[List[str], np.ndarray]:
+    """Parse a rectangular numeric CSV with a header row into (header, cells).
+    A bad cell or a ragged row raises ``ParseError`` with its position."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -91,9 +92,6 @@ def load_csv(path, target_column: str, task: str) -> RawData:
         except StopIteration:
             raise ParseError("empty file", row=1)
         header = [h.strip() for h in header]
-        if target_column not in header:
-            raise ParseError(f"target column {target_column!r} not in header")
-        t_idx = header.index(target_column)
         rows = []
         for rnum, row in enumerate(reader, start=2):
             if not row:
@@ -111,7 +109,15 @@ def load_csv(path, target_column: str, task: str) -> RawData:
             rows.append(vals)
     if not rows:
         raise ParseError("no data rows")
-    data = np.asarray(rows)
+    return header, np.asarray(rows)
+
+
+def load_csv(path, target_column: str, task: str) -> RawData:
+    """Parse a rectangular numeric CSV with a header row."""
+    header, data = read_table(path)
+    if target_column not in header:
+        raise ParseError(f"target column {target_column!r} not in header")
+    t_idx = header.index(target_column)
     mask = np.arange(data.shape[1]) != t_idx
     name = os.path.splitext(os.path.basename(str(path)))[0]
     return RawData(data[:, mask], data[:, t_idx], name, task,
@@ -197,12 +203,6 @@ def _run_seed(master: int, method_idx: int, m_idx: int, run: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def _fit(task, F_train, y_train, lam, max_iter=200):
-    if task == learn.REGRESSION:
-        return learn.ridge_fit(F_train, y_train, lam)
-    return learn.logistic_fit(F_train, y_train, lam, max_iter=max_iter, tol=1e-6)
-
-
 def _one_run(dataset: Dataset, method: str, M: int, run_seed: int,
              sigma: float, kernel: str, omega: float, lam: float,
              pool_factor: int):
@@ -210,20 +210,17 @@ def _one_run(dataset: Dataset, method: str, M: int, run_seed: int,
     t0 = time.perf_counter()
     if method == EOF_METHOD:
         spec = KernelSpec(kernel, omega=omega, dim=D)
-        n = level_for_feature_count(D, M)
-        full = enumerate_sparse_grid(D, n)
-        S = truncate_random(full, M, run_seed) if M < len(full) else full
+        S = select_design(spec, M, run_seed)
         # unnormalized basis columns: ridge weights absorb the level constants
         F_train = embed_batch(spec, S, dataset.X_train, scale=SCALE_PLAIN)
         F_test = embed_batch(spec, S, dataset.X_test, scale=SCALE_PLAIN)
-        M0 = len(full)
+        M0 = sparse_grid_size(D, S.level_cap)
     else:
+        M0 = 0
         if method == baselines.RKS:
             fmap = baselines.rks_map(D, M, sigma, run_seed)
-            M0 = 0
         elif method == baselines.ORF:
             fmap = baselines.orf_map(D, M, sigma, run_seed)
-            M0 = 0
         else:
             M0 = pool_factor * M
             pool = baselines.rks_map(D, M0, sigma, run_seed)
@@ -233,7 +230,7 @@ def _one_run(dataset: Dataset, method: str, M: int, run_seed: int,
         F_train = baselines.rf_embed(fmap, dataset.X_train)
         F_test = baselines.rf_embed(fmap, dataset.X_test)
     t_feature = time.perf_counter() - t0
-    model = _fit(dataset.task, F_train, dataset.y_train, lam)
+    model = learn.fit(dataset.task, F_train, dataset.y_train, lam)
     err = learn.test_error(model, F_test, dataset.y_test)
     return err, t_feature, model.train_seconds, model.nnz_F, M0
 
@@ -247,6 +244,9 @@ def run_benchmark(dataset: Dataset, methods: Sequence[str], M_grid: Sequence[int
     ``sigma`` overrides the nearest-neighbor bandwidth estimate; useful when
     the data-generating kernel is known.
     """
+    for m in methods:
+        if m not in ALL_METHODS:
+            raise ValueError(f"unknown method {m!r}")
     if runs < 1:
         raise InvalidData("runs must be >= 1")
     if sigma is None:

@@ -6,10 +6,8 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import bench, learn
-from .design import enumerate_sparse_grid, level_for_feature_count, truncate_random
+from .design import enumerate_sparse_grid, select_design
 from .embedding import SCALE_RAW, SCALE_SQRT, embed_batch
 from .kernels import KernelSpec
 
@@ -29,25 +27,22 @@ def _add_design_flags(p):
     p.add_argument("--seed", type=int, default=0)
 
 
-def _build_design(D, args):
+def _design(spec, args):
     if args.level is not None:
-        return enumerate_sparse_grid(D, args.level)
-    n = level_for_feature_count(D, args.num_features)
-    full = enumerate_sparse_grid(D, n)
-    if args.num_features == len(full):
-        return full
-    return truncate_random(full, args.num_features, args.seed)
+        return enumerate_sparse_grid(spec.dim, args.level)
+    return select_design(spec, args.num_features, args.seed)
 
 
-def _load_matrix(path):
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    return np.column_stack([data[name] for name in data.dtype.names])
+def _dataset(args):
+    task = learn.REGRESSION if args.task == "reg" else learn.CLASSIFICATION
+    raw = bench.load_csv(args.data, args.target, task)
+    return bench.standardize(raw, split_ratio=args.split, seed=args.seed)
 
 
 def cmd_embed(args):
-    X = _load_matrix(args.input)
+    _, X = bench.read_table(args.input)
     spec = KernelSpec(args.kernel, omega=args.omega, dim=X.shape[1])
-    S = _build_design(X.shape[1], args)
+    S = _design(spec, args)
     scale = SCALE_RAW if args.raw_scale else SCALE_SQRT
     F = embed_batch(spec, S, X, scale=scale).tocoo()
     with open(args.output, "w") as fh:
@@ -58,49 +53,41 @@ def cmd_embed(args):
 
 
 def cmd_train(args):
-    task = learn.REGRESSION if args.task == "reg" else learn.CLASSIFICATION
-    raw = bench.load_csv(args.data, args.target, task)
-    ds = bench.standardize(raw, split_ratio=args.split, seed=args.seed)
+    ds = _dataset(args)
     spec = KernelSpec(args.kernel, omega=args.omega, dim=ds.D)
-    S = _build_design(ds.D, args)
+    S = _design(spec, args)
     F_train = embed_batch(spec, S, ds.X_train)
     F_test = embed_batch(spec, S, ds.X_test)
     lam = (learn.default_lambda(ds.N_train) if args.lam == "auto"
            else float(args.lam))
-    if task == learn.REGRESSION:
-        model = learn.ridge_fit(F_train, ds.y_train, lam)
-    else:
-        model = learn.logistic_fit(F_train, ds.y_train, lam, tol=1e-6)
+    model = learn.fit(ds.task, F_train, ds.y_train, lam)
     err = learn.test_error(model, F_test, ds.y_test)
     meta = {"kernel": args.kernel, "omega": repr(args.omega),
             "design": f"level={S.level_cap} M={len(S)} seed={S.seed}",
             "dataset": ds.name}
     learn.save_model(model, args.model_out, meta)
-    kind = "mse" if task == learn.REGRESSION else "error rate"
+    kind = "mse" if ds.task == learn.REGRESSION else "error rate"
     print(f"test {kind}: {err:.6g}  (M={len(S)}, lambda={lam:.4g}, "
           f"nnz_F={model.nnz_F}) -> {args.model_out}")
 
 
 def cmd_bench(args):
-    task = learn.REGRESSION if args.task == "reg" else learn.CLASSIFICATION
-    raw = bench.load_csv(args.data, args.target, task)
-    ds = bench.standardize(raw, split_ratio=args.split, seed=args.seed)
-    methods = args.methods.split(",")
-    for m in methods:
-        if m not in bench.ALL_METHODS:
-            raise SystemExit(f"unknown method {m!r}")
+    ds = _dataset(args)
     m_grid = [int(v) for v in args.m.split(",")]
-    results = bench.run_benchmark(ds, methods, m_grid, args.runs, args.seed,
-                                  kernel=args.kernel,
-                                  pool_factor=args.pool_factor)
+    try:
+        results = bench.run_benchmark(ds, args.methods.split(","), m_grid,
+                                      args.runs, args.seed, kernel=args.kernel,
+                                      pool_factor=args.pool_factor)
+    except ValueError as exc:   # an unknown method name
+        raise SystemExit(str(exc))
+    table = bench.report(results, fmt="text")
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "results.csv"), "w") as fh:
-        fh.write(bench.report(results, fmt="csv"))
-    with open(os.path.join(args.out, "table.txt"), "w") as fh:
-        fh.write(bench.report(results, fmt="text"))
-    with open(os.path.join(args.out, "curves.csv"), "w") as fh:
-        fh.write(bench.curves_csv(results))
-    print(bench.report(results, fmt="text"))
+    for name, text in (("results.csv", bench.report(results, fmt="csv")),
+                       ("table.txt", table),
+                       ("curves.csv", bench.curves_csv(results))):
+        with open(os.path.join(args.out, name), "w") as fh:
+            fh.write(text)
+    print(table)
     print(f"results written to {args.out}/")
 
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import InvalidLevel, InvalidM
 from .features import FeatureIndex
+from .kernels import KernelSpec
 
 
 @dataclass
@@ -32,8 +33,6 @@ class IndexSet:
     indices: Tuple[FeatureIndex, ...]
     level_cap: Optional[int] = None
     seed: Optional[int] = None
-    _column: Optional[Dict[FeatureIndex, int]] = field(
-        default=None, repr=False, compare=False)
     _by_level: Optional[Dict[Tuple[int, ...], Dict[Tuple[int, ...], int]]] = field(
         default=None, repr=False, compare=False)
 
@@ -48,17 +47,9 @@ class IndexSet:
     def __iter__(self):
         return iter(self.indices)
 
-    def __contains__(self, idx: FeatureIndex) -> bool:
-        return idx in self.column_map()
-
     @property
     def dim(self) -> int:
         return self.indices[0].dim if self.indices else 0
-
-    def column_map(self) -> Dict[FeatureIndex, int]:
-        if self._column is None:
-            self._column = {idx: c for c, idx in enumerate(self.indices)}
-        return self._column
 
     def by_level(self) -> Dict[Tuple[int, ...], Dict[Tuple[int, ...], int]]:
         """Columns grouped by level vector: {l: {i: column}}."""
@@ -124,8 +115,6 @@ def truncate_random(full: IndexSet, M: int, seed: int) -> IndexSet:
     """Uniformly random M-subset of ``full``, canonical order preserved."""
     if not 1 <= M <= len(full):
         raise InvalidM(f"M={M} out of range 1..{len(full)}")
-    if M == len(full):
-        return IndexSet(full.indices, level_cap=full.level_cap, seed=seed)
     rng = np.random.default_rng(seed)
     keep = np.sort(rng.choice(len(full), size=M, replace=False))
     chosen = tuple(full.indices[j] for j in keep)
@@ -140,3 +129,13 @@ def level_for_feature_count(D: int, M: int) -> int:
     while sparse_grid_size(D, n) < M:
         n += 1
     return n
+
+
+def select_design(spec: KernelSpec, M: int, seed: int) -> IndexSet:
+    """The M-feature design that the bench and the CLI train on.
+
+    A uniformly random M-subset of the smallest full design that holds M
+    (all of it when M is a full design size).
+    """
+    full = enumerate_sparse_grid(spec.dim, level_for_feature_count(spec.dim, M))
+    return truncate_random(full, M, seed)

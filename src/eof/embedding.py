@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .design import IndexSet
-from .errors import DimError
+from .errors import DimError, InvalidLevel
 from .features import _profile_1d
 from .kernels import KernelSpec, _prepare_point, expansion_coeff
 
@@ -61,11 +61,15 @@ def _scale_value(spec: KernelSpec, l, scale: str) -> float:
     return np.sqrt(c) if scale == SCALE_SQRT else c
 
 
+def _sparse_row(F: sp.csr_matrix, r: int) -> SparseVec:
+    lo, hi = F.indptr[r], F.indptr[r + 1]
+    return SparseVec(F.shape[1], F.indices[lo:hi].astype(np.int64), F.data[lo:hi])
+
+
 def embed(spec: KernelSpec, S: IndexSet, x, scale: str = SCALE_SQRT) -> SparseVec:
     """Sparse feature vector z(x) over the columns of ``S``."""
-    row = embed_batch(spec, S, np.atleast_1d(np.asarray(x, dtype=float))[None],
-                      scale=scale)
-    return SparseVec(len(S), row.indices.astype(np.int64), row.data)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    return _sparse_row(embed_batch(spec, S, x[None], scale=scale), 0)
 
 
 def _dyadic_profile(spec: KernelSpec, level: int, x: np.ndarray):
@@ -84,6 +88,9 @@ def _dyadic_profile(spec: KernelSpec, level: int, x: np.ndarray):
 
 def _level_keys(l, positions):
     """Sorted mixed-radix keys of one level's positions, and their columns."""
+    # a key holds sum(l_d - 1) bits, and x 2^l_d must fit an int64 as well
+    if sum(l) - len(l) > 61:
+        raise InvalidLevel(f"level vector {l} is too deep for 64-bit keys")
     pos = np.array(list(positions), dtype=np.int64).reshape(-1, len(l))
     keys = np.zeros(len(pos), dtype=np.int64)
     for d, ld in enumerate(l):
@@ -136,4 +143,8 @@ def embed_batch(spec: KernelSpec, S: IndexSet, X,
 
 def kernel_approx(spec: KernelSpec, S: IndexSet, x, xp) -> float:
     """Truncated expansion z(x)^T z(x') approximating k(x, x')."""
-    return embed(spec, S, x).dot(embed(spec, S, xp))
+    x, xp = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (x, xp))
+    if x.shape != xp.shape:
+        raise DimError("x and x' have different dimensions")
+    F = embed_batch(spec, S, np.stack([x, xp]))
+    return _sparse_row(F, 0).dot(_sparse_row(F, 1))

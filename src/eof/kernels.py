@@ -27,7 +27,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import InvalidLevel, InvalidPoint
+from .errors import DimError, InvalidLevel, InvalidPoint
 
 LAPLACE = "laplace"
 SOBOLEV = "sobolev"
@@ -110,7 +110,7 @@ def kernel_eval(spec: KernelSpec, x, xp) -> float:
     x = _prepare_point(spec, x)
     xp = _prepare_point(spec, xp)
     if x.shape != xp.shape or x.shape[0] != spec.dim:
-        raise InvalidPoint(f"expected points of dimension {spec.dim}")
+        raise DimError(f"expected points of dimension {spec.dim}")
     return float(_kernel_rows(spec, x, xp))
 
 

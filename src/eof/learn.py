@@ -52,7 +52,7 @@ def _gram(F):
     return G.toarray() if sp.issparse(G) else np.asarray(G)
 
 
-def ridge_fit(F, y, lam: float, feature_map=None) -> Model:
+def ridge_fit(F, y, lam: float) -> Model:
     """Solve (F^T F + lam N I) w = F^T y on the accumulated Gram."""
     if not lam > 0:
         raise InvalidData("lam must be positive")
@@ -64,11 +64,11 @@ def ridge_fit(F, y, lam: float, feature_map=None) -> Model:
     w = np.linalg.solve(A, b)
     dt = time.perf_counter() - t0
     nnz = F.nnz if sp.issparse(F) else int(np.count_nonzero(F))
-    return Model(w, feature_map, lam, REGRESSION, dt, nnz)
+    return Model(w, lam=lam, task=REGRESSION, train_seconds=dt, nnz_F=nnz)
 
 
-def logistic_fit(F, y, lam: float, max_iter: int = 100, tol: float = 1e-8,
-                 feature_map=None) -> Model:
+def logistic_fit(F, y, lam: float, max_iter: int = 100,
+                 tol: float = 1e-8) -> Model:
     """L2-regularized logistic regression on labels in {-1, +1}.
 
     Minimizes (1/N) sum log(1 + exp(-y_i F_i w)) + lam ||w||^2 by damped
@@ -127,7 +127,14 @@ def logistic_fit(F, y, lam: float, max_iter: int = 100, tol: float = 1e-8,
             f"logistic solver stopped with gradient norm {gnorm:.3e}", gnorm)
     dt = time.perf_counter() - t0
     nnz = F.nnz if sp.issparse(F) else int(np.count_nonzero(F))
-    return Model(w, feature_map, lam, CLASSIFICATION, dt, nnz)
+    return Model(w, lam=lam, task=CLASSIFICATION, train_seconds=dt, nnz_F=nnz)
+
+
+def fit(task: str, F, y, lam: float) -> Model:
+    """The solver for ``task``: ridge for regression, logistic otherwise."""
+    if task == REGRESSION:
+        return ridge_fit(F, y, lam)
+    return logistic_fit(F, y, lam, max_iter=200, tol=1e-6)
 
 
 MODEL_FORMAT = "eof-model-v1"

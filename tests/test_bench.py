@@ -186,6 +186,15 @@ class TestRunBenchmark:
         assert res[0].n_failed == 3
         assert len(res[0].errors) == 3
 
+    def test_unknown_method_rejected_before_any_run(self, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(bench, "_one_run", no_run)
+        with pytest.raises(ValueError, match="nystrom"):
+            bench.run_benchmark(toy_dataset(), ["rks", "nystrom"], [4], runs=1,
+                                seed=0)
+
     def test_invalid_runs(self):
         with pytest.raises(InvalidData):
             bench.run_benchmark(toy_dataset(), ["rks"], [8], runs=0, seed=0)

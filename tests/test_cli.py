@@ -3,8 +3,9 @@ import pytest
 
 from eof import bench, learn
 from eof.cli import main
-from eof.design import enumerate_sparse_grid
+from eof.design import enumerate_sparse_grid, select_design
 from eof.embedding import embed_batch
+from eof.errors import ParseError
 from eof.kernels import KernelSpec
 
 
@@ -51,6 +52,32 @@ class TestEmbedCommand:
               "--input", str(inp), "--output", str(out)])
         header = out.read_text().splitlines()[0]
         assert header.split()[2] == "9"  # column count equals requested M
+
+    def test_num_features_columns_are_select_design(self, tmp_path):
+        rng = np.random.default_rng(2)
+        X = rng.uniform(0.0, 1.0, (20, 2))
+        inp = tmp_path / "points.csv"
+        write_points_csv(inp, X)
+        spec = KernelSpec("laplace", omega=1.0, dim=2)
+        for seed in (4, 5):
+            out = tmp_path / f"features{seed}.txt"
+            main(["embed", "--num-features", "11", "--seed", str(seed),
+                  "--input", str(inp), "--output", str(out)])
+            lines = out.read_text().strip().splitlines()
+            dense = np.zeros((20, 11))
+            for line in lines[1:]:
+                r, c, v = line.split(",")
+                dense[int(r), int(c)] = float(v)
+            F = embed_batch(spec, select_design(spec, 11, seed), X)
+            np.testing.assert_array_equal(dense, F.toarray())
+
+    def test_non_numeric_cell_reports_position(self, tmp_path):
+        inp = tmp_path / "points.csv"
+        inp.write_text("x0,x1\n0.1,0.2\n0.3,abc\n")
+        with pytest.raises(ParseError) as info:
+            main(["embed", "--level", "2", "--input", str(inp),
+                  "--output", str(tmp_path / "f.txt")])
+        assert (info.value.row, info.value.col) == (3, 2)
 
     def test_level_and_num_features_mutually_exclusive(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from eof.design import IndexSet, enumerate_sparse_grid, truncate_random
 from eof.embedding import (SCALE_PLAIN, SCALE_RAW, SCALE_SQRT, SparseVec,
                            embed, embed_batch, kernel_approx)
-from eof.errors import DimError, InvalidPoint
+from eof.errors import DimError, InvalidLevel, InvalidPoint
 from eof.features import FeatureIndex, phi_nd
 from eof.kernels import KernelSpec, expansion_coeff, kernel_eval
 
@@ -165,6 +165,21 @@ class TestEmbedBatch:
             tracemalloc.stop()
         assert peak < 2 ** 20
         np.testing.assert_array_equal(F.toarray()[:, 0], [1.0, 0.5, 0.0, 0.0])
+
+    def test_wrapping_level_key_rejected(self):
+        # sum(l_d - 1) = 78 bits: the int64 keys of these two features wrap
+        # onto each other, which put a point at the second centre in the
+        # first feature's column
+        S = IndexSet((FeatureIndex((40, 40), (1, 1)),
+                      FeatureIndex((40, 40), (2 ** 26 + 1, 1))))
+        x = np.array([[(2 ** 26 + 1) * 2.0 ** -40, 2.0 ** -40]])
+        with pytest.raises(InvalidLevel, match=r"\(40, 40\)"):
+            embed_batch(KernelSpec("bb", dim=2), S, x)
+
+    def test_level_beyond_int64_rejected(self):
+        S = IndexSet((FeatureIndex((64,), (2 ** 63 + 1,)),))
+        with pytest.raises(InvalidLevel, match=r"\(64,\)"):
+            embed_batch(BB1, S, np.array([[0.5]]))
 
     def test_custom_pq_matches_closed_form(self):
         omega = 2.0

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eof.errors import InvalidLevel, InvalidPoint
+from eof.errors import DimError, InvalidLevel, InvalidPoint
 from eof.kernels import (KernelSpec, expansion_coeff, kernel_eval, norm_const,
                          surplus_alpha_1d, surplus_beta_1d)
 
@@ -37,6 +37,13 @@ class TestKernelEval:
     def test_nan_input_rejected(self):
         with pytest.raises(InvalidPoint):
             kernel_eval(LAPLACE1, [float("nan")], [0.5])
+
+    def test_dimension_mismatch_raises_dim_error(self):
+        spec = KernelSpec("laplace", omega=1.0, dim=2)
+        with pytest.raises(DimError):
+            kernel_eval(spec, [0.1, 0.2], [0.3])
+        with pytest.raises(DimError):
+            kernel_eval(spec, [0.1, 0.2, 0.3], [0.4, 0.5, 0.6])
 
     def test_clamp_default_strict_flag(self):
         assert kernel_eval(LAPLACE1, [1.5], [1.0]) == 1.0
