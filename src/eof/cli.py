@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -10,6 +11,20 @@ from . import bench, learn
 from .design import enumerate_sparse_grid, select_design
 from .embedding import SCALE_RAW, SCALE_SQRT, embed_batch
 from .kernels import KernelSpec
+
+
+def _lambda(text):
+    """``--lambda``: ``auto`` or a positive finite number."""
+    if text == "auto":
+        return text
+    try:
+        lam = float(text)
+    except ValueError:
+        lam = math.nan
+    if not 0.0 < lam < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"expected 'auto' or a positive number, got {text!r}")
+    return lam
 
 
 def _add_kernel_flags(p):
@@ -59,7 +74,7 @@ def cmd_train(args):
     F_train = embed_batch(spec, S, ds.X_train)
     F_test = embed_batch(spec, S, ds.X_test)
     lam = (learn.default_lambda(ds.N_train) if args.lam == "auto"
-           else float(args.lam))
+           else args.lam)
     model = learn.fit(ds.task, F_train, ds.y_train, lam)
     err = learn.test_error(model, F_test, ds.y_test)
     meta = {"kernel": args.kernel, "omega": repr(args.omega),
@@ -110,7 +125,7 @@ def build_parser():
     _add_kernel_flags(p_train)
     _add_design_flags(p_train)
     p_train.add_argument("--task", choices=["reg", "clf"], required=True)
-    p_train.add_argument("--lambda", dest="lam", default="auto",
+    p_train.add_argument("--lambda", dest="lam", type=_lambda, default="auto",
                          help="regularization strength or 'auto' (N^-1/2)")
     p_train.add_argument("--data", required=True)
     p_train.add_argument("--target", default="target")

@@ -10,7 +10,6 @@ across levels they are nested, which is what makes the embedding sparse.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Tuple
@@ -19,7 +18,8 @@ import numpy as np
 
 from .errors import DimError, InvalidIndex, InvalidLevel
 from .kernels import (BROWNIAN_BRIDGE, LAPLACE, SOBOLEV, KernelSpec,
-                      surplus_alpha_1d, surplus_beta_1d)
+                      _prepare_point, _wronskian, surplus_alpha_1d,
+                      surplus_beta_1d)
 
 
 @dataclass(frozen=True)
@@ -63,16 +63,9 @@ def phi_1d(spec: KernelSpec, l: int, i: int, x) -> float:
     triangular hat centered at i 2^-l; for the Laplace kernel it is the
     sinh-ratio profile sinh(w(h - |x - z|)) / sinh(w h) on the support.
     """
-    if l < 1:
-        raise InvalidLevel(f"level {l} must be >= 1")
-    if i % 2 == 0:
-        raise InvalidIndex(f"position {i} must be odd")
-    if not 1 <= i <= 2 ** l - 1:
-        raise InvalidIndex(f"position {i} out of range for level {l}")
-    val = _profile_1d(spec, l, i, np.asarray(x, dtype=float))
-    if val.ndim == 0:
-        return float(val)
-    return val
+    FeatureIndex((l,), (i,))
+    val = _profile_1d(spec, l, i, _prepare_point(spec, x))
+    return float(val[0]) if np.ndim(x) == 0 else val
 
 
 def _profile_1d(spec: KernelSpec, l: int, i, x: np.ndarray) -> np.ndarray:
@@ -93,10 +86,9 @@ def _profile_1d(spec: KernelSpec, l: int, i, x: np.ndarray) -> np.ndarray:
     if spec.kind == LAPLACE:
         return np.where(inside, _sinh_ratio(spec.omega * (h - np.minimum(dist, h)),
                                             spec.omega * h), 0.0)
-    p, q = spec.pq()
     zm, zp = z - h, z + h
-    left = (p(x) * q(zm) - q(x) * p(zm)) / (p(z) * q(zm) - q(z) * p(zm))
-    right = (q(x) * p(zp) - p(x) * q(zp)) / (q(z) * p(zp) - p(z) * q(zp))
+    left = _wronskian(spec, zm, x) / _wronskian(spec, zm, z)
+    right = _wronskian(spec, x, zp) / _wronskian(spec, z, zp)
     return np.where(inside, np.where(x <= z, left, right), 0.0)
 
 
@@ -113,14 +105,12 @@ def _sinh_ratio(a, b):
 
 def phi_nd(spec: KernelSpec, idx: FeatureIndex, x) -> float:
     """Tensor-product feature value at a D-dimensional point."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        x = x.reshape(1)
+    x = _prepare_point(spec, x)
     if x.shape[-1] != idx.dim:
         raise DimError(f"point dimension {x.shape[-1]} != index dimension {idx.dim}")
     val = 1.0
     for d in range(idx.dim):
-        val = val * phi_1d(spec, idx.l[d], idx.i[d], x[..., d])
+        val = val * _profile_1d(spec, idx.l[d], idx.i[d], x[..., d])
     return float(val) if np.ndim(val) == 0 else val
 
 

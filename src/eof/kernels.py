@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -76,21 +75,6 @@ class KernelSpec:
         if self.kind == CUSTOM and (self.p is None or self.q is None):
             raise ValueError("custom kernels need p and q callables")
 
-    def pq(self):
-        """Return the (p, q) pair as vectorized callables."""
-        if self.kind == LAPLACE:
-            w = self.omega
-            return (lambda x: np.exp(w * np.asarray(x)),
-                    lambda x: np.exp(-w * np.asarray(x)))
-        if self.kind == SOBOLEV:
-            w = self.omega
-            return (lambda x: w * np.asarray(x) + 1.0,
-                    lambda x: np.ones_like(np.asarray(x, dtype=float)))
-        if self.kind == BROWNIAN_BRIDGE:
-            return (lambda x: np.asarray(x, dtype=float),
-                    lambda x: 1.0 - np.asarray(x, dtype=float))
-        return self.p, self.q
-
 
 def _prepare_point(spec: KernelSpec, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
@@ -125,19 +109,12 @@ def _kernel_rows(spec: KernelSpec, X: np.ndarray, xp: np.ndarray):
         return np.prod(spec.omega * np.minimum(X, xp) + 1.0, axis=-1)
     if spec.kind == BROWNIAN_BRIDGE:
         return np.prod(np.minimum(X, xp) * (1.0 - np.maximum(X, xp)), axis=-1)
-    p, q = spec.pq()
-    return np.prod(p(np.minimum(X, xp)) * q(np.maximum(X, xp)), axis=-1)
+    return np.prod(spec.p(np.minimum(X, xp)) * spec.q(np.maximum(X, xp)), axis=-1)
 
 
-@lru_cache(maxsize=None)
-def _sobolev_norm_const_1d(omega: float, level: int) -> float:
-    # Exact piecewise integral of the hat against the weighted Sobolev inner
-    # product <f,g> = f(0)g(0) + (1/w) int f'g'.  The hat has slope +-2^l on
-    # two pieces of width 2^-l and vanishes at 0, so the integral is exact.
-    h = 2.0 ** (-level)
-    slope = 1.0 / h
-    norm_sq = (slope ** 2) * h * 2.0 / omega
-    return 1.0 / norm_sq
+def _wronskian(spec: KernelSpec, a, b):
+    """W(a, b) = p(b) q(a) - p(a) q(b) of a custom kernel's (p, q) pair."""
+    return spec.p(b) * spec.q(a) - spec.p(a) * spec.q(b)
 
 
 def _check_levels(l) -> np.ndarray:
@@ -152,49 +129,40 @@ def norm_const(spec: KernelSpec, l) -> float:
 
     This is the weight maximized by the knapsack selection; it is independent
     of the position index i for every built-in kernel and strictly decreasing
-    in each level component.
+    in each level component.  For the Brownian-bridge and weighted-Sobolev
+    kernels it is ``expansion_coeff``.
     """
     l = _check_levels(l)
     if spec.kind == LAPLACE:
         return float(np.prod(np.sinh(spec.omega * 2.0 ** (-l.astype(float)))))
-    if spec.kind == BROWNIAN_BRIDGE:
-        return float(np.prod(2.0 ** (-(l + 1).astype(float))))
-    if spec.kind == SOBOLEV:
-        return float(np.prod([_sobolev_norm_const_1d(spec.omega, int(ld)) for ld in l]))
-    if spec.norm_const_1d is None:
-        raise ValueError("custom kernel needs norm_const_1d")
-    return float(np.prod([spec.norm_const_1d(int(ld)) for ld in l]))
+    if spec.kind == CUSTOM:
+        if spec.norm_const_1d is None:
+            raise ValueError("custom kernel needs norm_const_1d")
+        return float(np.prod([spec.norm_const_1d(int(ld)) for ld in l]))
+    return expansion_coeff(spec, l)
 
 
 def expansion_coeff(spec: KernelSpec, l) -> float:
     """Exact reconstruction coefficient 1 / ||phi_l||_k^2 for a level vector.
 
-    Equals ``norm_const`` for the Brownian-bridge and weighted-Sobolev
-    kernels.  For the Laplace kernel the exact per-dimension norm is
-    coth(w 2^-l) (product of the surplus alpha coefficients), so the exact
-    coefficient is tanh(w 2^-l); ``norm_const`` keeps the sinh closed form
-    used for entropy ranking.  Only this coefficient makes
-    z(x)^T z(x') converge to k(x, x').
+    This is the product of 1 / alpha_{l_d,1} over dimensions (alpha is the
+    squared RKHS norm of the 1-D feature, independent of the position i for
+    Sturm-Liouville pairs with constant Wronskian).  For the Laplace kernel
+    the per-dimension norm is coth(w 2^-l), so the coefficient is the tanh
+    closed form; ``norm_const`` keeps the sinh closed form used for entropy
+    ranking.  Only this coefficient makes z(x)^T z(x') converge to k(x, x').
     """
     l = _check_levels(l)
     if spec.kind == LAPLACE:
         return float(np.prod(np.tanh(spec.omega * 2.0 ** (-l.astype(float)))))
-    if spec.kind == BROWNIAN_BRIDGE:
-        return float(np.prod(2.0 ** (-(l + 1).astype(float))))
-    if spec.kind == SOBOLEV:
-        return float(np.prod([_sobolev_norm_const_1d(spec.omega, int(ld)) for ld in l]))
-    # generic: product of 1/alpha_{l,i} at i=1 (i-independent for SL pairs
-    # with constant Wronskian); custom kernels may override via norm_const_1d
-    total = 1.0
-    for ld in l:
-        total /= surplus_alpha_1d(spec, int(ld), 1)
-    return total
+    return float(np.prod([1.0 / surplus_alpha_1d(spec, int(ld), 1) for ld in l]))
 
 
 def surplus_alpha_1d(spec: KernelSpec, level: int, i: int) -> float:
     """Diagonal coefficient alpha_{l,i} of the 1-D surplus operator.
 
-    alpha equals the squared RKHS norm of the 1-D feature at (l, i).
+    alpha equals the squared RKHS norm of the 1-D feature at (l, i):
+    W(z_{i-1}, z_{i+1}) / (W(z_{i-1}, z_i) W(z_i, z_{i+1})).
     """
     if level < 1:
         raise InvalidLevel("level must be >= 1")
@@ -205,11 +173,9 @@ def surplus_alpha_1d(spec: KernelSpec, level: int, i: int) -> float:
         return 2.0 / h
     if spec.kind == SOBOLEV:
         return 2.0 / (spec.omega * h)
-    p, q = spec.pq()
     zm, zc, zp = (i - 1) * h, i * h, (i + 1) * h
-    wl = float(p(zc) * q(zm) - p(zm) * q(zc))
-    wr = float(p(zp) * q(zc) - p(zc) * q(zp))
-    return float(p(zp) * q(zm) - p(zm) * q(zp)) / (wl * wr)
+    return float(_wronskian(spec, zm, zp)
+                 / (_wronskian(spec, zm, zc) * _wronskian(spec, zc, zp)))
 
 
 def surplus_beta_1d(spec: KernelSpec, level: int, i: int) -> float:
@@ -223,6 +189,4 @@ def surplus_beta_1d(spec: KernelSpec, level: int, i: int) -> float:
         return 1.0 / h
     if spec.kind == SOBOLEV:
         return 1.0 / (spec.omega * h)
-    p, q = spec.pq()
-    za, zb = i * h, (i + 1) * h
-    return 1.0 / float(p(zb) * q(za) - p(za) * q(zb))
+    return 1.0 / float(_wronskian(spec, i * h, (i + 1) * h))

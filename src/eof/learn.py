@@ -1,16 +1,16 @@
 """Regularized linear models over sparse or dense feature matrices.
 
-Both solvers work on the M x M Gram accumulated from the (typically sparse)
-feature matrix, so training is linear in nnz(F).  Ridge uses the normal
-equations; logistic uses damped Newton.  The regularizer enters as
-lambda * N inside the normal equations so that lambda is comparable across
-sample sizes; the default follows lambda = N^{-1/2}.
+Both solvers work on one dense M x M Gram F^T diag(d) F (``_gram``), formed
+from the (typically sparse) feature matrix, with the ridge term added to its
+diagonal; the solve costs O(M^3).  Ridge uses the normal equations (d = 1);
+logistic uses damped Newton (d = the logistic weights).  The regularizer
+enters as lambda * N inside the normal equations so that lambda is
+comparable across sample sizes; the default follows lambda = N^{-1/2}.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 import numpy as np
@@ -29,7 +29,6 @@ class Model:
     feature_map: Any = None
     lam: float = 0.0
     task: str = REGRESSION
-    train_seconds: float = 0.0
     nnz_F: int = 0
 
 
@@ -38,7 +37,9 @@ def default_lambda(N: int) -> float:
     return float(N) ** -0.5
 
 
-def _check_features(F, y):
+def _check_features(F, y, lam):
+    if not lam > 0:
+        raise InvalidData("lam must be positive")
     y = np.asarray(y, dtype=float).ravel()
     if not np.all(np.isfinite(y)):
         raise InvalidData("targets contain non-finite values")
@@ -47,24 +48,26 @@ def _check_features(F, y):
     return y
 
 
-def _gram(F):
-    G = F.T @ F
-    return G.toarray() if sp.issparse(G) else np.asarray(G)
+def _gram(F, d=None) -> np.ndarray:
+    """F^T diag(d) F as a dense array; d defaults to all ones."""
+    if sp.issparse(F):
+        return (F.T @ (F if d is None else F.multiply(d[:, None]))).toarray()
+    return np.asarray(F.T @ (F if d is None else F * d[:, None]))
+
+
+def _model(F, w, lam, task) -> Model:
+    nnz = F.nnz if sp.issparse(F) else int(np.count_nonzero(F))
+    return Model(w, lam=lam, task=task, nnz_F=nnz)
 
 
 def ridge_fit(F, y, lam: float) -> Model:
     """Solve (F^T F + lam N I) w = F^T y on the accumulated Gram."""
-    if not lam > 0:
-        raise InvalidData("lam must be positive")
-    y = _check_features(F, y)
+    y = _check_features(F, y, lam)
     N, M = F.shape
-    t0 = time.perf_counter()
-    A = _gram(F) + lam * N * np.eye(M)
+    A = _gram(F)
+    A.flat[::M + 1] += lam * N
     b = np.asarray(F.T @ y).ravel()
-    w = np.linalg.solve(A, b)
-    dt = time.perf_counter() - t0
-    nnz = F.nnz if sp.issparse(F) else int(np.count_nonzero(F))
-    return Model(w, lam=lam, task=REGRESSION, train_seconds=dt, nnz_F=nnz)
+    return _model(F, np.linalg.solve(A, b), lam, REGRESSION)
 
 
 def logistic_fit(F, y, lam: float, max_iter: int = 100,
@@ -75,14 +78,11 @@ def logistic_fit(F, y, lam: float, max_iter: int = 100,
     Newton; raises ``ConvergenceError`` (with the last gradient norm) if the
     gradient norm is still above ``tol`` after ``max_iter`` iterations.
     """
-    if not lam > 0:
-        raise InvalidData("lam must be positive")
-    y = _check_features(F, y)
+    y = _check_features(F, y, lam)
     if not np.all(np.isin(y, (-1.0, 1.0))):
         raise InvalidData("labels must be -1 or +1")
     N, M = F.shape
     Fc = F.tocsr() if sp.issparse(F) else np.asarray(F, dtype=float)
-    t0 = time.perf_counter()
     w = np.zeros(M)
 
     def margins(wv):
@@ -93,19 +93,16 @@ def logistic_fit(F, y, lam: float, max_iter: int = 100,
         return float(np.mean(np.logaddexp(0.0, -m)) + lam * wv @ wv)
 
     obj = objective(w)
-    for _ in range(max_iter):
-        m = margins(w)
-        s = expit(-m)                          # sigma(-y F w)
+    for it in range(max_iter + 1):
+        s = expit(-margins(w))                 # sigma(-y F w)
         grad = -np.asarray(Fc.T @ (y * s)).ravel() / N + 2.0 * lam * w
         gnorm = float(np.linalg.norm(grad))
         if gnorm < tol:
+            return _model(F, w, lam, CLASSIFICATION)
+        if it == max_iter:
             break
-        d = s * (1.0 - s)
-        if sp.issparse(Fc):
-            H = (Fc.T @ Fc.multiply(d[:, None])).toarray() / N
-        else:
-            H = Fc.T @ (Fc * d[:, None]) / N
-        H += 2.0 * lam * np.eye(M)
+        H = _gram(Fc, s * (1.0 - s)) / N
+        H.flat[::M + 1] += 2.0 * lam
         step = np.linalg.solve(H, grad)
         # backtracking keeps the objective monotone
         eta = 1.0
@@ -118,16 +115,8 @@ def logistic_fit(F, y, lam: float, max_iter: int = 100,
             eta *= 0.5
         else:
             break
-    m = margins(w)
-    s = expit(-m)
-    grad = -np.asarray(Fc.T @ (y * s)).ravel() / N + 2.0 * lam * w
-    gnorm = float(np.linalg.norm(grad))
-    if gnorm >= tol:
-        raise ConvergenceError(
-            f"logistic solver stopped with gradient norm {gnorm:.3e}", gnorm)
-    dt = time.perf_counter() - t0
-    nnz = F.nnz if sp.issparse(F) else int(np.count_nonzero(F))
-    return Model(w, lam=lam, task=CLASSIFICATION, train_seconds=dt, nnz_F=nnz)
+    raise ConvergenceError(
+        f"logistic solver stopped with gradient norm {gnorm:.3e}", gnorm)
 
 
 def fit(task: str, F, y, lam: float) -> Model:

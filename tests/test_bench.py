@@ -39,10 +39,11 @@ class TestLoadCsv:
 
     def test_non_numeric_cell_reports_position(self, tmp_path):
         path = tmp_path / "toy.csv"
-        path.write_text("a,target\n1,2\nx,4\n")
-        with pytest.raises(ParseError) as err:
-            bench.load_csv(path, "target", learn.REGRESSION)
-        assert err.value.row == 3 and err.value.col == 1
+        for cell in ("x", "nan", "inf", "-inf"):
+            path.write_text(f"a,target\n1,2\n{cell},4\n")
+            with pytest.raises(ParseError) as err:
+                bench.load_csv(path, "target", learn.REGRESSION)
+            assert err.value.row == 3 and err.value.col == 1
 
     def test_round_trip_identity(self, tmp_path):
         rng = np.random.default_rng(2)

@@ -109,6 +109,23 @@ class TestTrainCommand:
               "--model-out", str(tmp_path / "m.txt")])
         assert "error rate" in capsys.readouterr().out
 
+    def test_lambda_is_auto_or_positive_number(self, tmp_path, capsys):
+        ds = bench.synthetic_rkhs_dataset(N_train=60, N_test=2, seed=0)
+        data = tmp_path / "train.csv"
+        write_labeled_csv(data, ds.X_train, ds.y_train)
+        model_path = tmp_path / "model.txt"
+        args = ["train", "--task", "reg", "--level", "2", "--data", str(data),
+                "--model-out", str(model_path), "--lambda"]
+        for bad in ("abc", "-1", "0", "nan", "inf", ""):
+            with pytest.raises(SystemExit) as info:
+                main(args + [bad])
+            assert info.value.code == 2
+            assert "usage:" in capsys.readouterr().err
+        main(args + ["1e-6"])
+        assert learn.load_model(model_path).lam == 1e-6
+        main(args + ["auto"])
+        assert learn.load_model(model_path).lam == learn.default_lambda(42)
+
 
 class TestBenchCommand:
     def test_output_files_written(self, tmp_path, capsys):

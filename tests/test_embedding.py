@@ -209,8 +209,9 @@ class TestEmbedBatch:
 
 @pytest.mark.parametrize("embed_fn", [
     lambda spec, S, x: embed(spec, S, x),
-    lambda spec, S, x: embed_batch(spec, S, np.array([x, [0.5, 0.5]]))],
-    ids=["embed", "embed_batch"])
+    lambda spec, S, x: embed_batch(spec, S, np.array([x, [0.5, 0.5]])),
+    lambda spec, S, x: phi_nd(spec, next(iter(S)), x)],
+    ids=["embed", "embed_batch", "phi_nd"])
 @pytest.mark.parametrize("x, strict", [
     ([np.nan, 0.5], False), ([0.2, np.inf], False), ([0.2, -np.inf], True),
     ([1.5, 0.5], True), ([0.5, -0.1], True)])

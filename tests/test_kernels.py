@@ -117,6 +117,8 @@ class TestExpansionCoeff:
     def test_bb_matches_norm_const(self):
         # the hat's RKHS norm is exactly 2^{l+1}; both constants agree
         assert expansion_coeff(BB1, (3,)) == norm_const(BB1, (3,))
+        sob2 = KernelSpec("sobolev", omega=1.5, dim=2)
+        assert expansion_coeff(sob2, (3, 2)) == norm_const(sob2, (3, 2))
 
     def test_product_over_dimensions(self):
         spec = KernelSpec("laplace", omega=1.0, dim=2)
@@ -133,14 +135,18 @@ class TestSurplusCoefficients:
             2.163953413738653, rel=1e-13)  # coth(1/2)
 
     def test_closed_forms_match_generic_pq(self):
-        # custom spec carrying the Laplace p/q must reproduce the closed form
+        # a custom spec carrying a closed form's p/q must reproduce it
         omega = 2.0
-        custom = KernelSpec("custom", omega=omega, dim=1,
-                            p=lambda x: np.exp(omega * x),
-                            q=lambda x: np.exp(-omega * x))
-        lap = KernelSpec("laplace", omega=omega, dim=1)
-        for l, i in ((1, 1), (2, 3), (3, 5)):
-            assert surplus_alpha_1d(custom, l, i) == pytest.approx(
-                surplus_alpha_1d(lap, l, i), rel=1e-12)
-            assert surplus_beta_1d(custom, l, i) == pytest.approx(
-                surplus_beta_1d(lap, l, i), rel=1e-12)
+        pairs = {
+            "laplace": (lambda x: np.exp(omega * x), lambda x: np.exp(-omega * x)),
+            "bb": (lambda x: x, lambda x: 1.0 - x),
+            "sobolev": (lambda x: omega * x + 1.0, lambda x: np.ones_like(x)),
+        }
+        for kind, (p, q) in pairs.items():
+            custom = KernelSpec("custom", omega=omega, dim=1, p=p, q=q)
+            closed = KernelSpec(kind, omega=omega, dim=1)
+            for l, i in ((1, 1), (2, 3), (3, 5)):
+                assert surplus_alpha_1d(custom, l, i) == pytest.approx(
+                    surplus_alpha_1d(closed, l, i), rel=1e-12)
+                assert surplus_beta_1d(custom, l, i) == pytest.approx(
+                    surplus_beta_1d(closed, l, i), rel=1e-12)
