@@ -142,13 +142,16 @@ def write_csv(raw: RawData, path, target_column: str = "target") -> None:
 def standardize(raw: RawData, split_ratio: float = 0.7, seed: int = 0) -> Dataset:
     """Random split plus min-max scaling fit on the training part.
 
-    Constant training features map to 0.5 everywhere.  Regression targets are
-    scaled into [-1, 1] by the training min/max; classification targets are
-    mapped to {-1, +1}.
+    ``split_ratio``, the training share, must lie in (0, 1); each part keeps
+    at least one row.  Constant training features map to 0.5 everywhere.
+    Regression targets are scaled into [-1, 1] by the training min/max;
+    classification targets are mapped to {-1, +1}.
     """
     N = raw.X.shape[0]
     if N < 2:
         raise InvalidData("need at least 2 rows to split")
+    if not 0.0 < split_ratio < 1.0:
+        raise InvalidData(f"split_ratio must lie in (0, 1), got {split_ratio!r}")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(N)
     n_train = max(1, min(N - 1, int(round(split_ratio * N))))
@@ -251,11 +254,17 @@ def run_benchmark(dataset: Dataset, methods: Sequence[str], M_grid: Sequence[int
             raise ValueError(f"unknown method {m!r}")
     if runs < 1:
         raise InvalidData("runs must be >= 1")
+    threads = os.environ.get("EOF_THREADS", "1") or "1"
+    try:
+        n_workers = int(threads)
+    except ValueError:
+        n_workers = 0
+    if n_workers < 1:
+        raise ValueError(f"EOF_THREADS must be an integer >= 1, got {threads!r}")
     sigma = estimate_sigma(dataset.X_train)
     omega = sigma  # matched bandwidth: Cauchy(sigma) frequencies approximate
     # exp(-sigma ||x-x'||_1), the kernel the multilevel features expand
     lam_val = lam if lam is not None else learn.default_lambda(dataset.N_train)
-    n_workers = int(os.environ.get("EOF_THREADS", "1") or "1")
     results = []
     for mi, method in enumerate(methods):
         for Mi, M in enumerate(M_grid):
@@ -281,8 +290,11 @@ def run_benchmark(dataset: Dataset, methods: Sequence[str], M_grid: Sequence[int
                 t_solve = float(np.mean([o[2] for o in good]))
                 nnz = int(round(np.mean([o[3] for o in good])))
                 M0 = good[0][4]
+                # the spread about the first error is exactly 0 when all
+                # runs agree; np.std(errs) rounds np.mean of equal values
+                spread = float(np.std(errs - errs[0]))
                 res = BenchResult(method, M, M0, float(np.mean(errs)),
-                                  float(np.std(errs)), t_feat + t_solve,
+                                  spread, t_feat + t_solve,
                                   t_feat, t_solve, nnz, seeds, n_failed,
                                   errs.tolist())
             else:

@@ -13,30 +13,52 @@ from .embedding import SCALE_RAW, SCALE_SQRT, embed_batch
 from .kernels import KernelSpec
 
 
+def _number_in(lo, hi, expected):
+    """An argparse type: a number strictly between ``lo`` and ``hi``."""
+    def parse(text):
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not lo < value < hi:
+            raise argparse.ArgumentTypeError(
+                f"expected {expected}, got {text!r}")
+        return value
+    return parse
+
+
+_positive = _number_in(0.0, math.inf, "a positive number")        # --omega
+_fraction = _number_in(0.0, 1.0, "a number between 0 and 1")     # --split
+_lambda_value = _number_in(0.0, math.inf, "'auto' or a positive number")
+
+
 def _lambda(text):
     """``--lambda``: ``auto`` or a positive finite number."""
-    if text == "auto":
-        return text
+    return text if text == "auto" else _lambda_value(text)
+
+
+def _count(text):
+    """``--level``, ``--num-features``: an integer >= 1."""
     try:
-        lam = float(text)
+        value = int(text)
     except ValueError:
-        lam = math.nan
-    if not 0.0 < lam < math.inf:
+        value = 0
+    if value < 1:
         raise argparse.ArgumentTypeError(
-            f"expected 'auto' or a positive number, got {text!r}")
-    return lam
+            f"expected an integer >= 1, got {text!r}")
+    return value
 
 
 def _add_kernel_flags(p):
     p.add_argument("--kernel", choices=["laplace", "sobolev", "bb"],
                    default="laplace")
-    p.add_argument("--omega", type=float, default=1.0)
+    p.add_argument("--omega", type=_positive, default=1.0)
 
 
 def _add_design_flags(p):
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--level", type=int, help="full design at level n")
-    group.add_argument("--num-features", type=int,
+    group.add_argument("--level", type=_count, help="full design at level n")
+    group.add_argument("--num-features", type=_count,
                        help="M features via random truncation of the smallest "
                             "full design that holds them")
     p.add_argument("--seed", type=int, default=0)
@@ -93,7 +115,7 @@ def cmd_bench(args):
         results = bench.run_benchmark(ds, args.methods.split(","), m_grid,
                                       args.runs, args.seed, kernel=args.kernel,
                                       pool_factor=args.pool_factor)
-    except ValueError as exc:   # an unknown method name
+    except ValueError as exc:   # an unknown method name or a bad EOF_THREADS
         raise SystemExit(str(exc))
     table = bench.report(results, fmt="text")
     os.makedirs(args.out, exist_ok=True)
@@ -129,7 +151,7 @@ def build_parser():
                          help="regularization strength or 'auto' (N^-1/2)")
     p_train.add_argument("--data", required=True)
     p_train.add_argument("--target", default="target")
-    p_train.add_argument("--split", type=float, default=0.7)
+    p_train.add_argument("--split", type=_fraction, default=0.7)
     p_train.add_argument("--model-out", default="model.txt")
     p_train.set_defaults(func=cmd_train)
 
@@ -143,7 +165,7 @@ def build_parser():
                          help="comma-separated feature counts")
     p_bench.add_argument("--runs", type=int, default=50)
     p_bench.add_argument("--seed", type=int, default=7)
-    p_bench.add_argument("--split", type=float, default=0.7)
+    p_bench.add_argument("--split", type=_fraction, default=0.7)
     p_bench.add_argument("--pool-factor", type=int, default=10)
     p_bench.add_argument("--out", default="results")
     p_bench.set_defaults(func=cmd_bench)

@@ -32,7 +32,8 @@ class InvalidData(EofError):
 class ConvergenceError(EofError):
     """Iterative solver failed to reach tolerance.
 
-    Carries the last gradient norm in ``grad_norm``.
+    Carries the last gradient norm in ``grad_norm`` (for conjugate gradients,
+    the relative residual).
     """
 
     def __init__(self, message, grad_norm=None):

@@ -1,9 +1,12 @@
 """Regularized linear models over sparse or dense feature matrices.
 
-Both solvers work on one dense M x M Gram F^T diag(d) F (``_gram``), formed
-from the (typically sparse) feature matrix, with the ridge term added to its
-diagonal; the solve costs O(M^3).  Ridge uses the normal equations (d = 1);
-logistic uses damped Newton (d = the logistic weights).  The regularizer
+Ridge and every damped Newton step of logistic regression solve one system,
+(F^T diag(d) F / n + shift I) x = b (``_solve``).  For a sparse feature
+matrix it runs Jacobi-preconditioned conjugate gradients on the operator
+v -> F^T (d * (F v)) / n + shift v, so each iteration costs O(nnz(F)) and no
+M x M array is formed.  Dense features (the random-feature baselines) form the
+Gram and solve it directly in O(M^3).  Ridge uses the normal equations
+(d = 1); logistic uses the logistic weights d = s (1 - s).  The regularizer
 enters as lambda * N inside the normal equations so that lambda is
 comparable across sample sizes; the default follows lambda = N^{-1/2}.
 """
@@ -48,11 +51,54 @@ def _check_features(F, y, lam):
     return y
 
 
-def _gram(F, d=None) -> np.ndarray:
-    """F^T diag(d) F as a dense array; d defaults to all ones."""
-    if sp.issparse(F):
-        return (F.T @ (F if d is None else F.multiply(d[:, None]))).toarray()
-    return np.asarray(F.T @ (F if d is None else F * d[:, None]))
+CG_RTOL = 1e-12        # relative residual at which conjugate gradients stop
+CG_MAX_ITER = 10       # iteration cap, as a multiple of M
+
+
+def _solve(F, b, shift, d=None, n=1):
+    """Solve (F^T diag(d) F / n + shift I) x = b; d defaults to all ones.
+
+    Dense F: the Gram plus ``np.linalg.solve``.  Sparse F: Jacobi-preconditioned
+    conjugate gradients on the matrix-free operator; raises
+    ``ConvergenceError`` with the relative residual if it is still above
+    ``CG_RTOL`` after ``CG_MAX_ITER * M`` iterations.
+    """
+    N, M = F.shape
+    if not sp.issparse(F):
+        A = np.asarray(F.T @ (F if d is None else F * d[:, None]))
+        if n != 1:
+            A /= n
+        A.flat[::M + 1] += shift
+        return np.linalg.solve(A, b)
+    F = F.tocsr()
+    Ft = F.T                                   # a CSC view, not a copy
+    dn = (np.ones(N) if d is None else d) / n
+    sq = F.data ** 2
+    sq *= np.repeat(dn, np.diff(F.indptr))
+    inv_diag = 1.0 / (np.bincount(F.indices, sq, minlength=M) + shift)
+    x = np.zeros(M)
+    r = np.array(b, dtype=float)
+    b_norm = float(np.linalg.norm(r))
+    if b_norm == 0.0:
+        return x
+    z = inv_diag * r
+    p = z.copy()
+    rz, rel = float(r @ z), 1.0
+    for _ in range(CG_MAX_ITER * M):
+        Ap = Ft @ (dn * (F @ p)) + shift * p
+        alpha = rz / float(p @ Ap)
+        x += alpha * p
+        r -= alpha * Ap
+        rel = float(np.linalg.norm(r)) / b_norm
+        if rel <= CG_RTOL:
+            return x
+        z = inv_diag * r
+        rz, rz_old = float(r @ z), rz
+        p *= rz / rz_old
+        p += z
+    raise ConvergenceError(
+        f"conjugate gradients stopped at relative residual {rel:.3e} "
+        f"after {CG_MAX_ITER * M} iterations", rel)
 
 
 def _model(F, w, lam, task) -> Model:
@@ -61,13 +107,10 @@ def _model(F, w, lam, task) -> Model:
 
 
 def ridge_fit(F, y, lam: float) -> Model:
-    """Solve (F^T F + lam N I) w = F^T y on the accumulated Gram."""
+    """Solve (F^T F + lam N I) w = F^T y."""
     y = _check_features(F, y, lam)
-    N, M = F.shape
-    A = _gram(F)
-    A.flat[::M + 1] += lam * N
     b = np.asarray(F.T @ y).ravel()
-    return _model(F, np.linalg.solve(A, b), lam, REGRESSION)
+    return _model(F, _solve(F, b, lam * F.shape[0]), lam, REGRESSION)
 
 
 def logistic_fit(F, y, lam: float, max_iter: int = 100,
@@ -101,9 +144,7 @@ def logistic_fit(F, y, lam: float, max_iter: int = 100,
             return _model(F, w, lam, CLASSIFICATION)
         if it == max_iter:
             break
-        H = _gram(Fc, s * (1.0 - s)) / N
-        H.flat[::M + 1] += 2.0 * lam
-        step = np.linalg.solve(H, grad)
+        step = _solve(Fc, grad, 2.0 * lam, s * (1.0 - s), N)
         # backtracking keeps the objective monotone
         eta = 1.0
         while eta > 1e-12:

@@ -108,6 +108,13 @@ class TestStandardize:
         with pytest.raises(InvalidData):
             bench.standardize(raw)
 
+    @pytest.mark.parametrize("ratio", [0.0, 1.0, 1.5, -0.3, float("nan")])
+    def test_split_ratio_outside_unit_interval_rejected(self, ratio):
+        raw = bench.RawData(np.arange(20, dtype=float)[:, None], np.zeros(20),
+                            "t", learn.REGRESSION)
+        with pytest.raises(InvalidData, match="split_ratio"):
+            bench.standardize(raw, split_ratio=ratio)
+
 
 class TestEstimateSigma:
     def test_duplicates_degenerate(self):
@@ -195,6 +202,17 @@ class TestRunBenchmark:
         with pytest.raises(ValueError, match="nystrom"):
             bench.run_benchmark(toy_dataset(), ["rks", "nystrom"], [4], runs=1,
                                 seed=0)
+
+    @pytest.mark.parametrize("threads", ["abc", "0", "-2", "1.5"])
+    def test_bad_thread_count_rejected_before_any_run(self, monkeypatch,
+                                                      threads):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(bench, "_one_run", no_run)
+        monkeypatch.setenv("EOF_THREADS", threads)
+        with pytest.raises(ValueError, match="EOF_THREADS"):
+            bench.run_benchmark(toy_dataset(), ["rks"], [4], runs=1, seed=0)
 
     def test_invalid_runs(self):
         with pytest.raises(InvalidData):

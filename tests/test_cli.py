@@ -127,6 +127,26 @@ class TestTrainCommand:
         assert learn.load_model(model_path).lam == learn.default_lambda(42)
 
 
+    @pytest.mark.parametrize("flag, bad", [
+        ("--omega", "-1"), ("--omega", "0"), ("--omega", "nan"),
+        ("--omega", "abc"), ("--level", "0"), ("--level", "-2"),
+        ("--level", "2.5"), ("--num-features", "0"),
+        ("--num-features", "x"), ("--split", "1.5"), ("--split", "0"),
+        ("--split", "1"), ("--split", "-0.2")])
+    def test_out_of_range_flags_exit_with_usage(self, tmp_path, capsys, flag,
+                                                bad):
+        ds = bench.synthetic_rkhs_dataset(N_train=40, N_test=2, seed=0)
+        data = tmp_path / "train.csv"
+        write_labeled_csv(data, ds.X_train, ds.y_train)
+        design = [] if flag in ("--level", "--num-features") else ["--level", "2"]
+        with pytest.raises(SystemExit) as info:
+            main(["train", "--task", "reg", "--data", str(data), "--model-out",
+                  str(tmp_path / "m.txt"), *design, flag, bad])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and flag in err
+
+
 class TestBenchCommand:
     def test_output_files_written(self, tmp_path, capsys):
         ds = bench.synthetic_rkhs_dataset(N_train=120, N_test=2, seed=2)
@@ -150,3 +170,27 @@ class TestBenchCommand:
         with pytest.raises(SystemExit):
             main(["bench", "--data", str(data), "--task", "reg",
                   "--methods", "nystrom", "--m", "4"])
+
+    def test_split_outside_unit_interval_exits_with_usage(self, tmp_path,
+                                                           capsys):
+        ds = bench.synthetic_rkhs_dataset(N_train=40, N_test=2, seed=0)
+        data = tmp_path / "b.csv"
+        write_labeled_csv(data, ds.X_train, ds.y_train)
+        with pytest.raises(SystemExit) as info:
+            main(["bench", "--data", str(data), "--task", "reg",
+                  "--methods", "rks", "--m", "4", "--split", "1.5"])
+        assert info.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+    def test_bad_thread_count_named_in_exit_message(self, tmp_path,
+                                                     monkeypatch):
+        ds = bench.synthetic_rkhs_dataset(N_train=40, N_test=2, seed=0)
+        data = tmp_path / "b.csv"
+        write_labeled_csv(data, ds.X_train, ds.y_train)
+        monkeypatch.setenv("EOF_THREADS", "abc")
+        with pytest.raises(SystemExit) as info:
+            main(["bench", "--data", str(data), "--task", "reg",
+                  "--methods", "rks", "--m", "4", "--runs", "1",
+                  "--out", str(tmp_path / "out")])
+        assert "EOF_THREADS" in str(info.value.code)
+        assert not (tmp_path / "out").exists()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -5,11 +7,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
+from eof import learn
+from eof.design import enumerate_sparse_grid
+from eof.embedding import SCALE_PLAIN, SCALE_SQRT, embed_batch
 from eof.errors import ConvergenceError, DimError, InvalidData
+from eof.kernels import KernelSpec
 from eof.learn import (CLASSIFICATION, MODEL_FORMAT, REGRESSION, Model,
                        default_lambda, load_model, logistic_fit, predict,
                        ridge_fit, save_model)
 from eof.learn import test_error as error_of
+
+
+def eof_problem(N, level, scale=SCALE_SQRT, seed=0):
+    """Sparse D=2 Laplace features of N uniform points, a smooth target and
+    its sign as labels."""
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(0.0, 1.0, (N, 2))
+    spec = KernelSpec("laplace", omega=1.0, dim=2)
+    F = embed_batch(spec, enumerate_sparse_grid(2, level), X, scale=scale)
+    y = np.sin(6.0 * X[:, 0]) * np.cos(3.0 * X[:, 1])
+    y += 0.2 * rng.uniform(-1.0, 1.0, N)
+    return F, y, np.where(y > 0.0, 1.0, -1.0)
 
 
 class TestRidgeFit:
@@ -130,6 +148,44 @@ class TestLogisticFit:
         wd = logistic_fit(F, y, 0.1).weights
         ws = logistic_fit(sp.csr_matrix(F), y, 0.1).weights
         np.testing.assert_allclose(wd, ws, atol=1e-8)
+
+
+class TestSparseSolve:
+    def test_no_M_by_M_array_at_level_9(self):
+        F, y, labels = eof_problem(3000, 9)
+        M = F.shape[1]
+        assert M == 4097
+        lam = default_lambda(3000)
+        for fit, target in ((ridge_fit, y), (logistic_fit, labels)):
+            tracemalloc.start()
+            try:
+                fit(F, target, lam)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # one M x M float64 array would be 134 MB
+            assert peak < M * M * 8 / 20, (fit.__name__, peak)
+
+    @pytest.mark.parametrize("scale", [SCALE_PLAIN, SCALE_SQRT])
+    def test_sparse_features_match_densified(self, scale):
+        F, y, labels = eof_problem(600, 5, scale, seed=1)
+        lam = default_lambda(600)
+        for fit, target in ((ridge_fit, y), (logistic_fit, labels)):
+            ws = fit(F, target, lam).weights
+            wd = fit(F.toarray(), target, lam).weights
+            np.testing.assert_allclose(ws, wd, rtol=1e-8)
+
+    def test_iteration_cap_raises_with_relative_residual(self, monkeypatch):
+        F, y, _ = eof_problem(100, 3)
+        monkeypatch.setattr(learn, "CG_MAX_ITER", 0)
+        with pytest.raises(ConvergenceError, match="relative residual") as err:
+            ridge_fit(F, y, 0.1)
+        assert err.value.grad_norm == 1.0
+
+    def test_zero_right_hand_side_gives_zero_weights(self):
+        F, y, _ = eof_problem(50, 3)
+        w = ridge_fit(F, np.zeros_like(y), 0.1).weights
+        np.testing.assert_array_equal(w, 0.0)
 
 
 class TestPredictAndError:
