@@ -14,6 +14,7 @@ import io
 import math
 import os
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
@@ -86,7 +87,29 @@ class BenchResult:
 def read_table(path) -> Tuple[List[str], np.ndarray]:
     """Parse a rectangular numeric CSV with a header row into (header, cells).
     A non-numeric or non-finite cell or a ragged row raises ``ParseError``
-    with its position."""
+    with its position.
+
+    The body is first read by numpy's C parser; its result is kept only when
+    it has at least one row, the header's column count and finite cells.
+    Anything else, an exception included, reruns ``_read_table_checked``, so
+    every error comes from the checking parser."""
+    try:
+        with open(path, newline="") as fh:
+            header = [h.strip() for h in next(csv.reader(fh))]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")   # "input contained no data"
+                cells = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
+        if (cells.shape[0] >= 1 and cells.shape[1] == len(header)
+                and np.isfinite(cells).all()):
+            return header, cells
+    except Exception:   # whatever failed, the checking parser names it
+        pass
+    return _read_table_checked(path)
+
+
+def _read_table_checked(path) -> Tuple[List[str], np.ndarray]:
+    """``read_table`` in Python, one cell at a time, naming the row and column
+    of the first bad cell."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:

@@ -38,7 +38,8 @@ def _lambda(text):
 
 
 def _count(text):
-    """``--level``, ``--num-features``: an integer >= 1."""
+    """``--level``, ``--num-features``, ``--runs``, ``--pool-factor``: an
+    integer >= 1."""
     try:
         value = int(text)
     except ValueError:
@@ -47,6 +48,15 @@ def _count(text):
         raise argparse.ArgumentTypeError(
             f"expected an integer >= 1, got {text!r}")
     return value
+
+
+def _counts(text):
+    """``--m``: a comma-separated list of integers >= 1."""
+    try:
+        return [_count(part) for part in text.split(",")]
+    except argparse.ArgumentTypeError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers >= 1, got {text!r}")
 
 
 def _add_kernel_flags(p):
@@ -110,9 +120,8 @@ def cmd_train(args):
 
 def cmd_bench(args):
     ds = _dataset(args)
-    m_grid = [int(v) for v in args.m.split(",")]
     try:
-        results = bench.run_benchmark(ds, args.methods.split(","), m_grid,
+        results = bench.run_benchmark(ds, args.methods.split(","), args.m,
                                       args.runs, args.seed, kernel=args.kernel,
                                       pool_factor=args.pool_factor)
     except ValueError as exc:   # an unknown method name or a bad EOF_THREADS
@@ -161,12 +170,12 @@ def build_parser():
     p_bench.add_argument("--target", default="target")
     p_bench.add_argument("--task", choices=["reg", "clf"], required=True)
     p_bench.add_argument("--methods", default="eof,rks,orf,lkrf,eerf")
-    p_bench.add_argument("--m", required=True,
+    p_bench.add_argument("--m", type=_counts, required=True,
                          help="comma-separated feature counts")
-    p_bench.add_argument("--runs", type=int, default=50)
+    p_bench.add_argument("--runs", type=_count, default=50)
     p_bench.add_argument("--seed", type=int, default=7)
     p_bench.add_argument("--split", type=_fraction, default=0.7)
-    p_bench.add_argument("--pool-factor", type=int, default=10)
+    p_bench.add_argument("--pool-factor", type=_count, default=10)
     p_bench.add_argument("--out", default="results")
     p_bench.set_defaults(func=cmd_bench)
     return parser

@@ -5,11 +5,14 @@ nonzero at a given point (supports within a level have disjoint interiors),
 and it is found directly from the dyadic coordinates of the point: the odd
 member of {ceil(x 2^l), floor(x 2^l)} per dimension.  ``embed_batch`` finds
 that position and the 1-D feature value there once per (dimension, level)
-pair, for all rows at once.  Each level vector keys its columns by the
-mixed-radix code of (i_d - 1) / 2, sorted, and one binary search per row
-finds the row's column or shows that truncation dropped it.  A point thus
-costs O(#levels) array steps plus a logarithmic search, and the lookup holds
-O(M) keys however deep the levels are.  ``embed`` is the one-row case.
+pair, for all rows at once, and fills an (L, N) table of columns and values
+one level vector at a time.  A complete level vector is indexed directly:
+the column is its first column plus the mixed-radix code of (i_d - 1) / 2.
+Only a level vector that truncation left partial looks the code up among its
+kept keys (a dense lookup when it has no more positions than there are rows,
+a binary search otherwise), so the lookup holds O(M) keys however deep the
+levels are.  One nonzero mask compresses the tables into CSR.  A point thus
+costs O(#levels) array steps.  ``embed`` is the one-row case.
 """
 
 from __future__ import annotations
@@ -73,30 +76,37 @@ def embed(spec: KernelSpec, S: IndexSet, x, scale: str = SCALE_SQRT) -> SparseVe
 
 
 def _dyadic_profile(spec: KernelSpec, level: int, x: np.ndarray):
-    """Per row: (i - 1) // 2 of the odd position i at ``level``, or -1 when the
-    row sits on an even node (no feature of the level is nonzero there), and
-    the 1-D feature value at i."""
+    """Per row: (i - 1) // 2 of the odd position i at ``level`` and the 1-D
+    feature value there.  A row on an even node, where no feature of the level
+    is nonzero, gets code 0 and value 0, so it drops out of every product."""
     t = x * 2.0 ** level
     up = np.ceil(t).astype(np.int64)
     i = np.where(up % 2 == 1, up, np.floor(t).astype(np.int64))
     odd = i % 2 == 1
-    # rows on even nodes are evaluated at i = 1 and dropped later, so that
-    # the (p, q) form never sees a point outside [0, 1]
-    value = _profile_1d(spec, level, np.where(odd, i, 1), x)
-    return np.where(odd, i // 2, -1), value
+    # rows on even nodes are evaluated at i = 1, so that the (p, q) form
+    # never sees a point outside [0, 1]
+    i = np.where(odd, i, 1)
+    return i // 2, np.where(odd, _profile_1d(spec, level, i, x), 0.0)
 
 
 def _level_keys(l, positions):
     """Sorted mixed-radix keys of one level's positions, and their columns."""
-    # a key holds sum(l_d - 1) bits, and x 2^l_d must fit an int64 as well
-    if sum(l) - len(l) > 61:
-        raise InvalidLevel(f"level vector {l} is too deep for 64-bit keys")
     pos = np.array(list(positions), dtype=np.int64).reshape(-1, len(l))
     keys = np.zeros(len(pos), dtype=np.int64)
     for d, ld in enumerate(l):
         keys = keys * 2 ** (ld - 1) + pos[:, d] // 2
     order = np.argsort(keys)
     return keys[order], np.fromiter(positions.values(), np.int64)[order]
+
+
+def _is_complete(bits, positions) -> bool:
+    """True when ``positions`` holds all 2^bits features of a level vector on
+    consecutive columns in canonical order, so that column = first + code."""
+    if len(positions) != 2 ** bits:
+        return False
+    cols = list(positions.values())
+    order = list(positions)
+    return cols[-1] - cols[0] == len(cols) - 1 and order == sorted(order)
 
 
 def embed_batch(spec: KernelSpec, S: IndexSet, X,
@@ -109,35 +119,56 @@ def embed_batch(spec: KernelSpec, S: IndexSet, X,
         raise DimError(f"row dimension {X.shape[1]} != design dimension {S.dim}")
     X = _prepare_point(spec, X)
     N = X.shape[0]
+    levels = S.by_level()
+    # one row per level vector: each point's column and value in that level
+    cols = np.empty((len(levels), N), dtype=np.int32)
+    vals = np.empty((len(levels), N))
     profiles = {}
-    rows_out, cols_out, vals_out = [], [], []
-    for l, positions in S.by_level().items():
-        keys, cols = _level_keys(l, positions)
-        code = np.zeros(N, dtype=np.int64)
-        hit = np.ones(N, dtype=bool)
+    for k, (l, positions) in enumerate(levels.items()):
+        # a code holds sum(l_d - 1) bits, and x 2^l_d must fit an int64 as well
+        bits = sum(l) - len(l)
+        if bits > 61:
+            raise InvalidLevel(f"level vector {l} is too deep for 64-bit keys")
         for d, ld in enumerate(l):
             if (d, ld) not in profiles:
                 profiles[d, ld] = _dyadic_profile(spec, ld, X[:, d])
-            half = profiles[d, ld][0]
-            code = code * 2 ** (ld - 1) + half
-            hit &= half >= 0
-        at = np.minimum(np.searchsorted(keys, code), len(keys) - 1)
-        hit &= keys[at] == code
-        rows = np.flatnonzero(hit)
-        value = np.full(len(rows), _scale_value(spec, l, scale))
+        code = np.zeros(N, dtype=np.int64)
         for d, ld in enumerate(l):
-            value *= profiles[d, ld][1][rows]
-        keep = value != 0.0
-        rows_out.append(rows[keep])
-        cols_out.append(cols[at[rows[keep]]])
-        vals_out.append(value[keep])
-    del profiles    # D*n columns of N rows; freed before the CSR copies
-    out = sp.csr_matrix(
-        (np.concatenate(vals_out or [np.empty(0)]),
-         (np.concatenate(rows_out or [np.empty(0, np.int64)]),
-          np.concatenate(cols_out or [np.empty(0, np.int64)]))),
-        shape=(N, len(S)))
-    out.sort_indices()
+            if ld > 1:      # level 1 has the single code 0
+                code *= 2 ** (ld - 1)
+                code += profiles[d, ld][0]
+        np.multiply(profiles[0, l[0]][1], _scale_value(spec, l, scale),
+                    out=vals[k])
+        for d, ld in enumerate(l[1:], start=1):
+            vals[k] *= profiles[d, ld][1]
+        if _is_complete(bits, positions):
+            code += next(iter(positions.values()))
+            cols[k] = code
+        else:
+            keys, level_cols = _level_keys(l, positions)
+            if 2 ** bits <= N:     # a dense lookup no longer than a table row
+                lookup = np.full(2 ** bits, -1, dtype=np.int32)
+                lookup[keys] = level_cols
+                cols[k] = lookup[code]
+                vals[k][cols[k] < 0] = 0.0
+            else:
+                at = np.minimum(np.searchsorted(keys, code), len(keys) - 1)
+                cols[k] = level_cols[at]
+                vals[k][keys[at] != code] = 0.0
+    del profiles    # D*n columns of N rows; freed before the compression
+    nonzero = vals.T != 0.0
+    indptr = np.zeros(N + 1, dtype=np.int64)
+    np.cumsum(nonzero.sum(axis=1), out=indptr[1:])
+    out = sp.csr_matrix((vals.T[nonzero], cols.T[nonzero], indptr),
+                        shape=(N, len(S)))
+    # canonical designs give each level vector a run of columns after the
+    # previous one's, so the columns already rise within every row
+    bounds = [(next(iter(p.values())), next(reversed(p.values())))
+              for p in levels.values()]
+    if all(hi < lo for (_, hi), (lo, _) in zip(bounds, bounds[1:])):
+        out.has_sorted_indices = True
+    else:
+        out.sort_indices()
     return out
 
 

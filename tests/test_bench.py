@@ -57,6 +57,68 @@ class TestLoadCsv:
         np.testing.assert_array_equal(back.y, raw.y)
 
 
+def _write_text(path, text):
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+
+
+class TestReadTable:
+    """``read_table`` tries numpy's C parser first; what it returns and every
+    error it raises must be those of ``_read_table_checked``."""
+
+    @pytest.mark.parametrize("text", [
+        'a,b\n"1.5","-2"\n3,4\n',
+        "a,b\n1,2\n\n3,4\n\n",
+        "a,b\r\n1,2\r\n3,4\r\n",
+        "a,b\n1,2\n",
+        "a\n1\n2.5\n-3\n",
+        "a,b\n1_0,2\n"],
+        ids=["quoted", "blank-lines", "crlf", "one-row", "one-column",
+             "underscore"])
+    def test_same_header_and_cells_as_checking_parser(self, tmp_path, text):
+        path = tmp_path / "t.csv"
+        _write_text(path, text)
+        header, cells = bench.read_table(path)
+        want_header, want = bench._read_table_checked(path)
+        assert header == want_header
+        assert cells.dtype == want.dtype and cells.shape == want.shape
+        assert cells.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("text, row, col", [
+        ("a,b\n1,2\nnan,4\n", 3, 1),
+        ("a,b\n1,2\n3,inf\n", 3, 2),
+        ("a,b\n1e400,2\n", 2, 1),
+        ("a,b\n1,2\n3,\n", 3, 2),
+        ("a,b\n1,2\n3\n", 3, None),
+        ("a,b\n1,2,\n", 2, None)],
+        ids=["nan", "inf", "overflow", "empty-cell", "ragged",
+             "trailing-comma"])
+    def test_errors_keep_row_and_column(self, tmp_path, text, row, col):
+        path = tmp_path / "t.csv"
+        _write_text(path, text)
+        with pytest.raises(ParseError) as fast:
+            bench.read_table(path)
+        with pytest.raises(ParseError) as checked:
+            bench._read_table_checked(path)
+        assert (fast.value.row, fast.value.col) == (row, col)
+        assert (checked.value.row, checked.value.col) == (row, col)
+        assert str(fast.value) == str(checked.value)
+
+    def test_savetxt_csv_takes_fast_path(self, tmp_path, monkeypatch):
+        # the form the benchmark writes: np.savetxt with %.17g
+        rng = np.random.default_rng(3)
+        cells = rng.uniform(-1.0, 1.0, (500, 4)) * 10.0 ** rng.integers(
+            -300, 300, (500, 4))
+        path = tmp_path / "t.csv"
+        np.savetxt(path, cells, delimiter=",", fmt="%.17g",
+                   header="a,b,c,target", comments="")
+        want = bench._read_table_checked(path)[1]
+        monkeypatch.setattr(bench, "_read_table_checked", None)
+        header, got = bench.read_table(path)
+        assert header == ["a", "b", "c", "target"]
+        assert got.tobytes() == want.tobytes() == cells.tobytes()
+
+
 class TestStandardize:
     def test_two_point_feature_maps_to_unit(self):
         X = np.array([0.0, 10.0] * 10)[:, None]

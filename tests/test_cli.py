@@ -194,3 +194,21 @@ class TestBenchCommand:
                   "--out", str(tmp_path / "out")])
         assert "EOF_THREADS" in str(info.value.code)
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag, bad", [
+        ("--m", "0"), ("--m", "abc"), ("--m", "5,,7"), ("--runs", "0"),
+        ("--pool-factor", "0")])
+    def test_out_of_range_flags_exit_with_usage(self, tmp_path, capsys, flag,
+                                                bad):
+        ds = bench.synthetic_rkhs_dataset(N_train=40, N_test=2, seed=0)
+        data = tmp_path / "b.csv"
+        write_labeled_csv(data, ds.X_train, ds.y_train)
+        args = {"--m": "4", "--runs": "1", "--pool-factor": "2", flag: bad}
+        with pytest.raises(SystemExit) as info:
+            main(["bench", "--data", str(data), "--task", "reg",
+                  "--methods", "rks", "--out", str(tmp_path / "out"),
+                  *[v for item in args.items() for v in item]])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and flag in err
+        assert not (tmp_path / "out").exists()

@@ -1,4 +1,5 @@
 import tracemalloc
+from itertools import product
 from math import comb
 
 import numpy as np
@@ -6,11 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scipy.sparse as sp
+
 from eof.design import IndexSet, enumerate_sparse_grid, truncate_random
 from eof.embedding import (SCALE_PLAIN, SCALE_RAW, SCALE_SQRT, SparseVec,
-                           embed, embed_batch, kernel_approx)
+                           _level_keys, _scale_value, embed, embed_batch,
+                           kernel_approx)
 from eof.errors import DimError, InvalidLevel, InvalidPoint
-from eof.features import FeatureIndex, phi_nd
+from eof.features import FeatureIndex, _profile_1d, phi_nd
 from eof.kernels import KernelSpec, expansion_coeff, kernel_eval
 
 BB1 = KernelSpec("bb", dim=1)
@@ -205,6 +209,138 @@ class TestEmbedBatch:
         C = np.array([expansion_coeff(spec, idx.l) for idx in S])
         np.testing.assert_allclose(raw, plain * C, atol=1e-14)
         np.testing.assert_allclose(sq, plain * np.sqrt(C), atol=1e-14)
+
+
+def coo_reference(spec, S, X, scale):
+    """The COO assembly that the level-by-row tables replaced: per level
+    vector, a key search for every row, then COO triplets sorted into CSR."""
+    N = X.shape[0]
+    profiles = {}
+    rows_out, cols_out, vals_out = [], [], []
+    for l, positions in S.by_level().items():
+        keys, cols = _level_keys(l, positions)
+        code = np.zeros(N, dtype=np.int64)
+        hit = np.ones(N, dtype=bool)
+        for d, ld in enumerate(l):
+            if (d, ld) not in profiles:
+                t = X[:, d] * 2.0 ** ld
+                up = np.ceil(t).astype(np.int64)
+                i = np.where(up % 2 == 1, up, np.floor(t).astype(np.int64))
+                odd = i % 2 == 1
+                profiles[d, ld] = (np.where(odd, i // 2, -1), _profile_1d(
+                    spec, ld, np.where(odd, i, 1), X[:, d]))
+            half = profiles[d, ld][0]
+            code = code * 2 ** (ld - 1) + half
+            hit &= half >= 0
+        at = np.minimum(np.searchsorted(keys, code), len(keys) - 1)
+        hit &= keys[at] == code
+        rows = np.flatnonzero(hit)
+        value = np.full(len(rows), _scale_value(spec, l, scale))
+        for d, ld in enumerate(l):
+            value *= profiles[d, ld][1][rows]
+        keep = value != 0.0
+        rows_out.append(rows[keep])
+        cols_out.append(cols[at[rows[keep]]])
+        vals_out.append(value[keep])
+    out = sp.csr_matrix(
+        (np.concatenate(vals_out or [np.empty(0)]),
+         (np.concatenate(rows_out or [np.empty(0, np.int64)]),
+          np.concatenate(cols_out or [np.empty(0, np.int64)]))),
+        shape=(N, len(S)))
+    out.sort_indices()
+    return out
+
+
+def _test_rows(D, n, N, seed):
+    """Generic rows, rows on dyadic nodes down to level n, and 0 and 1."""
+    rng = np.random.default_rng(seed)
+    return np.vstack([rng.uniform(0.0, 1.0, (N, D)),
+                      rng.integers(0, 2 ** n + 1, (N, D)) / 2.0 ** n,
+                      np.zeros(D), np.ones(D)])
+
+
+def _shuffled(S, seed):
+    order = np.random.default_rng(seed).permutation(len(S))
+    return IndexSet(tuple(S.indices[j] for j in order))
+
+
+_FULL_D2_N9 = enumerate_sparse_grid(2, 9)
+ASSEMBLY_CASES = {
+    "full-d8-n4": (KernelSpec("laplace", omega=2.0, dim=8),
+                   lambda: enumerate_sparse_grid(8, 4), 4, 300),
+    "full-d2-n9": (KernelSpec("laplace", omega=2.0, dim=2),
+                   lambda: _FULL_D2_N9, 9, 500),
+    "subset-d2-n9-m3000": (KernelSpec("laplace", omega=2.0, dim=2),
+                           lambda: truncate_random(_FULL_D2_N9, 3000, seed=5),
+                           9, 500),
+    "bb-d4-m300": (KernelSpec("bb", dim=4),
+                   lambda: truncate_random(enumerate_sparse_grid(4, 5), 300,
+                                           seed=2), 5, 300),
+    "sobolev-d3-n4": (KernelSpec("sobolev", omega=1.5, dim=3),
+                      lambda: enumerate_sparse_grid(3, 4), 4, 300),
+    # every level vector with |l| <= 5 complete, and 3 of the 8 features
+    # of (1, 1, 4), the first level vector with |l| = 6
+    "one-partial-level": (KernelSpec("laplace", omega=1.0, dim=3),
+                          lambda: IndexSet(enumerate_sparse_grid(3, 4).indices[:34]),
+                          4, 300),
+    # columns in no canonical order: the tables still fill, and the rows
+    # are sorted after the compression
+    "shuffled-d2-n5": (KernelSpec("laplace", omega=1.0, dim=2),
+                       lambda: _shuffled(enumerate_sparse_grid(2, 5), seed=1),
+                       5, 300),
+    # each level vector complete on its own run of columns, but with its
+    # positions in descending order, so column != first column + code
+    "descending-positions-d2-n4": (
+        KernelSpec("bb", dim=2),
+        lambda: IndexSet(tuple(sorted(
+            enumerate_sparse_grid(2, 4),
+            key=lambda f: (sum(f.l), f.l, tuple(-v for v in f.i))))), 4, 300),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ASSEMBLY_CASES))
+def test_assembly_byte_identical_to_coo_reference(case):
+    spec, design, n, N = ASSEMBLY_CASES[case]
+    S = design()
+    X = _test_rows(spec.dim, n, N, seed=len(S))
+    # all rows, and a few rows: fewer rows than a partial level vector has
+    # positions take the key search instead of a dense lookup
+    for X, scale in product((X, X[::40]), SCALES):
+        got = embed_batch(spec, S, X, scale=scale)
+        want = coo_reference(spec, S, X, scale)
+        assert got.shape == want.shape
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype, name
+            assert a.tobytes() == b.tobytes(), name
+        assert got.indices.dtype == np.int32
+        assert got.has_sorted_indices
+        row = np.repeat(np.arange(got.shape[0]), np.diff(got.indptr))
+        same_row = row[1:] == row[:-1]
+        assert (np.diff(got.indices)[same_row] > 0).all()
+
+
+def test_one_partial_level_case_has_exactly_one_partial_level():
+    S = ASSEMBLY_CASES["one-partial-level"][1]()
+    partial = [l for l, pos in S.by_level().items()
+               if len(pos) != 2 ** (sum(l) - len(l))]
+    assert partial == [(1, 1, 4)]
+
+
+def test_embed_batch_memory_d8_level4():
+    # the level-by-row tables and the CSR output, well under the 108 MB
+    # that the COO assembly peaked at on this input
+    spec = KernelSpec("laplace", omega=2.0, dim=8)
+    S = enumerate_sparse_grid(8, 4)
+    X = np.random.default_rng(0).uniform(0.0, 1.0, (10_000, 8))
+    tracemalloc.start()
+    try:
+        F = embed_batch(spec, S, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert F.shape == (10_000, 1121)
+    assert peak < 54e6
 
 
 @pytest.mark.parametrize("embed_fn", [
