@@ -9,8 +9,7 @@ pair, for all rows at once, and fills an (L, N) table of columns and values
 one level vector at a time.  A complete level vector is indexed directly:
 the column is its first column plus the mixed-radix code of (i_d - 1) / 2.
 Only a level vector that truncation left partial looks the code up among its
-kept keys (a dense lookup when it has no more positions than there are rows,
-a binary search otherwise), so the lookup holds O(M) keys however deep the
+kept keys by binary search, so the lookup holds O(M) keys however deep the
 levels are.  One nonzero mask compresses the tables into CSR.  A point thus
 costs O(#levels) array steps.  ``embed`` is the one-row case.
 """
@@ -146,29 +145,16 @@ def embed_batch(spec: KernelSpec, S: IndexSet, X,
             cols[k] = code
         else:
             keys, level_cols = _level_keys(l, positions)
-            if 2 ** bits <= N:     # a dense lookup no longer than a table row
-                lookup = np.full(2 ** bits, -1, dtype=np.int32)
-                lookup[keys] = level_cols
-                cols[k] = lookup[code]
-                vals[k][cols[k] < 0] = 0.0
-            else:
-                at = np.minimum(np.searchsorted(keys, code), len(keys) - 1)
-                cols[k] = level_cols[at]
-                vals[k][keys[at] != code] = 0.0
+            at = np.minimum(np.searchsorted(keys, code), len(keys) - 1)
+            cols[k] = level_cols[at]
+            vals[k][keys[at] != code] = 0.0
     del profiles    # D*n columns of N rows; freed before the compression
     nonzero = vals.T != 0.0
     indptr = np.zeros(N + 1, dtype=np.int64)
     np.cumsum(nonzero.sum(axis=1), out=indptr[1:])
     out = sp.csr_matrix((vals.T[nonzero], cols.T[nonzero], indptr),
                         shape=(N, len(S)))
-    # canonical designs give each level vector a run of columns after the
-    # previous one's, so the columns already rise within every row
-    bounds = [(next(iter(p.values())), next(reversed(p.values())))
-              for p in levels.values()]
-    if all(hi < lo for (_, hi), (lo, _) in zip(bounds, bounds[1:])):
-        out.has_sorted_indices = True
-    else:
-        out.sort_indices()
+    out.sort_indices()
     return out
 
 

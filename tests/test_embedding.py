@@ -303,8 +303,7 @@ def test_assembly_byte_identical_to_coo_reference(case):
     spec, design, n, N = ASSEMBLY_CASES[case]
     S = design()
     X = _test_rows(spec.dim, n, N, seed=len(S))
-    # all rows, and a few rows: fewer rows than a partial level vector has
-    # positions take the key search instead of a dense lookup
+    # all rows, and a few rows
     for X, scale in product((X, X[::40]), SCALES):
         got = embed_batch(spec, S, X, scale=scale)
         want = coo_reference(spec, S, X, scale)
