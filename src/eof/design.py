@@ -5,70 +5,93 @@ The full level-``n`` design keeps every index with ``|l| <= n + D - 1``
 Selection under a pure cardinality budget is exactly top-M by the design
 constant, so no general knapsack solver is needed; NP-hardness only enters
 for weighted variants, which are out of scope here.
+
+A design stores its level vectors, an (L, D) int array in canonical (|l|, l)
+order, and per level vector ``None`` when it keeps all 2^(|l|-D) features,
+else the sorted int64 mixed-radix codes of (i_d - 1) / 2 that it keeps (first
+dimension most significant).  So columns are in canonical (|l|, l, i) order.
+A level vector whose code needs over 61 bits raises ``InvalidLevel`` when the
+design is built.  ``FeatureIndex`` objects are built only on request.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from itertools import product
+from itertools import combinations
 from math import comb
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Mapping, Optional, Tuple, Union
 
 import numpy as np
 
-from .errors import InvalidLevel, InvalidM
+from .errors import DimError, InvalidLevel, InvalidM
 from .features import FeatureIndex
 from .kernels import KernelSpec
 
 
-@dataclass
 class IndexSet:
-    """An ordered collection of feature indices with a frozen column order.
+    """A design in the canonical (|l|, l, i) column order.  ``IndexSet(features)``
+    takes ``FeatureIndex`` objects in any order and rejects duplicates."""
 
-    The order is always the canonical lexicographic key (|l|, l, i) applied
-    before any random truncation, so column numbering is reproducible.
-    """
-
-    indices: Tuple[FeatureIndex, ...]
-    level_cap: Optional[int] = None
-    seed: Optional[int] = None
-    _by_level: Optional[Dict[Tuple[int, ...], Dict[Tuple[int, ...], int]]] = field(
-        default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.indices = tuple(self.indices)
-        if len(set(self.indices)) != len(self.indices):
+    def __init__(self, features=(), level_cap: Optional[int] = None,
+                 seed: Optional[int] = None):
+        features = tuple(sorted(features, key=FeatureIndex.sort_key))
+        if any(a == b for a, b in zip(features, features[1:])):
             raise ValueError("duplicate feature indices")
+        if len({f.dim for f in features}) > 1:
+            raise DimError("feature indices differ in dimension")
+        grouped = {}
+        for f in features:
+            code = 0
+            for ld, i in zip(f.l, f.i):
+                code = (code << (ld - 1)) + i // 2
+            grouped.setdefault(f.l, []).append(code)
+        levels = np.array(list(grouped), dtype=np.int64).reshape(
+            len(grouped), features[0].dim if features else 0)
+        self._set(levels, list(grouped.values()), level_cap, seed)
+        self._indices = features
+
+    @classmethod
+    def _of(cls, levels, codes, level_cap=None, seed=None) -> "IndexSet":
+        """A design from level vectors in canonical order and kept codes."""
+        S = cls.__new__(cls)
+        S._set(levels, codes, level_cap, seed)
+        return S
+
+    def _set(self, levels, codes, level_cap, seed):
+        bits = levels.sum(axis=1) - levels.shape[1]
+        if (bits > 61).any():   # x 2^l_d must fit an int64 as well as the code
+            l = tuple(levels[bits > 61][0].tolist())
+            raise InvalidLevel(f"level vector {l} is too deep for 64-bit keys")
+        self.levels, self.dim = levels, levels.shape[1]
+        self.level_cap, self.seed = level_cap, seed
+        self.codes = tuple(None if c is None or len(c) == 2 ** b
+                           else np.asarray(c, dtype=np.int64)
+                           for b, c in zip(bits.tolist(), codes))
+        # offsets[k] is the first column of level vector k, offsets[-1] the size
+        self.offsets = np.cumsum([0] + [2 ** b if c is None else len(c) for b, c
+                                        in zip(bits.tolist(), self.codes)],
+                                 dtype=np.int64)
+        self._indices = None
 
     def __len__(self) -> int:
-        return len(self.indices)
+        return int(self.offsets[-1])
 
     def __iter__(self):
         return iter(self.indices)
 
     @property
-    def dim(self) -> int:
-        return self.indices[0].dim if self.indices else 0
-
-    def by_level(self) -> Dict[Tuple[int, ...], Dict[Tuple[int, ...], int]]:
-        """Columns grouped by level vector: {l: {i: column}}."""
-        if self._by_level is None:
-            grouped: Dict[Tuple[int, ...], Dict[Tuple[int, ...], int]] = {}
-            for col, idx in enumerate(self.indices):
-                grouped.setdefault(idx.l, {})[idx.i] = col
-            self._by_level = grouped
-        return self._by_level
-
-
-def _level_vectors(D: int, total: int):
-    """All vectors of D positive integers summing to ``total``."""
-    if D == 1:
-        yield (total,)
-        return
-    for first in range(1, total - D + 2):
-        for rest in _level_vectors(D - 1, total - first):
-            yield (first,) + rest
+    def indices(self) -> Tuple[FeatureIndex, ...]:
+        """The columns as ``FeatureIndex`` objects, built on first use."""
+        if self._indices is None:
+            out = []
+            for l, kept, size in zip(self.levels.tolist(), self.codes,
+                                     np.diff(self.offsets).tolist()):
+                digits = np.unravel_index(np.arange(size) if kept is None else kept,
+                                          [2 ** (ld - 1) for ld in l])
+                i = 2 * np.stack(digits, axis=1) + 1
+                out.extend(FeatureIndex(l, row) for row in i.tolist())
+            self._indices = tuple(out)
+        return self._indices
 
 
 def sparse_grid_size(D: int, n: int) -> int:
@@ -82,14 +105,11 @@ def enumerate_sparse_grid(D: int, n: int) -> IndexSet:
         raise InvalidLevel("n must be >= 1")
     if D < 1:
         raise InvalidLevel("D must be >= 1")
-    indices: List[FeatureIndex] = []
-    for total in range(D, n + D):
-        for l in _level_vectors(D, total):
-            odd_ranges = [range(1, 2 ** ld, 2) for ld in l]
-            for i in product(*odd_ranges):
-                indices.append(FeatureIndex(l, i))
-    indices.sort(key=FeatureIndex.sort_key)
-    return IndexSet(tuple(indices), level_cap=n)
+    # a level vector is the gaps between D - 1 cuts of 1..|l| - 1, and cuts in
+    # lexicographic order give level vectors in lexicographic order
+    bounds = np.array([(0, *cuts, total) for total in range(D, n + D)
+                       for cuts in combinations(range(1, total), D - 1)])
+    return IndexSet._of(np.diff(bounds, axis=1), [None] * len(bounds), level_cap=n)
 
 
 def entropic_select(candidates: IndexSet,
@@ -107,8 +127,7 @@ def entropic_select(candidates: IndexSet,
         warnings.warn("M exceeds candidate count; returning all candidates")
         M = len(candidates)
     ranked = sorted(candidates, key=lambda idx: (-float(get(idx)), idx.sort_key()))
-    chosen = sorted(ranked[:M], key=FeatureIndex.sort_key)
-    return IndexSet(tuple(chosen), level_cap=candidates.level_cap)
+    return IndexSet(ranked[:M], level_cap=candidates.level_cap)
 
 
 def truncate_random(full: IndexSet, M: int, seed: int) -> IndexSet:
@@ -117,8 +136,13 @@ def truncate_random(full: IndexSet, M: int, seed: int) -> IndexSet:
         raise InvalidM(f"M={M} out of range 1..{len(full)}")
     rng = np.random.default_rng(seed)
     keep = np.sort(rng.choice(len(full), size=M, replace=False))
-    chosen = tuple(full.indices[j] for j in keep)
-    return IndexSet(chosen, level_cap=full.level_cap, seed=seed)
+    level = np.searchsorted(full.offsets, keep, side="right") - 1
+    present, first = np.unique(level, return_index=True)
+    within = np.split(keep - full.offsets[level], first[1:])
+    codes = [c if full.codes[k] is None else full.codes[k][c]
+             for k, c in zip(present.tolist(), within)]
+    return IndexSet._of(full.levels[present], codes,
+                        level_cap=full.level_cap, seed=seed)
 
 
 def level_for_feature_count(D: int, M: int) -> int:

@@ -6,12 +6,13 @@ and it is found directly from the dyadic coordinates of the point: the odd
 member of {ceil(x 2^l), floor(x 2^l)} per dimension.  ``embed_batch`` finds
 that position and the 1-D feature value there once per (dimension, level)
 pair, for all rows at once, and fills an (L, N) table of columns and values
-one level vector at a time.  A complete level vector is indexed directly:
-the column is its first column plus the mixed-radix code of (i_d - 1) / 2.
-Only a level vector that truncation left partial looks the code up among its
-kept keys by binary search, so the lookup holds O(M) keys however deep the
-levels are.  One nonzero mask compresses the tables into CSR.  A point thus
-costs O(#levels) array steps.  ``embed`` is the one-row case.
+one level vector at a time, in the design's canonical order.  A complete
+level vector is indexed directly: the column is its first column plus the
+mixed-radix code of (i_d - 1) / 2.  Only a level vector that truncation left
+partial looks the code up among the design's kept codes by binary search, so
+the lookup holds O(M) keys however deep the levels are.  One nonzero mask
+compresses the tables into CSR.  A point thus costs O(#levels) array steps.
+``embed`` is the one-row case.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .design import IndexSet
-from .errors import DimError, InvalidLevel
+from .errors import DimError
 from .features import _profile_1d
 from .kernels import KernelSpec, _prepare_point, expansion_coeff
 
@@ -88,26 +89,6 @@ def _dyadic_profile(spec: KernelSpec, level: int, x: np.ndarray):
     return i // 2, np.where(odd, _profile_1d(spec, level, i, x), 0.0)
 
 
-def _level_keys(l, positions):
-    """Sorted mixed-radix keys of one level's positions, and their columns."""
-    pos = np.array(list(positions), dtype=np.int64).reshape(-1, len(l))
-    keys = np.zeros(len(pos), dtype=np.int64)
-    for d, ld in enumerate(l):
-        keys = keys * 2 ** (ld - 1) + pos[:, d] // 2
-    order = np.argsort(keys)
-    return keys[order], np.fromiter(positions.values(), np.int64)[order]
-
-
-def _is_complete(bits, positions) -> bool:
-    """True when ``positions`` holds all 2^bits features of a level vector on
-    consecutive columns in canonical order, so that column = first + code."""
-    if len(positions) != 2 ** bits:
-        return False
-    cols = list(positions.values())
-    order = list(positions)
-    return cols[-1] - cols[0] == len(cols) - 1 and order == sorted(order)
-
-
 def embed_batch(spec: KernelSpec, S: IndexSet, X,
                 scale: str = SCALE_SQRT) -> sp.csr_matrix:
     """Embed N points into an N x M CSR matrix with sorted column indices."""
@@ -118,16 +99,11 @@ def embed_batch(spec: KernelSpec, S: IndexSet, X,
         raise DimError(f"row dimension {X.shape[1]} != design dimension {S.dim}")
     X = _prepare_point(spec, X)
     N = X.shape[0]
-    levels = S.by_level()
     # one row per level vector: each point's column and value in that level
-    cols = np.empty((len(levels), N), dtype=np.int32)
-    vals = np.empty((len(levels), N))
+    cols = np.empty((len(S.levels), N), dtype=np.int32)
+    vals = np.empty((len(S.levels), N))
     profiles = {}
-    for k, (l, positions) in enumerate(levels.items()):
-        # a code holds sum(l_d - 1) bits, and x 2^l_d must fit an int64 as well
-        bits = sum(l) - len(l)
-        if bits > 61:
-            raise InvalidLevel(f"level vector {l} is too deep for 64-bit keys")
+    for k, l in enumerate(map(tuple, S.levels.tolist())):
         for d, ld in enumerate(l):
             if (d, ld) not in profiles:
                 profiles[d, ld] = _dyadic_profile(spec, ld, X[:, d])
@@ -140,14 +116,12 @@ def embed_batch(spec: KernelSpec, S: IndexSet, X,
                     out=vals[k])
         for d, ld in enumerate(l[1:], start=1):
             vals[k] *= profiles[d, ld][1]
-        if _is_complete(bits, positions):
-            code += next(iter(positions.values()))
-            cols[k] = code
-        else:
-            keys, level_cols = _level_keys(l, positions)
-            at = np.minimum(np.searchsorted(keys, code), len(keys) - 1)
-            cols[k] = level_cols[at]
-            vals[k][keys[at] != code] = 0.0
+        kept = S.codes[k]
+        if kept is not None:    # partial: the column is the code's rank
+            at = np.minimum(np.searchsorted(kept, code), len(kept) - 1)
+            vals[k][kept[at] != code] = 0.0
+            code = at
+        cols[k] = code + S.offsets[k]
     del profiles    # D*n columns of N rows; freed before the compression
     nonzero = vals.T != 0.0
     indptr = np.zeros(N + 1, dtype=np.int64)

@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eof.design import (IndexSet, enumerate_sparse_grid, entropic_select,
-                        level_for_feature_count, sparse_grid_size,
-                        truncate_random)
-from eof.errors import InvalidLevel, InvalidM
+                        level_for_feature_count, select_design,
+                        sparse_grid_size, truncate_random)
+from eof.embedding import embed_batch
+from eof.errors import DimError, InvalidLevel, InvalidM
 from eof.features import FeatureIndex
 from eof.kernels import KernelSpec, norm_const
 
@@ -54,9 +55,9 @@ class TestEnumerateSparseGrid:
                 assert len(S) == sparse_grid_size(D, n)
 
     def test_canonical_sort_order(self):
-        S = enumerate_sparse_grid(2, 3)
-        keys = [idx.sort_key() for idx in S]
-        assert keys == sorted(keys)
+        for D, n in ((2, 3), (8, 4), (2, 9)):
+            keys = [idx.sort_key() for idx in enumerate_sparse_grid(D, n)]
+            assert keys == sorted(keys)
 
     def test_monotone_nesting(self):
         for D in (1, 2, 3):
@@ -65,6 +66,46 @@ class TestEnumerateSparseGrid:
                 cur = set(enumerate_sparse_grid(D, n).indices)
                 assert prev <= cur
                 prev = cur
+
+
+class TestIndexSet:
+    def test_duplicate_features_rejected(self):
+        f = FeatureIndex((1, 2), (1, 3))
+        with pytest.raises(ValueError, match="duplicate"):
+            IndexSet((f, FeatureIndex((1, 1), (1, 1)), f))
+
+    def test_mixed_dimensions_rejected(self):
+        with pytest.raises(DimError):
+            IndexSet((FeatureIndex((1,), (1,)), FeatureIndex((1, 1), (1, 1))))
+
+    @pytest.mark.parametrize("design", [
+        lambda: enumerate_sparse_grid(3, 4),
+        lambda: truncate_random(enumerate_sparse_grid(2, 6), 40, seed=3)],
+        ids=["full", "truncated"])
+    def test_rebuilt_from_features_keeps_layout(self, design):
+        S = design()
+        T = IndexSet(S.indices)
+        assert T.levels.tolist() == S.levels.tolist()
+        assert T.offsets.tolist() == S.offsets.tolist()
+        assert len(T.codes) == len(S.codes)
+        for a, b in zip(T.codes, S.codes):
+            assert (a is None and b is None) or a.tolist() == b.tolist()
+        assert T.indices == S.indices
+
+    def test_empty_design(self):
+        S = IndexSet(())
+        assert len(S) == 0
+        assert S.indices == ()
+
+    def test_design_path_builds_no_feature_objects(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("FeatureIndex built on the design path")
+        monkeypatch.setattr(FeatureIndex, "__post_init__", refuse)
+        spec = KernelSpec("laplace", omega=1.0, dim=2)
+        S = select_design(spec, 51, seed=1)
+        embed_batch(spec, truncate_random(enumerate_sparse_grid(2, 9), 3000, 5),
+                    np.full((3, 2), 0.3))
+        embed_batch(spec, S, np.full((3, 2), 0.3))
 
 
 class TestEntropicSelect:
@@ -139,6 +180,17 @@ class TestTruncateRandom:
         got = truncate_random(full, 10, seed=5)
         keys = [idx.sort_key() for idx in got]
         assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("D, n, M, seed", [
+        (2, 5, 51, 0), (2, 5, 51, 7), (1, 6, 20, 3), (3, 4, 90, 11),
+        (8, 3, 100, 2), (2, 9, 3000, 5)])
+    def test_keeps_the_seeded_sorted_column_draw(self, D, n, M, seed):
+        # the bench's M = 51 design, and so its test error, rests on this rule
+        full = enumerate_sparse_grid(D, n)
+        cols = np.sort(np.random.default_rng(seed).choice(len(full), M,
+                                                          replace=False))
+        want = tuple(full.indices[j] for j in cols)
+        assert truncate_random(full, M, seed).indices == want
 
     def test_out_of_range_m(self):
         full = enumerate_sparse_grid(1, 3)

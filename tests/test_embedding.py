@@ -11,8 +11,7 @@ import scipy.sparse as sp
 
 from eof.design import IndexSet, enumerate_sparse_grid, truncate_random
 from eof.embedding import (SCALE_PLAIN, SCALE_RAW, SCALE_SQRT, SparseVec,
-                           _level_keys, _scale_value, embed, embed_batch,
-                           kernel_approx)
+                           _scale_value, embed, embed_batch, kernel_approx)
 from eof.errors import DimError, InvalidLevel, InvalidPoint
 from eof.features import FeatureIndex, _profile_1d, phi_nd
 from eof.kernels import KernelSpec, expansion_coeff, kernel_eval
@@ -173,17 +172,14 @@ class TestEmbedBatch:
     def test_wrapping_level_key_rejected(self):
         # sum(l_d - 1) = 78 bits: the int64 keys of these two features wrap
         # onto each other, which put a point at the second centre in the
-        # first feature's column
-        S = IndexSet((FeatureIndex((40, 40), (1, 1)),
-                      FeatureIndex((40, 40), (2 ** 26 + 1, 1))))
-        x = np.array([[(2 ** 26 + 1) * 2.0 ** -40, 2.0 ** -40]])
+        # first feature's column; the design refuses to hold them
         with pytest.raises(InvalidLevel, match=r"\(40, 40\)"):
-            embed_batch(KernelSpec("bb", dim=2), S, x)
+            IndexSet((FeatureIndex((40, 40), (1, 1)),
+                      FeatureIndex((40, 40), (2 ** 26 + 1, 1))))
 
     def test_level_beyond_int64_rejected(self):
-        S = IndexSet((FeatureIndex((64,), (2 ** 63 + 1,)),))
         with pytest.raises(InvalidLevel, match=r"\(64,\)"):
-            embed_batch(BB1, S, np.array([[0.5]]))
+            IndexSet((FeatureIndex((64,), (2 ** 63 + 1,)),))
 
     def test_custom_pq_matches_closed_form(self):
         omega = 2.0
@@ -211,13 +207,33 @@ class TestEmbedBatch:
         np.testing.assert_allclose(sq, plain * np.sqrt(C), atol=1e-14)
 
 
+def _grouped_columns(S):
+    """The design's columns grouped by level vector, {l: {i: column}}, read
+    from its FeatureIndex objects."""
+    grouped = {}
+    for col, idx in enumerate(S.indices):
+        grouped.setdefault(idx.l, {})[idx.i] = col
+    return grouped
+
+
+def _level_keys(l, positions):
+    """Sorted mixed-radix keys of one level's positions, and their columns."""
+    pos = np.array(list(positions), dtype=np.int64).reshape(-1, len(l))
+    keys = np.zeros(len(pos), dtype=np.int64)
+    for d, ld in enumerate(l):
+        keys = keys * 2 ** (ld - 1) + pos[:, d] // 2
+    order = np.argsort(keys)
+    return keys[order], np.fromiter(positions.values(), np.int64)[order]
+
+
 def coo_reference(spec, S, X, scale):
     """The COO assembly that the level-by-row tables replaced: per level
-    vector, a key search for every row, then COO triplets sorted into CSR."""
+    vector, a key search for every row, then COO triplets sorted into CSR.
+    It reads the design only through its FeatureIndex objects."""
     N = X.shape[0]
     profiles = {}
     rows_out, cols_out, vals_out = [], [], []
-    for l, positions in S.by_level().items():
+    for l, positions in _grouped_columns(S).items():
         keys, cols = _level_keys(l, positions)
         code = np.zeros(N, dtype=np.int64)
         hit = np.ones(N, dtype=bool)
@@ -283,13 +299,11 @@ ASSEMBLY_CASES = {
     "one-partial-level": (KernelSpec("laplace", omega=1.0, dim=3),
                           lambda: IndexSet(enumerate_sparse_grid(3, 4).indices[:34]),
                           4, 300),
-    # columns in no canonical order: the tables still fill, and the rows
-    # are sorted after the compression
+    # features given in no canonical order, and (below) with each level
+    # vector's positions descending: IndexSet puts both in canonical order
     "shuffled-d2-n5": (KernelSpec("laplace", omega=1.0, dim=2),
                        lambda: _shuffled(enumerate_sparse_grid(2, 5), seed=1),
                        5, 300),
-    # each level vector complete on its own run of columns, but with its
-    # positions in descending order, so column != first column + code
     "descending-positions-d2-n4": (
         KernelSpec("bb", dim=2),
         lambda: IndexSet(tuple(sorted(
@@ -321,9 +335,16 @@ def test_assembly_byte_identical_to_coo_reference(case):
 
 def test_one_partial_level_case_has_exactly_one_partial_level():
     S = ASSEMBLY_CASES["one-partial-level"][1]()
-    partial = [l for l, pos in S.by_level().items()
+    partial = [l for l, pos in _grouped_columns(S).items()
                if len(pos) != 2 ** (sum(l) - len(l))]
     assert partial == [(1, 1, 4)]
+
+
+@pytest.mark.parametrize("case, D, n", [("shuffled-d2-n5", 2, 5),
+                                        ("descending-positions-d2-n4", 2, 4)])
+def test_index_set_imposes_canonical_order(case, D, n):
+    S = ASSEMBLY_CASES[case][1]()
+    assert S.indices == enumerate_sparse_grid(D, n).indices
 
 
 def test_embed_batch_memory_d8_level4():
