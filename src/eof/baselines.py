@@ -102,6 +102,8 @@ def _select(method: str, score, pool: RandomFeatureMap, y, X,
             M: int) -> RandomFeatureMap:
     """Keep the top-M pool candidates by ``score(y^T Z, N)`` over the raw
     cosine matrix Z of the training points."""
+    if M < 1:
+        raise InvalidM("M must be >= 1")
     if M > pool.M:
         raise InvalidM(f"M={M} exceeds pool size {pool.M}")
     y = np.asarray(y, dtype=float)

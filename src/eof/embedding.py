@@ -12,7 +12,8 @@ mixed-radix code of (i_d - 1) / 2.  Only a level vector that truncation left
 partial looks the code up among the design's kept codes by binary search, so
 the lookup holds O(M) keys however deep the levels are.  One nonzero mask
 compresses the tables into CSR.  A point thus costs O(#levels) array steps.
-``embed`` is the one-row case.
+The scale factor of every level vector comes from one ``expansion_coeff``
+call over the design's (L, D) level array.  ``embed`` is the one-row case.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ import scipy.sparse as sp
 
 from .design import IndexSet
 from .errors import DimError
-from .features import _profile_1d
-from .kernels import KernelSpec, _prepare_point, expansion_coeff
+from .kernels import KernelSpec, _prepare_point, _profile_1d, expansion_coeff
 
 SCALE_SQRT = "sqrt"   # value = sqrt(C) * phi; makes z(x).z(x') track k(x,x')
 SCALE_RAW = "raw"     # value = C * phi; the literal per-level update rule
@@ -57,13 +57,6 @@ class SparseVec:
         return float(self.vals[ia] @ other.vals[ib])
 
 
-def _scale_value(spec: KernelSpec, l, scale: str) -> float:
-    if scale == SCALE_PLAIN:
-        return 1.0
-    c = expansion_coeff(spec, l)
-    return np.sqrt(c) if scale == SCALE_SQRT else c
-
-
 def _sparse_row(F: sp.csr_matrix, r: int) -> SparseVec:
     lo, hi = F.indptr[r], F.indptr[r + 1]
     return SparseVec(F.shape[1], F.indices[lo:hi].astype(np.int64), F.data[lo:hi])
@@ -92,6 +85,8 @@ def _dyadic_profile(spec: KernelSpec, level: int, x: np.ndarray):
 def embed_batch(spec: KernelSpec, S: IndexSet, X,
                 scale: str = SCALE_SQRT) -> sp.csr_matrix:
     """Embed N points into an N x M CSR matrix with sorted column indices."""
+    if scale not in (SCALE_SQRT, SCALE_RAW, SCALE_PLAIN):
+        raise ValueError(f"unknown scale {scale!r}")
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise DimError("X must be a 2-D array of shape (N, D)")
@@ -102,6 +97,10 @@ def embed_batch(spec: KernelSpec, S: IndexSet, X,
     # one row per level vector: each point's column and value in that level
     cols = np.empty((len(S.levels), N), dtype=np.int32)
     vals = np.empty((len(S.levels), N))
+    factor = (np.ones(len(S.levels)) if scale == SCALE_PLAIN
+              else expansion_coeff(spec, S.levels))
+    if scale == SCALE_SQRT:
+        factor = np.sqrt(factor)
     profiles = {}
     for k, l in enumerate(map(tuple, S.levels.tolist())):
         for d, ld in enumerate(l):
@@ -112,8 +111,7 @@ def embed_batch(spec: KernelSpec, S: IndexSet, X,
             if ld > 1:      # level 1 has the single code 0
                 code *= 2 ** (ld - 1)
                 code += profiles[d, ld][0]
-        np.multiply(profiles[0, l[0]][1], _scale_value(spec, l, scale),
-                    out=vals[k])
+        np.multiply(profiles[0, l[0]][1], factor[k], out=vals[k])
         for d, ld in enumerate(l[1:], start=1):
             vals[k] *= profiles[d, ld][1]
         kept = S.codes[k]

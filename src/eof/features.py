@@ -6,6 +6,8 @@ supported on ``[(i-1) 2^-l, (i+1) 2^-l]``, equals 1 at the center node
 ``i 2^-l`` and vanishes at the endpoints; D-dimensional features are plain
 tensor products.  Within one level the supports have disjoint interiors and
 across levels they are nested, which is what makes the embedding sparse.
+This module validates indices and builds on ``kernels``, which holds the
+per-kind formulas: the 1-D profile and the surplus coefficients.
 """
 
 from __future__ import annotations
@@ -17,8 +19,7 @@ from typing import Callable, Tuple
 import numpy as np
 
 from .errors import DimError, InvalidIndex, InvalidLevel
-from .kernels import (BROWNIAN_BRIDGE, LAPLACE, SOBOLEV, KernelSpec,
-                      _prepare_point, _wronskian, surplus_alpha_1d,
+from .kernels import (KernelSpec, _prepare_point, _profile_1d, surplus_alpha_1d,
                       surplus_beta_1d)
 
 
@@ -66,41 +67,6 @@ def phi_1d(spec: KernelSpec, l: int, i: int, x) -> float:
     FeatureIndex((l,), (i,))
     val = _profile_1d(spec, l, i, _prepare_point(spec, x))
     return float(val[0]) if np.ndim(x) == 0 else val
-
-
-def _profile_1d(spec: KernelSpec, l: int, i, x: np.ndarray) -> np.ndarray:
-    """1-D feature at level ``l`` and position(s) ``i`` evaluated at ``x``.
-
-    ``i`` and ``x`` broadcast against each other, so one call evaluates a
-    whole column of points, each at its own position.  No validation: the
-    caller passes valid odd positions.  Kinds without a closed form use the
-    generic (p, q) form, whose two halves are the solutions of the kernel's
-    differential equation through the support endpoints.
-    """
-    h = 2.0 ** (-l)
-    z = i * h
-    dist = np.abs(x - z)
-    inside = dist < h
-    if spec.kind in (BROWNIAN_BRIDGE, SOBOLEV):
-        return np.where(inside, 1.0 - dist / h, 0.0)
-    if spec.kind == LAPLACE:
-        return np.where(inside, _sinh_ratio(spec.omega * (h - np.minimum(dist, h)),
-                                            spec.omega * h), 0.0)
-    zm, zp = z - h, z + h
-    left = _wronskian(spec, zm, x) / _wronskian(spec, zm, z)
-    right = _wronskian(spec, x, zp) / _wronskian(spec, z, zp)
-    return np.where(inside, np.where(x <= z, left, right), 0.0)
-
-
-def _sinh_ratio(a, b):
-    # sinh(a)/sinh(b) for 0 <= a <= b, stable against overflow for large b:
-    # sinh(a)/sinh(b) = e^{a-b} (1 - e^{-2a}) / (1 - e^{-2b}).
-    a = np.asarray(a, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        num = -np.expm1(-2.0 * a)
-        den = -np.expm1(-2.0 * b)
-        out = np.exp(a - b) * num / den
-    return np.where(den == 0.0, np.where(a == b, 1.0, 0.0), out)
 
 
 def phi_nd(spec: KernelSpec, idx: FeatureIndex, x) -> float:

@@ -14,13 +14,12 @@ sobolev (weighted)  w x + 1, 1             w min(x,x') + 1
 bb (Brownian br.)   x, 1 - x               min(x,x')(1 - max(x,x'))
 ==================  =====================  ======================
 
-Custom kernels can be plugged in by supplying ``p``, ``q`` and a per-level
-normalization callable; only the multilevel feature machinery is reused then.
+Custom kernels supply ``p`` and ``q``; their features and constants follow
+from the Wronskian of that pair.  Every per-kind formula lives in this module.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -53,8 +52,6 @@ class KernelSpec:
         being clamped.
     p, q : callable, optional
         Scalar solutions for a custom kernel (vectorized over numpy arrays).
-    norm_const_1d : callable, optional
-        ``level -> C_l`` design constant for a custom kernel.
     """
 
     kind: str
@@ -63,7 +60,6 @@ class KernelSpec:
     strict: bool = False
     p: Optional[Callable] = field(default=None, compare=False)
     q: Optional[Callable] = field(default=None, compare=False)
-    norm_const_1d: Optional[Callable] = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -118,31 +114,66 @@ def _wronskian(spec: KernelSpec, a, b):
 
 
 def _check_levels(l) -> np.ndarray:
-    l = np.atleast_1d(np.asarray(l, dtype=int))
+    l = np.asarray(l, dtype=int)
     if np.any(l < 1):
         raise InvalidLevel("all levels must be >= 1")
     return l
 
 
-def norm_const(spec: KernelSpec, l) -> float:
+def _float_or_array(a):
+    return float(a) if np.ndim(a) == 0 else a
+
+
+def _profile_1d(spec: KernelSpec, l: int, i, x: np.ndarray) -> np.ndarray:
+    """1-D feature at level ``l`` and position(s) ``i`` evaluated at ``x``.
+
+    ``i`` and ``x`` broadcast against each other, so one call evaluates a
+    whole column of points, each at its own position.  No validation: the
+    caller passes valid odd positions.  Kinds without a closed form use the
+    generic (p, q) form, whose two halves are the solutions of the kernel's
+    differential equation through the support endpoints.
+    """
+    h = 2.0 ** (-l)
+    z = i * h
+    dist = np.abs(x - z)
+    inside = dist < h
+    if spec.kind in (BROWNIAN_BRIDGE, SOBOLEV):
+        return np.where(inside, 1.0 - dist / h, 0.0)
+    if spec.kind == LAPLACE:
+        return np.where(inside, _sinh_ratio(spec.omega * (h - np.minimum(dist, h)),
+                                            spec.omega * h), 0.0)
+    zm, zp = z - h, z + h
+    left = _wronskian(spec, zm, x) / _wronskian(spec, zm, z)
+    right = _wronskian(spec, x, zp) / _wronskian(spec, z, zp)
+    return np.where(inside, np.where(x <= z, left, right), 0.0)
+
+
+def _sinh_ratio(a, b):
+    # sinh(a)/sinh(b) for 0 <= a <= b, stable against overflow for large b:
+    # sinh(a)/sinh(b) = e^{a-b} (1 - e^{-2a}) / (1 - e^{-2b}).
+    a = np.asarray(a, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        num = -np.expm1(-2.0 * a)
+        den = -np.expm1(-2.0 * b)
+        out = np.exp(a - b) * num / den
+    return np.where(den == 0.0, np.where(a == b, 1.0, 0.0), out)
+
+
+def norm_const(spec: KernelSpec, l):
     """Entropic design constant C_l for a level vector.
 
     This is the weight maximized by the knapsack selection; it is independent
     of the position index i for every built-in kernel and strictly decreasing
-    in each level component.  For the Brownian-bridge and weighted-Sobolev
-    kernels it is ``expansion_coeff``.
+    in each level component.  For every kind but Laplace it is
+    ``expansion_coeff``, and like it maps an (L, D) level array to (L,).
     """
-    l = _check_levels(l)
     if spec.kind == LAPLACE:
-        return float(np.prod(np.sinh(spec.omega * 2.0 ** (-l.astype(float)))))
-    if spec.kind == CUSTOM:
-        if spec.norm_const_1d is None:
-            raise ValueError("custom kernel needs norm_const_1d")
-        return float(np.prod([spec.norm_const_1d(int(ld)) for ld in l]))
+        h = 2.0 ** -np.atleast_1d(_check_levels(l))
+        return _float_or_array(np.prod(np.sinh(spec.omega * h), axis=-1))
     return expansion_coeff(spec, l)
 
 
-def expansion_coeff(spec: KernelSpec, l) -> float:
+def expansion_coeff(spec: KernelSpec, l):
     """Exact reconstruction coefficient 1 / ||phi_l||_k^2 for a level vector.
 
     This is the product of 1 / alpha_{l_d,1} over dimensions (alpha is the
@@ -151,42 +182,43 @@ def expansion_coeff(spec: KernelSpec, l) -> float:
     the per-dimension norm is coth(w 2^-l), so the coefficient is the tanh
     closed form; ``norm_const`` keeps the sinh closed form used for entropy
     ranking.  Only this coefficient makes z(x)^T z(x') converge to k(x, x').
+    A level vector gives a float, an (L, D) array such as ``S.levels`` (L,).
     """
-    l = _check_levels(l)
+    l = np.atleast_1d(_check_levels(l))
     if spec.kind == LAPLACE:
-        return float(np.prod(np.tanh(spec.omega * 2.0 ** (-l.astype(float)))))
-    return float(np.prod([1.0 / surplus_alpha_1d(spec, int(ld), 1) for ld in l]))
+        return _float_or_array(np.prod(np.tanh(spec.omega * 2.0 ** -l), axis=-1))
+    return _float_or_array(np.prod(1.0 / surplus_alpha_1d(spec, l, 1), axis=-1))
 
 
-def surplus_alpha_1d(spec: KernelSpec, level: int, i: int) -> float:
+def surplus_alpha_1d(spec: KernelSpec, level, i):
     """Diagonal coefficient alpha_{l,i} of the 1-D surplus operator.
 
     alpha equals the squared RKHS norm of the 1-D feature at (l, i):
-    W(z_{i-1}, z_{i+1}) / (W(z_{i-1}, z_i) W(z_i, z_{i+1})).
+    W(z_{i-1}, z_{i+1}) / (W(z_{i-1}, z_i) W(z_i, z_{i+1})).  ``level`` and
+    ``i`` broadcast; a scalar pair gives a float.
     """
-    if level < 1:
-        raise InvalidLevel("level must be >= 1")
-    h = 2.0 ** (-level)
+    level, i = np.broadcast_arrays(_check_levels(level), i)
+    h = 2.0 ** -level
     if spec.kind == LAPLACE:
-        return 1.0 / math.tanh(spec.omega * h)
+        return _float_or_array(1.0 / np.tanh(spec.omega * h))
     if spec.kind == BROWNIAN_BRIDGE:
-        return 2.0 / h
+        return _float_or_array(2.0 / h)
     if spec.kind == SOBOLEV:
-        return 2.0 / (spec.omega * h)
+        return _float_or_array(2.0 / (spec.omega * h))
     zm, zc, zp = (i - 1) * h, i * h, (i + 1) * h
-    return float(_wronskian(spec, zm, zp)
-                 / (_wronskian(spec, zm, zc) * _wronskian(spec, zc, zp)))
+    return _float_or_array(_wronskian(spec, zm, zp)
+                           / (_wronskian(spec, zm, zc) * _wronskian(spec, zc, zp)))
 
 
-def surplus_beta_1d(spec: KernelSpec, level: int, i: int) -> float:
-    """Off-diagonal coefficient beta_{l,i} = 1 / W(z_{l,i}, z_{l,i+1})."""
-    if level < 1:
-        raise InvalidLevel("level must be >= 1")
-    h = 2.0 ** (-level)
+def surplus_beta_1d(spec: KernelSpec, level, i):
+    """Off-diagonal coefficient beta_{l,i} = 1 / W(z_{l,i}, z_{l,i+1}),
+    elementwise like ``surplus_alpha_1d``."""
+    level, i = np.broadcast_arrays(_check_levels(level), i)
+    h = 2.0 ** -level
     if spec.kind == LAPLACE:
-        return 1.0 / (2.0 * math.sinh(spec.omega * h))
+        return _float_or_array(1.0 / (2.0 * np.sinh(spec.omega * h)))
     if spec.kind == BROWNIAN_BRIDGE:
-        return 1.0 / h
+        return _float_or_array(1.0 / h)
     if spec.kind == SOBOLEV:
-        return 1.0 / (spec.omega * h)
-    return 1.0 / float(_wronskian(spec, i * h, (i + 1) * h))
+        return _float_or_array(1.0 / (spec.omega * h))
+    return _float_or_array(1.0 / _wronskian(spec, i * h, (i + 1) * h))

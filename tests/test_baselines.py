@@ -140,8 +140,10 @@ class TestSelection:
 
     def test_m_exceeding_pool_rejected(self):
         pool = self._pool()
-        with pytest.raises(InvalidM):
-            lkrf_select(pool, np.zeros(3), np.zeros((3, 2)), pool.M + 1)
+        for select in (lkrf_select, eerf_select):
+            for M in (pool.M + 1, 0, -1):
+                with pytest.raises(InvalidM):
+                    select(pool, np.zeros(3), np.zeros((3, 2)), M)
 
     def test_survivors_are_verbatim_pool_rows(self):
         pool = self._pool(seed=7)

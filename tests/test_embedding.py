@@ -11,10 +11,10 @@ import scipy.sparse as sp
 
 from eof.design import IndexSet, enumerate_sparse_grid, truncate_random
 from eof.embedding import (SCALE_PLAIN, SCALE_RAW, SCALE_SQRT, SparseVec,
-                           _scale_value, embed, embed_batch, kernel_approx)
+                           embed, embed_batch, kernel_approx)
 from eof.errors import DimError, InvalidLevel, InvalidPoint
-from eof.features import FeatureIndex, _profile_1d, phi_nd
-from eof.kernels import KernelSpec, expansion_coeff, kernel_eval
+from eof.features import FeatureIndex, phi_nd
+from eof.kernels import KernelSpec, _profile_1d, expansion_coeff, kernel_eval
 
 BB1 = KernelSpec("bb", dim=1)
 SCALES = [SCALE_SQRT, SCALE_RAW, SCALE_PLAIN]
@@ -251,7 +251,9 @@ def coo_reference(spec, S, X, scale):
         at = np.minimum(np.searchsorted(keys, code), len(keys) - 1)
         hit &= keys[at] == code
         rows = np.flatnonzero(hit)
-        value = np.full(len(rows), _scale_value(spec, l, scale))
+        c = expansion_coeff(spec, l)
+        factor = {SCALE_SQRT: np.sqrt(c), SCALE_RAW: c, SCALE_PLAIN: 1.0}[scale]
+        value = np.full(len(rows), factor)
         for d, ld in enumerate(l):
             value *= profiles[d, ld][1][rows]
         keep = value != 0.0
@@ -375,6 +377,36 @@ def test_invalid_points_raise_invalid_point(embed_fn, x, strict):
     spec = KernelSpec("laplace", omega=1.0, dim=2, strict=strict)
     with pytest.raises(InvalidPoint):
         embed_fn(spec, enumerate_sparse_grid(2, 3), x)
+
+
+@pytest.mark.parametrize("embed_fn", [
+    lambda spec, S, x, scale: embed(spec, S, x, scale=scale),
+    lambda spec, S, x, scale: embed_batch(spec, S, np.array([x]), scale=scale)],
+    ids=["embed", "embed_batch"])
+@pytest.mark.parametrize("scale", ["plian", "SQRT", "", None])
+@pytest.mark.parametrize("empty", [False, True], ids=["design", "empty-design"])
+def test_unknown_scale_rejected(embed_fn, scale, empty):
+    spec = KernelSpec("laplace", omega=1.0, dim=2)
+    S = IndexSet(()) if empty else enumerate_sparse_grid(2, 3)
+    with pytest.raises(ValueError, match=repr(scale)):
+        embed_fn(spec, S, [0.3, 0.6], scale)
+
+
+@pytest.mark.parametrize("scale, calls", [(SCALE_SQRT, 1), (SCALE_RAW, 1),
+                                          (SCALE_PLAIN, 0)])
+def test_constants_computed_once_per_call(monkeypatch, scale, calls):
+    counted = []
+
+    def counting(spec, l):
+        counted.append(np.shape(l))
+        return expansion_coeff(spec, l)
+
+    monkeypatch.setattr("eof.embedding.expansion_coeff", counting)
+    spec = KernelSpec("laplace", omega=2.0, dim=8)
+    S = enumerate_sparse_grid(8, 4)
+    X = np.random.default_rng(0).uniform(0.0, 1.0, (20, 8))
+    embed_batch(spec, S, X, scale=scale)
+    assert counted == [(165, 8)] * calls
 
 
 class TestKernelApprox:

@@ -1,10 +1,12 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eof.design import enumerate_sparse_grid
 from eof.errors import DimError, InvalidLevel, InvalidPoint
 from eof.kernels import (KernelSpec, expansion_coeff, kernel_eval, norm_const,
                          surplus_alpha_1d, surplus_beta_1d)
@@ -120,6 +122,29 @@ class TestExpansionCoeff:
         sob2 = KernelSpec("sobolev", omega=1.5, dim=2)
         assert expansion_coeff(sob2, (3, 2)) == norm_const(sob2, (3, 2))
 
+    @pytest.mark.parametrize("D, n", [(8, 4), (2, 9), (1, 29)])
+    @pytest.mark.parametrize("kind", ["laplace", "bb", "sobolev"])
+    def test_array_form_bitwise_equals_scalar_form(self, kind, D, n):
+        spec = KernelSpec(kind, omega=2.5, dim=D)
+        levels = enumerate_sparse_grid(D, n).levels
+        for const in (expansion_coeff, norm_const):
+            got = const(spec, levels)
+            assert got.shape == (len(levels),)
+            for value, l in zip(got, levels):
+                scalar = const(spec, tuple(l))
+                assert isinstance(scalar, float)
+                assert value.tobytes() == np.float64(scalar).tobytes()
+
+    def test_custom_norm_const_is_expansion_coeff(self):
+        omega = 1.5
+        custom = KernelSpec("custom", omega=omega, dim=3,
+                            p=lambda x: np.exp(omega * x),
+                            q=lambda x: np.exp(-omega * x))
+        levels = enumerate_sparse_grid(3, 5).levels
+        np.testing.assert_array_equal(norm_const(custom, levels),
+                                      expansion_coeff(custom, levels))
+        assert norm_const(custom, (2, 1, 3)) == expansion_coeff(custom, (2, 1, 3))
+
     def test_product_over_dimensions(self):
         spec = KernelSpec("laplace", omega=1.0, dim=2)
         got = expansion_coeff(spec, (1, 2))
@@ -133,6 +158,28 @@ class TestSurplusCoefficients:
     def test_alpha_equals_coth_laplace(self):
         assert surplus_alpha_1d(LAPLACE1, 1, 1) == pytest.approx(
             2.163953413738653, rel=1e-13)  # coth(1/2)
+
+    def test_elementwise_over_level_and_position(self):
+        omega = 2.0
+        custom = KernelSpec("custom", omega=omega, dim=1,
+                            p=lambda x: omega * x + 1.0, q=lambda x: np.ones_like(x))
+        level = np.array([[2], [3], [4]])
+        i = np.array([1, 3])
+        for spec in (LAPLACE1, BB1, SOB1, custom):
+            for coeff in (surplus_alpha_1d, surplus_beta_1d):
+                got = coeff(spec, level, i)
+                assert got.shape == (3, 2)
+                for r, c in product(range(3), range(2)):
+                    scalar = coeff(spec, int(level[r, 0]), int(i[c]))
+                    assert isinstance(scalar, float)
+                    assert got[r, c] == scalar
+
+    def test_invalid_level(self):
+        for coeff in (surplus_alpha_1d, surplus_beta_1d):
+            with pytest.raises(InvalidLevel):
+                coeff(BB1, 0, 1)
+            with pytest.raises(InvalidLevel):
+                coeff(BB1, np.array([2, 0]), 1)
 
     def test_closed_forms_match_generic_pq(self):
         # a custom spec carrying a closed form's p/q must reproduce it
