@@ -14,6 +14,10 @@ oversampled Cauchy pool and keep the top-M candidates by a label-alignment
 score.  The two scores used here (squared alignment sum for LKRF, absolute
 first moment for EERF) are simple stand-ins for the original reweighting
 procedures; they rank only and never rescale surviving features.
+
+Selection scores the pool M candidates at a time, so besides the (M0,)
+score vector it holds one N x M cosine block, the size of the map that
+``rf_embed`` builds next: O(N M + M0) memory, not O(N M0).
 """
 
 from __future__ import annotations
@@ -89,8 +93,11 @@ def rf_embed(fmap: RandomFeatureMap, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != fmap.dim:
         raise DimError(f"point dimension {x.shape[-1]} != map dimension {fmap.dim}")
-    proj = x @ fmap.frequencies.T + fmap.phases
-    return np.cos(proj) / np.sqrt(fmap.M)
+    Z = x @ fmap.frequencies.T
+    Z += fmap.phases
+    np.cos(Z, out=Z)
+    Z /= np.sqrt(fmap.M)
+    return Z
 
 
 def kernel_estimate(fmap: RandomFeatureMap, x, xp) -> float:
@@ -101,15 +108,23 @@ def kernel_estimate(fmap: RandomFeatureMap, x, xp) -> float:
 def _select(method: str, score, pool: RandomFeatureMap, y, X,
             M: int) -> RandomFeatureMap:
     """Keep the top-M pool candidates by ``score(y^T Z, N)`` over the raw
-    cosine matrix Z of the training points."""
+    cosine matrix Z of the training points, built M columns at a time."""
     if M < 1:
         raise InvalidM("M must be >= 1")
     if M > pool.M:
         raise InvalidM(f"M={M} exceeds pool size {pool.M}")
     y = np.asarray(y, dtype=float)
-    Z = np.cos(np.asarray(X, dtype=float) @ pool.frequencies.T + pool.phases)
+    X = np.asarray(X, dtype=float)
+    G, b = pool.frequencies, pool.phases
+    a = np.empty(pool.M)
+    for j in range(0, pool.M, M):
+        Z = X @ G[j:j + M].T
+        Z += b[j:j + M]
+        np.cos(Z, out=Z)
+        a[j:j + M] = y @ Z
+        del Z   # free this block before the next product is allocated
     # stable: ties keep the lower candidate index
-    keep = np.sort(np.argsort(-score(y @ Z, len(y)), kind="stable")[:M])
+    keep = np.sort(np.argsort(-score(a, len(y)), kind="stable")[:M])
     return RandomFeatureMap(method, pool.frequencies[keep], pool.phases[keep],
                             pool.sigma, pool.seed, M0=pool.M)
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import baselines, learn
 from .design import select_design, sparse_grid_size
@@ -82,6 +81,7 @@ class BenchResult:
     seeds: List[int] = field(default_factory=list)
     n_failed: int = 0
     errors: List[float] = field(default_factory=list)
+    failures: List[str] = field(default_factory=list)   # "Type: message"
 
 
 def read_table(path) -> Tuple[List[str], np.ndarray]:
@@ -222,6 +222,9 @@ def estimate_sigma(X_train, neighbor: int = 50) -> float:
     N = X_train.shape[0]
     if N < 2:
         raise DegenerateData("need at least 2 points")
+    # imported here so that importing eof does not load scipy.spatial
+    from scipy.spatial import cKDTree
+
     k = min(neighbor, N - 1)
     tree = cKDTree(X_train)
     dists, _ = tree.query(X_train, k=k + 1)
@@ -300,16 +303,18 @@ def run_benchmark(dataset: Dataset, methods: Sequence[str], M_grid: Sequence[int
                 try:
                     return _one_run(dataset, method, M, rs, sigma, kernel,
                                     omega, lam_val, pool_factor)
-                except EofError:
-                    return None
+                except EofError as exc:
+                    return exc
 
             if n_workers > 1:
                 with ThreadPoolExecutor(max_workers=n_workers) as pool:
                     outcomes = list(pool.map(job, seeds))
             else:
                 outcomes = [job(rs) for rs in seeds]
-            good = [o for o in outcomes if o is not None]
-            n_failed = len(outcomes) - len(good)
+            good = [o for o in outcomes if not isinstance(o, EofError)]
+            failures = [f"{type(o).__name__}: {o}" for o in outcomes
+                        if isinstance(o, EofError)]
+            n_failed = len(failures)
             if good:
                 errs = np.array([o[0] for o in good])
                 t_feat = float(np.mean([o[1] for o in good]))
@@ -322,11 +327,11 @@ def run_benchmark(dataset: Dataset, methods: Sequence[str], M_grid: Sequence[int
                 res = BenchResult(method, M, M0, float(np.mean(errs)),
                                   spread, t_feat + t_solve,
                                   t_feat, t_solve, nnz, seeds, n_failed,
-                                  errs.tolist())
+                                  errs.tolist(), failures)
             else:
                 res = BenchResult(method, M, 0, float("nan"), float("nan"),
                                   float("nan"), float("nan"), float("nan"),
-                                  0, seeds, n_failed)
+                                  0, seeds, n_failed, failures=failures)
             results.append(res)
     return results
 

@@ -18,7 +18,6 @@ from typing import Any, Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import expit
 
 from .errors import ConvergenceError, DimError, InvalidData
 
@@ -121,6 +120,9 @@ def logistic_fit(F, y, lam: float, max_iter: int = 100,
     Newton; raises ``ConvergenceError`` (with the last gradient norm) if the
     gradient norm is still above ``tol`` after ``max_iter`` iterations.
     """
+    # imported here so that importing eof does not load scipy.special
+    from scipy.special import expit
+
     y = _check_features(F, y, lam)
     if not np.all(np.isin(y, (-1.0, 1.0))):
         raise InvalidData("labels must be -1 or +1")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -116,6 +118,17 @@ class TestRfEmbed:
         for r, x in enumerate(X):
             np.testing.assert_allclose(Z[r], rf_embed(m, x), atol=1e-15)
 
+    def test_peak_memory_is_one_output(self):
+        m = rks_map(2, 500, 1.0, seed=3)
+        X = np.random.default_rng(3).uniform(0, 1, (2000, 2))
+        tracemalloc.start()
+        try:
+            Z = rf_embed(m, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * Z.nbytes, (peak, Z.nbytes)
+
 
 class TestSelection:
     def _pool(self, seed=0, M0=40, D=2):
@@ -128,6 +141,50 @@ class TestSelection:
         for select in (lkrf_select, eerf_select):
             got = select(pool, y, X, 5)
             np.testing.assert_array_equal(got.frequencies, pool.frequencies[:5])
+
+    def test_zero_labels_tie_break_across_blocks_keeps_first(self):
+        # candidates are scored M at a time; a pool of 10 blocks of equal
+        # scores must still keep the lowest M indices
+        X = np.random.default_rng(0).uniform(0, 1, (30, 2))
+        for M in (1, 5, 7):
+            pool = self._pool(M0=10 * M)
+            for select in (lkrf_select, eerf_select):
+                got = select(pool, np.zeros(30), X, M)
+                np.testing.assert_array_equal(got.frequencies,
+                                              pool.frequencies[:M])
+
+    @pytest.mark.parametrize("M", [1, 4, 9])
+    @pytest.mark.parametrize("k", [3, 5])
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_blocks_keep_the_full_matrix_choice(self, M, k, extra):
+        M0 = k * M + extra
+        pool = self._pool(seed=M0, M0=M0)
+        rng = np.random.default_rng(M0)
+        X = rng.uniform(0, 1, (80, 2))
+        y = rng.standard_normal(80)
+        a = y @ np.cos(X @ pool.frequencies.T + pool.phases)
+        for select, score in ((lkrf_select, a ** 2),
+                              (eerf_select, np.abs(a) / len(y))):
+            keep = np.sort(np.argsort(-score, kind="stable")[:M])
+            got = select(pool, y, X, M)
+            np.testing.assert_array_equal(got.frequencies,
+                                          pool.frequencies[keep])
+            np.testing.assert_array_equal(got.phases, pool.phases[keep])
+
+    def test_selection_memory_bounded_by_blocks(self):
+        N, M0, M = 2000, 4000, 8
+        pool = self._pool(M0=M0)
+        rng = np.random.default_rng(5)
+        X = rng.uniform(0, 1, (N, 2))
+        y = rng.standard_normal(N)
+        tracemalloc.start()
+        try:
+            lkrf_select(pool, y, X, M)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the whole N x M0 cosine pool would be N * M0 * 8 bytes (64 MB)
+        assert peak < N * M0 * 8 / 4, peak
 
     def test_m_equals_pool_returns_everything(self):
         pool = self._pool()

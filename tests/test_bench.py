@@ -256,6 +256,21 @@ class TestRunBenchmark:
         assert res[0].n_failed == 3
         assert len(res[0].errors) == 3
 
+    def test_failed_runs_record_their_cause(self, monkeypatch):
+        ds = toy_dataset()
+        real = bench._one_run
+        calls = {"n": 0}
+
+        def flaky(*args, **kwargs):
+            calls["n"] += 1
+            if calls["n"] % 2 == 0:
+                raise EofError("synthetic failure")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "_one_run", flaky)
+        res = bench.run_benchmark(ds, ["rks"], [8], runs=6, seed=2)
+        assert res[0].failures == ["EofError: synthetic failure"] * 3
+
     def test_unknown_method_rejected_before_any_run(self, monkeypatch):
         def no_run(*args, **kwargs):
             raise AssertionError("a run started")

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import eof
 from eof import bench, learn
 from eof.cli import main
 from eof.design import enumerate_sparse_grid, select_design
@@ -212,3 +217,15 @@ class TestBenchCommand:
         err = capsys.readouterr().err
         assert "usage:" in err and flag in err
         assert not (tmp_path / "out").exists()
+
+
+def test_import_loads_no_kdtree_or_special_functions():
+    # a fresh interpreter: this test process already imported scipy.special
+    src = os.path.dirname(os.path.dirname(os.path.abspath(eof.__file__)))
+    code = ("import sys, eof, eof.bench, eof.cli; "
+            "print(sorted(m for m in ('scipy.spatial', 'scipy.special') "
+            "if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
