@@ -10,8 +10,8 @@ random-feature baselines.
 from .design import (IndexSet, enumerate_sparse_grid, entropic_select,
                      level_for_feature_count, select_design, sparse_grid_size,
                      truncate_random)
-from .embedding import (SCALE_PLAIN, SCALE_RAW, SCALE_SQRT, SparseVec, embed,
-                        embed_batch, kernel_approx)
+from .embedding import (SCALE_PLAIN, SCALE_RAW, SCALE_SQRT, embed, embed_batch,
+                        kernel_approx)
 from .features import (FeatureIndex, hierarchical_surplus, phi_1d, phi_nd,
                        support_box)
 from .kernels import KernelSpec, expansion_coeff, kernel_eval, norm_const
@@ -21,7 +21,7 @@ __all__ = [
     "FeatureIndex", "phi_1d", "phi_nd", "support_box", "hierarchical_surplus",
     "IndexSet", "enumerate_sparse_grid", "entropic_select", "truncate_random",
     "sparse_grid_size", "level_for_feature_count", "select_design",
-    "SparseVec", "embed", "embed_batch", "kernel_approx",
+    "embed", "embed_batch", "kernel_approx",
     "SCALE_SQRT", "SCALE_RAW", "SCALE_PLAIN",
 ]
 

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimError, InvalidM
+from .kernels import _finite_point
 
 RKS = "rks"
 ORF = "orf"
@@ -90,7 +91,7 @@ def orf_map(D: int, M: int, sigma: float, seed: int) -> RandomFeatureMap:
 
 def rf_embed(fmap: RandomFeatureMap, x) -> np.ndarray:
     """Dense feature vector (1-D input) or matrix (2-D input)."""
-    x = np.asarray(x, dtype=float)
+    x = _finite_point(x)   # cosine features take any real x: no clipping
     if x.shape[-1] != fmap.dim:
         raise DimError(f"point dimension {x.shape[-1]} != map dimension {fmap.dim}")
     Z = x @ fmap.frequencies.T
@@ -114,7 +115,7 @@ def _select(method: str, score, pool: RandomFeatureMap, y, X,
     if M > pool.M:
         raise InvalidM(f"M={M} exceeds pool size {pool.M}")
     y = np.asarray(y, dtype=float)
-    X = np.asarray(X, dtype=float)
+    X = _finite_point(X)
     G, b = pool.frequencies, pool.phases
     a = np.empty(pool.M)
     for j in range(0, pool.M, M):

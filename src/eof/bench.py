@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import baselines, learn
-from .design import select_design, sparse_grid_size
+from .design import level_for_feature_count, select_design, sparse_grid_size
 from .embedding import SCALE_PLAIN, embed_batch
 from .errors import DegenerateData, EofError, InvalidData, ParseError
 from .kernels import KernelSpec, _kernel_rows
@@ -30,6 +30,7 @@ from .kernels import KernelSpec, _kernel_rows
 EOF_METHOD = "eof"
 ALL_METHODS = (EOF_METHOD, baselines.RKS, baselines.ORF, baselines.LKRF,
                baselines.EERF)
+NEIGHBOR = 50   # estimate_sigma reads the distance to this nearest neighbor
 
 
 @dataclass
@@ -213,8 +214,8 @@ def standardize(raw: RawData, split_ratio: float = 0.7, seed: int = 0) -> Datase
                    raw.name, raw.task)
 
 
-def estimate_sigma(X_train, neighbor: int = 50) -> float:
-    """1 / (mean distance to the ``neighbor``-th l2 nearest neighbor).
+def estimate_sigma(X_train) -> float:
+    """1 / (mean distance to the ``NEIGHBOR``-th l2 nearest neighbor).
 
     Falls back to the (N-1)-th neighbor when the training set is too small.
     """
@@ -225,7 +226,7 @@ def estimate_sigma(X_train, neighbor: int = 50) -> float:
     # imported here so that importing eof does not load scipy.spatial
     from scipy.spatial import cKDTree
 
-    k = min(neighbor, N - 1)
+    k = min(NEIGHBOR, N - 1)
     tree = cKDTree(X_train)
     dists, _ = tree.query(X_train, k=k + 1)
     mean_dist = float(np.mean(dists[:, k]))
@@ -241,17 +242,18 @@ def _run_seed(master: int, method_idx: int, m_idx: int, run: int) -> int:
 
 
 def _one_run(dataset: Dataset, method: str, M: int, run_seed: int,
-             sigma: float, kernel: str, omega: float, lam: float,
-             pool_factor: int):
+             sigma: float, kernel: str, lam: float, pool_factor: int):
     D = dataset.D
     t0 = time.perf_counter()
     if method == EOF_METHOD:
-        spec = KernelSpec(kernel, omega=omega, dim=D)
+        # matched bandwidth: Cauchy(sigma) frequencies approximate
+        # exp(-sigma ||x-x'||_1), the kernel the multilevel features expand
+        spec = KernelSpec(kernel, omega=sigma, dim=D)
         S = select_design(spec, M, run_seed)
         # unnormalized basis columns: ridge weights absorb the level constants
         F_train = embed_batch(spec, S, dataset.X_train, scale=SCALE_PLAIN)
         F_test = embed_batch(spec, S, dataset.X_test, scale=SCALE_PLAIN)
-        M0 = sparse_grid_size(D, S.level_cap)
+        M0 = sparse_grid_size(D, level_for_feature_count(D, M))
     else:
         M0 = 0
         if method == baselines.RKS:
@@ -291,8 +293,6 @@ def run_benchmark(dataset: Dataset, methods: Sequence[str], M_grid: Sequence[int
     if n_workers < 1:
         raise ValueError(f"EOF_THREADS must be an integer >= 1, got {threads!r}")
     sigma = estimate_sigma(dataset.X_train)
-    omega = sigma  # matched bandwidth: Cauchy(sigma) frequencies approximate
-    # exp(-sigma ||x-x'||_1), the kernel the multilevel features expand
     lam_val = lam if lam is not None else learn.default_lambda(dataset.N_train)
     results = []
     for mi, method in enumerate(methods):
@@ -302,7 +302,7 @@ def run_benchmark(dataset: Dataset, methods: Sequence[str], M_grid: Sequence[int
             def job(rs):
                 try:
                     return _one_run(dataset, method, M, rs, sigma, kernel,
-                                    omega, lam_val, pool_factor)
+                                    lam_val, pool_factor)
                 except EofError as exc:
                     return exc
 

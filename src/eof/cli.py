@@ -8,7 +8,7 @@ import os
 import sys
 
 from . import bench, learn
-from .design import enumerate_sparse_grid, select_design
+from .design import enumerate_sparse_grid, level_for_feature_count, select_design
 from .embedding import SCALE_RAW, SCALE_SQRT, embed_batch
 from .kernels import KernelSpec
 
@@ -109,8 +109,11 @@ def cmd_train(args):
            else args.lam)
     model = learn.fit(ds.task, F_train, ds.y_train, lam)
     err = learn.test_error(model, F_test, ds.y_test)
+    # --num-features: the full design that select_design truncates, and the seed
+    level = args.level or level_for_feature_count(ds.D, args.num_features)
+    seed = None if args.level else args.seed
     meta = {"kernel": args.kernel, "omega": repr(args.omega),
-            "design": f"level={S.level_cap} M={len(S)} seed={S.seed}",
+            "design": f"level={level} M={len(S)} seed={seed}",
             "dataset": ds.name}
     learn.save_model(model, args.model_out, meta)
     kind = "mse" if ds.task == learn.REGRESSION else "error rate"

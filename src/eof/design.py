@@ -10,8 +10,10 @@ A design stores its level vectors, an (L, D) int array in canonical (|l|, l)
 order, and per level vector ``None`` when it keeps all 2^(|l|-D) features,
 else the sorted int64 mixed-radix codes of (i_d - 1) / 2 that it keeps (first
 dimension most significant).  So columns are in canonical (|l|, l, i) order.
-A level vector whose code needs over 61 bits raises ``InvalidLevel`` when the
-design is built.  ``FeatureIndex`` objects are built only on request.
+This module alone knows that layout: ``IndexSet.columns`` maps positions to
+columns for the embedding.  A level vector whose code needs over 61 bits
+raises ``InvalidLevel`` when the design is built.  ``FeatureIndex`` objects
+are built only on request.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import warnings
 from itertools import combinations
 from math import comb
-from typing import Mapping, Optional, Tuple, Union
+from typing import Mapping, Tuple
 
 import numpy as np
 
@@ -32,8 +34,7 @@ class IndexSet:
     """A design in the canonical (|l|, l, i) column order.  ``IndexSet(features)``
     takes ``FeatureIndex`` objects in any order and rejects duplicates."""
 
-    def __init__(self, features=(), level_cap: Optional[int] = None,
-                 seed: Optional[int] = None):
+    def __init__(self, features=()):
         features = tuple(sorted(features, key=FeatureIndex.sort_key))
         if any(a == b for a, b in zip(features, features[1:])):
             raise ValueError("duplicate feature indices")
@@ -47,23 +48,22 @@ class IndexSet:
             grouped.setdefault(f.l, []).append(code)
         levels = np.array(list(grouped), dtype=np.int64).reshape(
             len(grouped), features[0].dim if features else 0)
-        self._set(levels, list(grouped.values()), level_cap, seed)
+        self._set(levels, list(grouped.values()))
         self._indices = features
 
     @classmethod
-    def _of(cls, levels, codes, level_cap=None, seed=None) -> "IndexSet":
+    def _of(cls, levels, codes) -> "IndexSet":
         """A design from level vectors in canonical order and kept codes."""
         S = cls.__new__(cls)
-        S._set(levels, codes, level_cap, seed)
+        S._set(levels, codes)
         return S
 
-    def _set(self, levels, codes, level_cap, seed):
+    def _set(self, levels, codes):
         bits = levels.sum(axis=1) - levels.shape[1]
         if (bits > 61).any():   # x 2^l_d must fit an int64 as well as the code
             l = tuple(levels[bits > 61][0].tolist())
             raise InvalidLevel(f"level vector {l} is too deep for 64-bit keys")
         self.levels, self.dim = levels, levels.shape[1]
-        self.level_cap, self.seed = level_cap, seed
         self.codes = tuple(None if c is None or len(c) == 2 ** b
                            else np.asarray(c, dtype=np.int64)
                            for b, c in zip(bits.tolist(), codes))
@@ -72,6 +72,22 @@ class IndexSet:
                                         in zip(bits.tolist(), self.codes)],
                                  dtype=np.int64)
         self._indices = None
+
+    def columns(self, k: int, digits):
+        """Columns of level vector ``k`` at per-row positions, given as one
+        int64 array of (i_d - 1) / 2 per dimension, and the mask of rows whose
+        position the design does not keep (``None`` if ``k`` is complete)."""
+        code = np.zeros(len(digits[0]), dtype=np.int64)
+        for ld, digit in zip(self.levels[k].tolist(), digits):
+            if ld > 1:      # level 1 has the single code 0
+                code *= 2 ** (ld - 1)
+                code += digit
+        kept = self.codes[k]
+        if kept is None:
+            return code + self.offsets[k], None
+        # partial: the column is the code's rank among the kept codes
+        at = np.minimum(np.searchsorted(kept, code), len(kept) - 1)
+        return at + self.offsets[k], kept[at] != code
 
     def __len__(self) -> int:
         return int(self.offsets[-1])
@@ -109,11 +125,10 @@ def enumerate_sparse_grid(D: int, n: int) -> IndexSet:
     # lexicographic order give level vectors in lexicographic order
     bounds = np.array([(0, *cuts, total) for total in range(D, n + D)
                        for cuts in combinations(range(1, total), D - 1)])
-    return IndexSet._of(np.diff(bounds, axis=1), [None] * len(bounds), level_cap=n)
+    return IndexSet._of(np.diff(bounds, axis=1), [None] * len(bounds))
 
 
-def entropic_select(candidates: IndexSet,
-                    C: Union[Mapping[FeatureIndex, float], callable],
+def entropic_select(candidates: IndexSet, C: Mapping[FeatureIndex, float],
                     M: int) -> IndexSet:
     """Keep the M candidates with the largest design constants.
 
@@ -122,12 +137,11 @@ def entropic_select(candidates: IndexSet,
     """
     if M < 1:
         raise InvalidM("M must be >= 1")
-    get = C.__getitem__ if isinstance(C, Mapping) else C
     if M > len(candidates):
         warnings.warn("M exceeds candidate count; returning all candidates")
         M = len(candidates)
-    ranked = sorted(candidates, key=lambda idx: (-float(get(idx)), idx.sort_key()))
-    return IndexSet(ranked[:M], level_cap=candidates.level_cap)
+    ranked = sorted(candidates, key=lambda idx: (-float(C[idx]), idx.sort_key()))
+    return IndexSet(ranked[:M])
 
 
 def truncate_random(full: IndexSet, M: int, seed: int) -> IndexSet:
@@ -141,8 +155,7 @@ def truncate_random(full: IndexSet, M: int, seed: int) -> IndexSet:
     within = np.split(keep - full.offsets[level], first[1:])
     codes = [c if full.codes[k] is None else full.codes[k][c]
              for k, c in zip(present.tolist(), within)]
-    return IndexSet._of(full.levels[present], codes,
-                        level_cap=full.level_cap, seed=seed)
+    return IndexSet._of(full.levels[present], codes)
 
 
 def level_for_feature_count(D: int, M: int) -> int:

@@ -6,19 +6,17 @@ and it is found directly from the dyadic coordinates of the point: the odd
 member of {ceil(x 2^l), floor(x 2^l)} per dimension.  ``embed_batch`` finds
 that position and the 1-D feature value there once per (dimension, level)
 pair, for all rows at once, and fills an (L, N) table of columns and values
-one level vector at a time, in the design's canonical order.  A complete
-level vector is indexed directly: the column is its first column plus the
-mixed-radix code of (i_d - 1) / 2.  Only a level vector that truncation left
-partial looks the code up among the design's kept codes by binary search, so
-the lookup holds O(M) keys however deep the levels are.  One nonzero mask
-compresses the tables into CSR.  A point thus costs O(#levels) array steps.
-The scale factor of every level vector comes from one ``expansion_coeff``
-call over the design's (L, D) level array.  ``embed`` is the one-row case.
+one level vector at a time, in the design's canonical order.  The design
+alone knows its column layout: ``IndexSet.columns`` turns the positions
+(i_d - 1) / 2 into columns and, for a level vector that truncation left
+partial, flags the rows whose position the design does not keep.  One
+nonzero mask compresses the tables into CSR.  A point thus costs O(#levels)
+array steps.  The scale factor of every level vector comes from one
+``expansion_coeff`` call over the design's (L, D) level array.  ``embed`` is
+the one-row case and returns a 1 x M CSR row.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,40 +30,10 @@ SCALE_RAW = "raw"     # value = C * phi; the literal per-level update rule
 SCALE_PLAIN = "plain"  # value = phi alone; learned weights absorb the constants
 
 
-@dataclass(frozen=True)
-class SparseVec:
-    """A length-M sparse vector with strictly increasing column indices."""
-
-    dim: int
-    cols: np.ndarray
-    vals: np.ndarray
-
-    @property
-    def nnz(self) -> int:
-        return len(self.cols)
-
-    def toarray(self) -> np.ndarray:
-        out = np.zeros(self.dim)
-        out[self.cols] = self.vals
-        return out
-
-    def dot(self, other: "SparseVec") -> float:
-        if self.dim != other.dim:
-            raise DimError("sparse vectors have different dimensions")
-        _, ia, ib = np.intersect1d(self.cols, other.cols, assume_unique=True,
-                                   return_indices=True)
-        return float(self.vals[ia] @ other.vals[ib])
-
-
-def _sparse_row(F: sp.csr_matrix, r: int) -> SparseVec:
-    lo, hi = F.indptr[r], F.indptr[r + 1]
-    return SparseVec(F.shape[1], F.indices[lo:hi].astype(np.int64), F.data[lo:hi])
-
-
-def embed(spec: KernelSpec, S: IndexSet, x, scale: str = SCALE_SQRT) -> SparseVec:
-    """Sparse feature vector z(x) over the columns of ``S``."""
+def embed(spec: KernelSpec, S: IndexSet, x, scale: str = SCALE_SQRT) -> sp.csr_matrix:
+    """Feature vector z(x) over the columns of ``S``, as a 1 x M CSR row."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    return _sparse_row(embed_batch(spec, S, x[None], scale=scale), 0)
+    return embed_batch(spec, S, x[None], scale=scale)
 
 
 def _dyadic_profile(spec: KernelSpec, level: int, x: np.ndarray):
@@ -106,20 +74,13 @@ def embed_batch(spec: KernelSpec, S: IndexSet, X,
         for d, ld in enumerate(l):
             if (d, ld) not in profiles:
                 profiles[d, ld] = _dyadic_profile(spec, ld, X[:, d])
-        code = np.zeros(N, dtype=np.int64)
-        for d, ld in enumerate(l):
-            if ld > 1:      # level 1 has the single code 0
-                code *= 2 ** (ld - 1)
-                code += profiles[d, ld][0]
+        cols[k], dropped = S.columns(k, [profiles[d, ld][0]
+                                         for d, ld in enumerate(l)])
         np.multiply(profiles[0, l[0]][1], factor[k], out=vals[k])
         for d, ld in enumerate(l[1:], start=1):
             vals[k] *= profiles[d, ld][1]
-        kept = S.codes[k]
-        if kept is not None:    # partial: the column is the code's rank
-            at = np.minimum(np.searchsorted(kept, code), len(kept) - 1)
-            vals[k][kept[at] != code] = 0.0
-            code = at
-        cols[k] = code + S.offsets[k]
+        if dropped is not None:
+            vals[k][dropped] = 0.0
     del profiles    # D*n columns of N rows; freed before the compression
     nonzero = vals.T != 0.0
     indptr = np.zeros(N + 1, dtype=np.int64)
@@ -136,4 +97,7 @@ def kernel_approx(spec: KernelSpec, S: IndexSet, x, xp) -> float:
     if x.shape != xp.shape:
         raise DimError("x and x' have different dimensions")
     F = embed_batch(spec, S, np.stack([x, xp]))
-    return _sparse_row(F, 0).dot(_sparse_row(F, 1))
+    mid = F.indptr[1]
+    _, ia, ib = np.intersect1d(F.indices[:mid], F.indices[mid:],
+                               assume_unique=True, return_indices=True)
+    return float(F.data[:mid][ia] @ F.data[mid:][ib])

@@ -72,12 +72,18 @@ class KernelSpec:
             raise ValueError("custom kernels need p and q callables")
 
 
-def _prepare_point(spec: KernelSpec, x) -> np.ndarray:
+def _finite_point(x) -> np.ndarray:
+    """``x`` as floats; a NaN or infinite coordinate raises ``InvalidPoint``."""
     x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        x = x.reshape(1)
     if not np.all(np.isfinite(x)):
         raise InvalidPoint("point contains NaN or Inf")
+    return x
+
+
+def _prepare_point(spec: KernelSpec, x) -> np.ndarray:
+    x = _finite_point(x)
+    if x.ndim == 0:
+        x = x.reshape(1)
     if spec.strict:
         if np.any(x < 0.0) or np.any(x > 1.0):
             raise InvalidPoint("point outside [0,1]^D in strict mode")

@@ -40,14 +40,17 @@ def default_lambda(N: int) -> float:
 
 
 def _check_features(F, y, lam):
+    """F as float64 CSR or array (float64 input is not copied), and y."""
     if not lam > 0:
         raise InvalidData("lam must be positive")
     y = np.asarray(y, dtype=float).ravel()
     if not np.all(np.isfinite(y)):
         raise InvalidData("targets contain non-finite values")
+    F = (F.tocsr().astype(np.float64, copy=False) if sp.issparse(F)
+         else np.asarray(F, dtype=np.float64))
     if F.shape[0] != len(y):
         raise DimError(f"{F.shape[0]} rows but {len(y)} targets")
-    return y
+    return F, y
 
 
 CG_RTOL = 1e-12        # relative residual at which conjugate gradients stop
@@ -57,6 +60,7 @@ CG_MAX_ITER = 10       # iteration cap, as a multiple of M
 def _solve(F, b, shift, d=None, n=1):
     """Solve (F^T diag(d) F / n + shift I) x = b; d defaults to all ones.
 
+    F is a float64 array or CSR matrix, as ``_check_features`` returns it.
     Dense F: the Gram plus ``np.linalg.solve``.  Sparse F: Jacobi-preconditioned
     conjugate gradients on the matrix-free operator; raises
     ``ConvergenceError`` with the relative residual if it is still above
@@ -69,7 +73,6 @@ def _solve(F, b, shift, d=None, n=1):
             A /= n
         A.flat[::M + 1] += shift
         return np.linalg.solve(A, b)
-    F = F.tocsr()
     Ft = F.T                                   # a CSC view, not a copy
     dn = (np.ones(N) if d is None else d) / n
     sq = F.data ** 2
@@ -107,7 +110,7 @@ def _model(F, w, lam, task) -> Model:
 
 def ridge_fit(F, y, lam: float) -> Model:
     """Solve (F^T F + lam N I) w = F^T y."""
-    y = _check_features(F, y, lam)
+    F, y = _check_features(F, y, lam)
     b = np.asarray(F.T @ y).ravel()
     return _model(F, _solve(F, b, lam * F.shape[0]), lam, REGRESSION)
 
@@ -123,15 +126,14 @@ def logistic_fit(F, y, lam: float, max_iter: int = 100,
     # imported here so that importing eof does not load scipy.special
     from scipy.special import expit
 
-    y = _check_features(F, y, lam)
+    F, y = _check_features(F, y, lam)
     if not np.all(np.isin(y, (-1.0, 1.0))):
         raise InvalidData("labels must be -1 or +1")
     N, M = F.shape
-    Fc = F.tocsr() if sp.issparse(F) else np.asarray(F, dtype=float)
     w = np.zeros(M)
 
     def margins(wv):
-        return y * np.asarray(Fc @ wv).ravel()
+        return y * np.asarray(F @ wv).ravel()
 
     def objective(wv):
         m = margins(wv)
@@ -140,13 +142,13 @@ def logistic_fit(F, y, lam: float, max_iter: int = 100,
     obj = objective(w)
     for it in range(max_iter + 1):
         s = expit(-margins(w))                 # sigma(-y F w)
-        grad = -np.asarray(Fc.T @ (y * s)).ravel() / N + 2.0 * lam * w
+        grad = -np.asarray(F.T @ (y * s)).ravel() / N + 2.0 * lam * w
         gnorm = float(np.linalg.norm(grad))
         if gnorm < tol:
             return _model(F, w, lam, CLASSIFICATION)
         if it == max_iter:
             break
-        step = _solve(Fc, grad, 2.0 * lam, s * (1.0 - s), N)
+        step = _solve(F, grad, 2.0 * lam, s * (1.0 - s), N)
         # backtracking keeps the objective monotone
         eta = 1.0
         while eta > 1e-12:

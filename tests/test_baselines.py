@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from eof.baselines import (RandomFeatureMap, eerf_select, kernel_estimate,
                            lkrf_select, orf_map, rf_embed, rks_map)
-from eof.errors import DimError, InvalidM
+from eof.errors import DimError, InvalidM, InvalidPoint
 
 
 class TestRksMap:
@@ -111,6 +111,12 @@ class TestRfEmbed:
         with pytest.raises(DimError):
             rf_embed(m, np.array([0.1, 0.2]))
 
+    def test_points_outside_the_cube_are_not_clipped(self):
+        m = rks_map(2, 6, 1.0, seed=4)
+        x = np.array([2.5, -1.0])
+        want = np.cos(m.frequencies @ x + m.phases) / np.sqrt(6)
+        np.testing.assert_allclose(rf_embed(m, x), want, rtol=1e-14)
+
     def test_batch_matches_single(self):
         m = rks_map(2, 10, 1.0, seed=2)
         X = np.random.default_rng(1).uniform(0, 1, (5, 2))
@@ -128,6 +134,23 @@ class TestRfEmbed:
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * Z.nbytes, (peak, Z.nbytes)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_points_raise_invalid_point(bad):
+    fmap = rks_map(2, 8, 1.0, seed=0)
+    rng = np.random.default_rng(0)
+    X = rng.uniform(0, 1, (20, 2))
+    X[3, 1] = bad
+    y = rng.standard_normal(20)
+    calls = [lambda: rf_embed(fmap, X), lambda: rf_embed(fmap, X[3]),
+             lambda: kernel_estimate(fmap, X[0], X[3]),
+             lambda: kernel_estimate(fmap, X[3], X[0]),
+             lambda: lkrf_select(fmap, y, X, 4),
+             lambda: eerf_select(fmap, y, X, 4)]
+    for call in calls:
+        with pytest.raises(InvalidPoint):
+            call()
 
 
 class TestSelection:

@@ -104,6 +104,19 @@ class TestTrainCommand:
         assert model.task == learn.REGRESSION
         assert "test mse" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("args, line", [
+        (["--level", "3"], "level=3 M=31 seed=None"),
+        (["--num-features", "20", "--seed", "4"], "level=3 M=20 seed=4"),
+        (["--num-features", "51", "--seed", "2"], "level=4 M=51 seed=2")])
+    def test_design_line_names_level_size_and_seed(self, tmp_path, args, line):
+        ds = bench.synthetic_rkhs_dataset(N_train=150, N_test=2, D=3, seed=0)
+        data = tmp_path / "train.csv"
+        write_labeled_csv(data, ds.X_train, ds.y_train)
+        model_path = tmp_path / "model.txt"
+        main(["train", "--task", "reg", *args, "--data", str(data),
+              "--model-out", str(model_path)])
+        assert learn.load_model(model_path).feature_map["design"] == line
+
     def test_classification_path(self, tmp_path, capsys):
         rng = np.random.default_rng(5)
         X = rng.uniform(0.0, 1.0, (120, 2))
@@ -217,6 +230,12 @@ class TestBenchCommand:
         err = capsys.readouterr().err
         assert "usage:" in err and flag in err
         assert not (tmp_path / "out").exists()
+
+
+def test_every_public_name_resolves():
+    namespace = {}
+    exec("from eof import *", namespace)
+    assert sorted(set(eof.__all__) - set(namespace)) == []
 
 
 def test_import_loads_no_kdtree_or_special_functions():

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 import scipy.sparse as sp
 
 from eof.design import IndexSet, enumerate_sparse_grid, truncate_random
-from eof.embedding import (SCALE_PLAIN, SCALE_RAW, SCALE_SQRT, SparseVec,
-                           embed, embed_batch, kernel_approx)
+from eof.embedding import (SCALE_PLAIN, SCALE_RAW, SCALE_SQRT, embed,
+                           embed_batch, kernel_approx)
 from eof.errors import DimError, InvalidLevel, InvalidPoint
 from eof.features import FeatureIndex, phi_nd
 from eof.kernels import KernelSpec, _profile_1d, expansion_coeff, kernel_eval
@@ -29,23 +29,6 @@ def dense_oracle(spec, S, x, scale=SCALE_SQRT):
     return out
 
 
-class TestSparseVec:
-    def test_toarray_roundtrip(self):
-        v = SparseVec(5, np.array([1, 3]), np.array([2.0, -1.0]))
-        assert v.toarray().tolist() == [0.0, 2.0, 0.0, -1.0, 0.0]
-
-    def test_dot_merge_join(self):
-        a = SparseVec(6, np.array([0, 2, 5]), np.array([1.0, 2.0, 3.0]))
-        b = SparseVec(6, np.array([2, 4, 5]), np.array([10.0, 1.0, -1.0]))
-        assert a.dot(b) == 2.0 * 10.0 + 3.0 * -1.0
-
-    def test_dot_dim_mismatch(self):
-        a = SparseVec(3, np.array([0]), np.array([1.0]))
-        b = SparseVec(4, np.array([0]), np.array([1.0]))
-        with pytest.raises(DimError):
-            a.dot(b)
-
-
 class TestEmbed:
     def test_generic_point_nnz_formula(self):
         # one nonzero per level vector when no coordinate is dyadic
@@ -58,16 +41,17 @@ class TestEmbed:
     def test_bb_at_half_single_entry(self):
         S = enumerate_sparse_grid(1, 3)
         v = embed(BB1, S, [0.5])
+        assert v.shape == (1, len(S))
         assert v.nnz == 1
         # sqrt(C_1) * phi = sqrt(1/4) * 1
-        assert v.vals[0] == pytest.approx(0.5)
-        assert S.indices[v.cols[0]].l == (1,)
+        assert v.data[0] == pytest.approx(0.5)
+        assert S.indices[v.indices[0]].l == (1,)
 
     def test_boundary_embeds_to_zero(self):
         S = enumerate_sparse_grid(2, 3)
         spec = KernelSpec("laplace", omega=1.0, dim=2)
         assert embed(spec, S, [0.0, 0.3]).nnz == 0 or \
-            np.all(embed(spec, S, [0.0, 0.3]).toarray() == 0.0)
+            np.all(embed(spec, S, [0.0, 0.3]).toarray()[0] == 0.0)
         assert embed(spec, S, [0.0, 0.0]).nnz == 0
 
     @settings(deadline=None, max_examples=50)
@@ -78,7 +62,7 @@ class TestEmbed:
         spec = KernelSpec("laplace", omega=float(rng.uniform(0.5, 4.0)), dim=D)
         S = enumerate_sparse_grid(D, n)
         x = rng.uniform(0.0, 1.0, D)
-        got = embed(spec, S, x, scale=scale).toarray()
+        got = embed(spec, S, x, scale=scale).toarray()[0]
         want = dense_oracle(spec, S, x, scale=scale)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -100,7 +84,7 @@ class TestEmbed:
         sub = truncate_random(full, 20, seed=1)
         spec = KernelSpec("laplace", omega=1.0, dim=2)
         x = [0.312, 0.718]
-        np.testing.assert_allclose(embed(spec, sub, x).toarray(),
+        np.testing.assert_allclose(embed(spec, sub, x).toarray()[0],
                                    dense_oracle(spec, sub, x), atol=1e-12)
 
 
@@ -108,10 +92,16 @@ class TestEmbedBatch:
     def test_single_row_equals_embed(self):
         spec = KernelSpec("laplace", omega=1.5, dim=2)
         S = enumerate_sparse_grid(2, 3)
-        x = np.array([[0.21, 0.77]])
-        F = embed_batch(spec, S, x)
-        np.testing.assert_allclose(F.toarray()[0],
-                                   embed(spec, S, x[0]).toarray(), atol=1e-14)
+        X = np.array([[0.21, 0.77], [0.3, 0.6]])
+        F = embed_batch(spec, S, X)
+        end = F.indptr[1]
+        row = embed(spec, S, X[0])
+        assert row.format == "csr" and row.shape == (1, len(S))
+        for got, want in ((row.indptr, F.indptr[:2]),
+                          (row.indices, F.indices[:end]),
+                          (row.data, F.data[:end])):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
 
     def test_duplicate_rows_identical(self):
         spec = KernelSpec("bb", dim=2)

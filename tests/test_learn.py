@@ -13,8 +13,8 @@ from eof.embedding import SCALE_PLAIN, SCALE_SQRT, embed_batch
 from eof.errors import ConvergenceError, DimError, InvalidData
 from eof.kernels import KernelSpec
 from eof.learn import (CLASSIFICATION, MODEL_FORMAT, REGRESSION, Model,
-                       default_lambda, load_model, logistic_fit, predict,
-                       ridge_fit, save_model)
+                       _check_features, default_lambda, load_model,
+                       logistic_fit, predict, ridge_fit, save_model)
 from eof.learn import test_error as error_of
 
 
@@ -186,6 +186,27 @@ class TestSparseSolve:
         F, y, _ = eof_problem(50, 3)
         w = ridge_fit(F, np.zeros_like(y), 0.1).weights
         np.testing.assert_array_equal(w, 0.0)
+
+
+class TestFeatureTypes:
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+    def test_integer_features_fit_like_float(self, sparse):
+        rng = np.random.default_rng(4)
+        F = (rng.uniform(size=(60, 8)) < 0.3).astype(np.int64)
+        y = rng.standard_normal(60)
+        labels = np.where(y > 0.0, 1.0, -1.0)
+        as_input = sp.csr_matrix if sparse else np.asarray
+        for fit, target in ((ridge_fit, y), (logistic_fit, labels)):
+            want = fit(as_input(F.astype(np.float64)), target, 0.1).weights
+            got = fit(as_input(F), target, 0.1).weights
+            np.testing.assert_array_equal(got, want)
+
+    def test_float64_features_are_not_copied(self):
+        F = np.random.default_rng(0).uniform(size=(5, 3))
+        y = np.ones(5)
+        assert _check_features(F, y, 1.0)[0] is F
+        Fs = sp.csr_matrix(F)
+        assert _check_features(Fs, y, 1.0)[0] is Fs
 
 
 class TestPredictAndError:
