@@ -10,7 +10,7 @@ random-feature baselines.
 from .design import (IndexSet, enumerate_sparse_grid, entropic_select,
                      level_for_feature_count, select_design, sparse_grid_size,
                      truncate_random)
-from .embedding import (SCALE_PLAIN, SCALE_RAW, SCALE_SQRT, embed, embed_batch,
+from .embedding import (SCALE_PLAIN, SCALE_SQRT, embed, embed_batch,
                         kernel_approx)
 from .features import (FeatureIndex, hierarchical_surplus, phi_1d, phi_nd,
                        support_box)
@@ -22,7 +22,7 @@ __all__ = [
     "IndexSet", "enumerate_sparse_grid", "entropic_select", "truncate_random",
     "sparse_grid_size", "level_for_feature_count", "select_design",
     "embed", "embed_batch", "kernel_approx",
-    "SCALE_SQRT", "SCALE_RAW", "SCALE_PLAIN",
+    "SCALE_SQRT", "SCALE_PLAIN",
 ]
 
 __version__ = "0.1.0"

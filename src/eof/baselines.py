@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimError, InvalidM
+from .errors import DimError, InvalidData, InvalidM
 from .kernels import _finite_point
 
 RKS = "rks"
@@ -114,8 +114,12 @@ def _select(method: str, score, pool: RandomFeatureMap, y, X,
         raise InvalidM("M must be >= 1")
     if M > pool.M:
         raise InvalidM(f"M={M} exceeds pool size {pool.M}")
-    y = np.asarray(y, dtype=float)
     X = _finite_point(X)
+    y = np.asarray(y, dtype=float)
+    if not np.all(np.isfinite(y)):
+        raise InvalidData("labels contain non-finite values")
+    if len(y) != X.shape[0]:
+        raise DimError(f"{X.shape[0]} rows but {len(y)} labels")
     G, b = pool.frequencies, pool.phases
     a = np.empty(pool.M)
     for j in range(0, pool.M, M):

@@ -15,7 +15,6 @@ import math
 import os
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -25,7 +24,7 @@ from . import baselines, learn
 from .design import level_for_feature_count, select_design, sparse_grid_size
 from .embedding import SCALE_PLAIN, embed_batch
 from .errors import DegenerateData, EofError, InvalidData, ParseError
-from .kernels import KernelSpec, _kernel_rows
+from .kernels import KernelSpec, _finite_point, _kernel_rows
 
 EOF_METHOD = "eof"
 ALL_METHODS = (EOF_METHOD, baselines.RKS, baselines.ORF, baselines.LKRF,
@@ -219,7 +218,7 @@ def estimate_sigma(X_train) -> float:
 
     Falls back to the (N-1)-th neighbor when the training set is too small.
     """
-    X_train = np.asarray(X_train, dtype=float)
+    X_train = _finite_point(X_train)
     N = X_train.shape[0]
     if N < 2:
         raise DegenerateData("need at least 2 points")
@@ -236,7 +235,7 @@ def estimate_sigma(X_train) -> float:
 
 
 def _run_seed(master: int, method_idx: int, m_idx: int, run: int) -> int:
-    # fixed counter scheme so results are independent of scheduling
+    # fixed counter scheme: a run's seed depends only on its cell and index
     ss = np.random.SeedSequence([int(master), method_idx, m_idx, run])
     return int(ss.generate_state(1)[0])
 
@@ -285,36 +284,19 @@ def run_benchmark(dataset: Dataset, methods: Sequence[str], M_grid: Sequence[int
             raise ValueError(f"unknown method {m!r}")
     if runs < 1:
         raise InvalidData("runs must be >= 1")
-    threads = os.environ.get("EOF_THREADS", "1") or "1"
-    try:
-        n_workers = int(threads)
-    except ValueError:
-        n_workers = 0
-    if n_workers < 1:
-        raise ValueError(f"EOF_THREADS must be an integer >= 1, got {threads!r}")
     sigma = estimate_sigma(dataset.X_train)
     lam_val = lam if lam is not None else learn.default_lambda(dataset.N_train)
     results = []
     for mi, method in enumerate(methods):
         for Mi, M in enumerate(M_grid):
             seeds = [_run_seed(seed, mi, Mi, r) for r in range(runs)]
-
-            def job(rs):
+            good, failures = [], []
+            for rs in seeds:
                 try:
-                    return _one_run(dataset, method, M, rs, sigma, kernel,
-                                    lam_val, pool_factor)
+                    good.append(_one_run(dataset, method, M, rs, sigma, kernel,
+                                         lam_val, pool_factor))
                 except EofError as exc:
-                    return exc
-
-            if n_workers > 1:
-                with ThreadPoolExecutor(max_workers=n_workers) as pool:
-                    outcomes = list(pool.map(job, seeds))
-            else:
-                outcomes = [job(rs) for rs in seeds]
-            good = [o for o in outcomes if not isinstance(o, EofError)]
-            failures = [f"{type(o).__name__}: {o}" for o in outcomes
-                        if isinstance(o, EofError)]
-            n_failed = len(failures)
+                    failures.append(f"{type(exc).__name__}: {exc}")
             if good:
                 errs = np.array([o[0] for o in good])
                 t_feat = float(np.mean([o[1] for o in good]))
@@ -326,12 +308,12 @@ def run_benchmark(dataset: Dataset, methods: Sequence[str], M_grid: Sequence[int
                 spread = float(np.std(errs - errs[0]))
                 res = BenchResult(method, M, M0, float(np.mean(errs)),
                                   spread, t_feat + t_solve,
-                                  t_feat, t_solve, nnz, seeds, n_failed,
+                                  t_feat, t_solve, nnz, seeds, len(failures),
                                   errs.tolist(), failures)
             else:
                 res = BenchResult(method, M, 0, float("nan"), float("nan"),
                                   float("nan"), float("nan"), float("nan"),
-                                  0, seeds, n_failed, failures=failures)
+                                  0, seeds, len(failures), failures=failures)
             results.append(res)
     return results
 

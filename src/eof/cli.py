@@ -9,7 +9,7 @@ import sys
 
 from . import bench, learn
 from .design import enumerate_sparse_grid, level_for_feature_count, select_design
-from .embedding import SCALE_RAW, SCALE_SQRT, embed_batch
+from .embedding import embed_batch
 from .kernels import KernelSpec
 
 
@@ -90,8 +90,7 @@ def cmd_embed(args):
     _, X = bench.read_table(args.input)
     spec = KernelSpec(args.kernel, omega=args.omega, dim=X.shape[1])
     S = _design(spec, args)
-    scale = SCALE_RAW if args.raw_scale else SCALE_SQRT
-    F = embed_batch(spec, S, X, scale=scale).tocoo()
+    F = embed_batch(spec, S, X).tocoo()
     with open(args.output, "w") as fh:
         fh.write(f"# {F.shape[0]} {F.shape[1]} {F.nnz}\n")
         for r, c, v in zip(F.row, F.col, F.data):
@@ -127,7 +126,7 @@ def cmd_bench(args):
         results = bench.run_benchmark(ds, args.methods.split(","), args.m,
                                       args.runs, args.seed, kernel=args.kernel,
                                       pool_factor=args.pool_factor)
-    except ValueError as exc:   # an unknown method name or a bad EOF_THREADS
+    except ValueError as exc:   # an unknown method name
         raise SystemExit(str(exc))
     table = bench.report(results, fmt="text")
     os.makedirs(args.out, exist_ok=True)
@@ -151,8 +150,6 @@ def build_parser():
     _add_design_flags(p_embed)
     p_embed.add_argument("--input", required=True)
     p_embed.add_argument("--output", required=True)
-    p_embed.add_argument("--raw-scale", action="store_true",
-                         help="emit C*phi instead of sqrt(C)*phi")
     p_embed.set_defaults(func=cmd_embed)
 
     p_train = sub.add_parser("train", help="train a model on sparse features")

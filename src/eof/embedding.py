@@ -25,8 +25,9 @@ from .design import IndexSet
 from .errors import DimError
 from .kernels import KernelSpec, _prepare_point, _profile_1d, expansion_coeff
 
-SCALE_SQRT = "sqrt"   # value = sqrt(C) * phi; makes z(x).z(x') track k(x,x')
-SCALE_RAW = "raw"     # value = C * phi; the literal per-level update rule
+# value = sqrt(C) * phi: as the design grows, z(x).z(x') converges to the
+# boundary-conditioned kernel (see expansion_coeff), which is k only for bb
+SCALE_SQRT = "sqrt"
 SCALE_PLAIN = "plain"  # value = phi alone; learned weights absorb the constants
 
 
@@ -53,7 +54,7 @@ def _dyadic_profile(spec: KernelSpec, level: int, x: np.ndarray):
 def embed_batch(spec: KernelSpec, S: IndexSet, X,
                 scale: str = SCALE_SQRT) -> sp.csr_matrix:
     """Embed N points into an N x M CSR matrix with sorted column indices."""
-    if scale not in (SCALE_SQRT, SCALE_RAW, SCALE_PLAIN):
+    if scale not in (SCALE_SQRT, SCALE_PLAIN):
         raise ValueError(f"unknown scale {scale!r}")
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -65,10 +66,8 @@ def embed_batch(spec: KernelSpec, S: IndexSet, X,
     # one row per level vector: each point's column and value in that level
     cols = np.empty((len(S.levels), N), dtype=np.int32)
     vals = np.empty((len(S.levels), N))
-    factor = (np.ones(len(S.levels)) if scale == SCALE_PLAIN
-              else expansion_coeff(spec, S.levels))
-    if scale == SCALE_SQRT:
-        factor = np.sqrt(factor)
+    factor = (np.sqrt(expansion_coeff(spec, S.levels)) if scale == SCALE_SQRT
+              else np.ones(len(S.levels)))
     profiles = {}
     for k, l in enumerate(map(tuple, S.levels.tolist())):
         for d, ld in enumerate(l):
@@ -92,7 +91,8 @@ def embed_batch(spec: KernelSpec, S: IndexSet, X,
 
 
 def kernel_approx(spec: KernelSpec, S: IndexSet, x, xp) -> float:
-    """Truncated expansion z(x)^T z(x') approximating k(x, x')."""
+    """Truncated expansion z(x)^T z(x') at sqrt scaling, approximating the
+    boundary-conditioned kernel (see ``SCALE_SQRT``)."""
     x, xp = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (x, xp))
     if x.shape != xp.shape:
         raise DimError("x and x' have different dimensions")

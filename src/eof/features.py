@@ -116,8 +116,3 @@ def hierarchical_surplus(spec: KernelSpec, f: Callable, idx: FeatureIndex) -> fl
             pt[d] = nodes[d][c]
         total += w * f(pt if idx.dim > 1 else float(pt[0]))
     return float(total)
-
-
-def children_1d(l: int, i: int):
-    """The two next-level indices whose supports tile the parent support."""
-    return (l + 1, 2 * i - 1), (l + 1, 2 * i + 1)

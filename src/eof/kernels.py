@@ -187,7 +187,10 @@ def expansion_coeff(spec: KernelSpec, l):
     Sturm-Liouville pairs with constant Wronskian).  For the Laplace kernel
     the per-dimension norm is coth(w 2^-l), so the coefficient is the tanh
     closed form; ``norm_const`` keeps the sinh closed form used for entropy
-    ranking.  Only this coefficient makes z(x)^T z(x') converge to k(x, x').
+    ranking.  With this coefficient z(x)^T z(x') over the interior features
+    converges to the boundary-conditioned kernel: per dimension
+    k(x, x') - k_b(x)^T K_bb^-1 k_b(x') with b = {0, 1}, multiplied over
+    dimensions.  That equals k(x, x') only for ``bb``, which is 0 at 0 and 1.
     A level vector gives a float, an (L, D) array such as ``S.levels`` (L,).
     """
     l = np.atleast_1d(_check_levels(l))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from eof.baselines import (RandomFeatureMap, eerf_select, kernel_estimate,
                            lkrf_select, orf_map, rf_embed, rks_map)
-from eof.errors import DimError, InvalidM, InvalidPoint
+from eof.errors import DimError, InvalidData, InvalidM, InvalidPoint
 
 
 class TestRksMap:
@@ -151,6 +151,21 @@ def test_non_finite_points_raise_invalid_point(bad):
     for call in calls:
         with pytest.raises(InvalidPoint):
             call()
+
+
+@pytest.mark.parametrize("select", [lkrf_select, eerf_select])
+def test_labels_checked_before_scoring(select):
+    pool = rks_map(2, 40, 1.0, seed=0)
+    rng = np.random.default_rng(1)
+    X = rng.uniform(0, 1, (30, 2))
+    y = rng.standard_normal(30)
+    for bad in (np.nan, np.inf):
+        y_bad = y.copy()
+        y_bad[4] = bad
+        with pytest.raises(InvalidData):
+            select(pool, y_bad, X, 5)
+    with pytest.raises(DimError):
+        select(pool, y[:29], X, 5)
 
 
 class TestSelection:

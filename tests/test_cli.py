@@ -185,9 +185,12 @@ class TestBenchCommand:
         ds = bench.synthetic_rkhs_dataset(N_train=40, N_test=2, seed=0)
         data = tmp_path / "b.csv"
         write_labeled_csv(data, ds.X_train, ds.y_train)
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as info:
             main(["bench", "--data", str(data), "--task", "reg",
-                  "--methods", "nystrom", "--m", "4"])
+                  "--methods", "nystrom", "--m", "4",
+                  "--out", str(tmp_path / "out")])
+        assert "nystrom" in str(info.value.code)
+        assert not (tmp_path / "out").exists()
 
     def test_split_outside_unit_interval_exits_with_usage(self, tmp_path,
                                                            capsys):
@@ -199,19 +202,6 @@ class TestBenchCommand:
                   "--methods", "rks", "--m", "4", "--split", "1.5"])
         assert info.value.code == 2
         assert "usage:" in capsys.readouterr().err
-
-    def test_bad_thread_count_named_in_exit_message(self, tmp_path,
-                                                     monkeypatch):
-        ds = bench.synthetic_rkhs_dataset(N_train=40, N_test=2, seed=0)
-        data = tmp_path / "b.csv"
-        write_labeled_csv(data, ds.X_train, ds.y_train)
-        monkeypatch.setenv("EOF_THREADS", "abc")
-        with pytest.raises(SystemExit) as info:
-            main(["bench", "--data", str(data), "--task", "reg",
-                  "--methods", "rks", "--m", "4", "--runs", "1",
-                  "--out", str(tmp_path / "out")])
-        assert "EOF_THREADS" in str(info.value.code)
-        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flag, bad", [
         ("--m", "0"), ("--m", "abc"), ("--m", "5,,7"), ("--runs", "0"),

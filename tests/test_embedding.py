@@ -10,21 +10,21 @@ from hypothesis import strategies as st
 import scipy.sparse as sp
 
 from eof.design import IndexSet, enumerate_sparse_grid, truncate_random
-from eof.embedding import (SCALE_PLAIN, SCALE_RAW, SCALE_SQRT, embed,
-                           embed_batch, kernel_approx)
+from eof.embedding import (SCALE_PLAIN, SCALE_SQRT, embed, embed_batch,
+                           kernel_approx)
 from eof.errors import DimError, InvalidLevel, InvalidPoint
 from eof.features import FeatureIndex, phi_nd
 from eof.kernels import KernelSpec, _profile_1d, expansion_coeff, kernel_eval
 
 BB1 = KernelSpec("bb", dim=1)
-SCALES = [SCALE_SQRT, SCALE_RAW, SCALE_PLAIN]
+SCALES = [SCALE_SQRT, SCALE_PLAIN]
 
 
 def dense_oracle(spec, S, x, scale=SCALE_SQRT):
     out = np.zeros(len(S))
     for col, idx in enumerate(S):
         c = expansion_coeff(spec, idx.l)
-        factor = {SCALE_SQRT: np.sqrt(c), SCALE_RAW: c, SCALE_PLAIN: 1.0}[scale]
+        factor = np.sqrt(c) if scale == SCALE_SQRT else 1.0
         out[col] = factor * phi_nd(spec, idx, x)
     return out
 
@@ -56,7 +56,7 @@ class TestEmbed:
 
     @settings(deadline=None, max_examples=50)
     @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 3), st.integers(1, 5),
-           st.sampled_from([SCALE_SQRT, SCALE_RAW, SCALE_PLAIN]))
+           st.sampled_from(SCALES))
     def test_matches_dense_evaluation(self, seed, D, n, scale):
         rng = np.random.default_rng(seed)
         spec = KernelSpec("laplace", omega=float(rng.uniform(0.5, 4.0)), dim=D)
@@ -190,10 +190,8 @@ class TestEmbedBatch:
         S = enumerate_sparse_grid(1, 3)
         X = np.array([[0.3], [0.7]])
         sq = embed_batch(spec, S, X, scale=SCALE_SQRT).toarray()
-        raw = embed_batch(spec, S, X, scale=SCALE_RAW).toarray()
         plain = embed_batch(spec, S, X, scale=SCALE_PLAIN).toarray()
         C = np.array([expansion_coeff(spec, idx.l) for idx in S])
-        np.testing.assert_allclose(raw, plain * C, atol=1e-14)
         np.testing.assert_allclose(sq, plain * np.sqrt(C), atol=1e-14)
 
 
@@ -242,7 +240,7 @@ def coo_reference(spec, S, X, scale):
         hit &= keys[at] == code
         rows = np.flatnonzero(hit)
         c = expansion_coeff(spec, l)
-        factor = {SCALE_SQRT: np.sqrt(c), SCALE_RAW: c, SCALE_PLAIN: 1.0}[scale]
+        factor = np.sqrt(c) if scale == SCALE_SQRT else 1.0
         value = np.full(len(rows), factor)
         for d, ld in enumerate(l):
             value *= profiles[d, ld][1][rows]
@@ -373,7 +371,7 @@ def test_invalid_points_raise_invalid_point(embed_fn, x, strict):
     lambda spec, S, x, scale: embed(spec, S, x, scale=scale),
     lambda spec, S, x, scale: embed_batch(spec, S, np.array([x]), scale=scale)],
     ids=["embed", "embed_batch"])
-@pytest.mark.parametrize("scale", ["plian", "SQRT", "", None])
+@pytest.mark.parametrize("scale", ["plian", "SQRT", "raw", "", None])
 @pytest.mark.parametrize("empty", [False, True], ids=["design", "empty-design"])
 def test_unknown_scale_rejected(embed_fn, scale, empty):
     spec = KernelSpec("laplace", omega=1.0, dim=2)
@@ -382,8 +380,7 @@ def test_unknown_scale_rejected(embed_fn, scale, empty):
         embed_fn(spec, S, [0.3, 0.6], scale)
 
 
-@pytest.mark.parametrize("scale, calls", [(SCALE_SQRT, 1), (SCALE_RAW, 1),
-                                          (SCALE_PLAIN, 0)])
+@pytest.mark.parametrize("scale, calls", [(SCALE_SQRT, 1), (SCALE_PLAIN, 0)])
 def test_constants_computed_once_per_call(monkeypatch, scale, calls):
     counted = []
 
@@ -414,6 +411,24 @@ class TestKernelApprox:
                     want = kernel_eval(BB1, [z], [zp])
                     got = kernel_approx(BB1, S, [z], [zp])
                     assert got == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [4, 8, 12])
+    def test_interior_design_gives_the_boundary_conditioned_kernel(self, n):
+        S = enumerate_sparse_grid(1, n)
+        x, xp = 0.3, 0.55
+        # Laplace, omega = 2: k(x, x') = exp(-0.5) = 0.60653, but the interior
+        # features reproduce k(x, x') - k_b(x)^T K_bb^-1 k_b(x'), b = {0, 1}
+        k = lambda a, b: np.exp(-2.0 * abs(a - b))
+        K_bb = np.array([[k(0, 0), k(0, 1)], [k(1, 0), k(1, 1)]])
+        conditioned = k(x, xp) - np.array([k(x, 0), k(x, 1)]) @ np.linalg.solve(
+            K_bb, [k(xp, 0), k(xp, 1)])
+        assert conditioned == pytest.approx(0.36038638219613517, abs=1e-15)
+        lap = KernelSpec("laplace", omega=2.0, dim=1)
+        assert kernel_approx(lap, S, [x], [xp]) == pytest.approx(
+            0.36038638219613517, abs=1e-12)
+        # bb is 0 at 0 and 1, so conditioning leaves k = x (1 - x') unchanged
+        assert kernel_approx(BB1, S, [x], [xp]) == pytest.approx(0.135,
+                                                                 abs=1e-12)
 
     def test_symmetric_exactly(self):
         spec = KernelSpec("laplace", omega=2.0, dim=2)

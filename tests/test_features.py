@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eof.errors import DimError, InvalidIndex, InvalidLevel
-from eof.features import (FeatureIndex, children_1d, hierarchical_surplus,
-                          phi_1d, phi_nd, support_box)
+from eof.features import (FeatureIndex, hierarchical_surplus, phi_1d, phi_nd,
+                          support_box)
 from eof.kernels import KernelSpec, surplus_alpha_1d
 
 LAPLACE1 = KernelSpec("laplace", omega=1.0, dim=1)
@@ -124,9 +124,8 @@ class TestSupportBox:
     def test_nesting_of_children(self, li):
         l, i = li
         lo, hi = support_box(FeatureIndex((l,), (i,)))
-        (cl1, ci1), (cl2, ci2) = children_1d(l, i)
-        lo1, hi1 = support_box(FeatureIndex((cl1,), (ci1,)))
-        lo2, hi2 = support_box(FeatureIndex((cl2,), (ci2,)))
+        lo1, hi1 = support_box(FeatureIndex((l + 1,), (2 * i - 1,)))
+        lo2, hi2 = support_box(FeatureIndex((l + 1,), (2 * i + 1,)))
         assert lo1[0] == lo[0] and hi2[0] == hi[0]
         assert hi1[0] == lo2[0]  # children tile the parent support
 
