@@ -1,6 +1,7 @@
 """Random-feature baselines: RKS, ORF, LKRF, EERF.
 
-All four share the cosine feature map
+A map is its frequencies g_m and phases b_m; all four share the cosine
+feature map
 
     z(x) = (1/sqrt(M)) [cos(x^T g_m + b_m)]_{m=1..M}
 
@@ -37,14 +38,10 @@ EERF = "eerf"
 
 @dataclass(frozen=True)
 class RandomFeatureMap:
-    """Frozen cosine feature map: M frequency rows, M phases."""
+    """Frozen cosine feature map: just M frequency rows and M phases."""
 
-    method: str
     frequencies: np.ndarray   # (M, D)
     phases: np.ndarray        # (M,)
-    sigma: float
-    seed: int
-    M0: int = 0
 
     @property
     def M(self) -> int:
@@ -62,7 +59,7 @@ def rks_map(D: int, M: int, sigma: float, seed: int) -> RandomFeatureMap:
     rng = np.random.default_rng(seed)
     freqs = rng.standard_cauchy((M, D)) * sigma
     phases = rng.uniform(0.0, 2.0 * np.pi, M)
-    return RandomFeatureMap(RKS, freqs, phases, sigma, seed)
+    return RandomFeatureMap(freqs, phases)
 
 
 def orf_map(D: int, M: int, sigma: float, seed: int) -> RandomFeatureMap:
@@ -86,7 +83,7 @@ def orf_map(D: int, M: int, sigma: float, seed: int) -> RandomFeatureMap:
         blocks.append(sigma * chi[:, None] * Q)
     freqs = np.vstack(blocks)[:M]
     phases = rng.uniform(0.0, 2.0 * np.pi, M)
-    return RandomFeatureMap(ORF, freqs, phases, sigma, seed)
+    return RandomFeatureMap(freqs, phases)
 
 
 def rf_embed(fmap: RandomFeatureMap, x) -> np.ndarray:
@@ -106,8 +103,7 @@ def kernel_estimate(fmap: RandomFeatureMap, x, xp) -> float:
     return float(2.0 * rf_embed(fmap, x) @ rf_embed(fmap, xp))
 
 
-def _select(method: str, score, pool: RandomFeatureMap, y, X,
-            M: int) -> RandomFeatureMap:
+def _select(score, pool: RandomFeatureMap, y, X, M: int) -> RandomFeatureMap:
     """Keep the top-M pool candidates by ``score(y^T Z, N)`` over the raw
     cosine matrix Z of the training points, built M columns at a time."""
     if M < 1:
@@ -130,15 +126,14 @@ def _select(method: str, score, pool: RandomFeatureMap, y, X,
         del Z   # free this block before the next product is allocated
     # stable: ties keep the lower candidate index
     keep = np.sort(np.argsort(-score(a, len(y)), kind="stable")[:M])
-    return RandomFeatureMap(method, pool.frequencies[keep], pool.phases[keep],
-                            pool.sigma, pool.seed, M0=pool.M)
+    return RandomFeatureMap(pool.frequencies[keep], pool.phases[keep])
 
 
 def lkrf_select(pool: RandomFeatureMap, y, X, M: int) -> RandomFeatureMap:
     """Keep the top-M pool candidates by squared label alignment."""
-    return _select(LKRF, lambda a, N: a ** 2, pool, y, X, M)
+    return _select(lambda a, N: a ** 2, pool, y, X, M)
 
 
 def eerf_select(pool: RandomFeatureMap, y, X, M: int) -> RandomFeatureMap:
     """Keep the top-M pool candidates by absolute first-moment score."""
-    return _select(EERF, lambda a, N: np.abs(a) / N, pool, y, X, M)
+    return _select(lambda a, N: np.abs(a) / N, pool, y, X, M)

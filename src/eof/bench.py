@@ -156,7 +156,7 @@ def load_csv(path, target_column: str, task: str) -> RawData:
 
 
 def write_csv(raw: RawData, path, target_column: str = "target") -> None:
-    """Inverse of load_csv, mainly for round-trip checks and demos."""
+    """Inverse of load_csv, for round-trip checks."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         cols = raw.columns or [f"x{j}" for j in range(raw.X.shape[1])]
@@ -241,13 +241,13 @@ def _run_seed(master: int, method_idx: int, m_idx: int, run: int) -> int:
 
 
 def _one_run(dataset: Dataset, method: str, M: int, run_seed: int,
-             sigma: float, kernel: str, lam: float, pool_factor: int):
+             sigma: float, lam: float, pool_factor: int):
     D = dataset.D
     t0 = time.perf_counter()
     if method == EOF_METHOD:
-        # matched bandwidth: Cauchy(sigma) frequencies approximate
-        # exp(-sigma ||x-x'||_1), the kernel the multilevel features expand
-        spec = KernelSpec(kernel, omega=sigma, dim=D)
+        # matched kernel: Cauchy(sigma) frequencies approximate the Laplace
+        # kernel exp(-sigma ||x-x'||_1), which these features expand
+        spec = KernelSpec("laplace", omega=sigma, dim=D)
         S = select_design(spec, M, run_seed)
         # unnormalized basis columns: ridge weights absorb the level constants
         F_train = embed_batch(spec, S, dataset.X_train, scale=SCALE_PLAIN)
@@ -275,8 +275,7 @@ def _one_run(dataset: Dataset, method: str, M: int, run_seed: int,
 
 
 def run_benchmark(dataset: Dataset, methods: Sequence[str], M_grid: Sequence[int],
-                  runs: int, seed: int, kernel: str = "laplace",
-                  pool_factor: int = 10,
+                  runs: int, seed: int, pool_factor: int = 10,
                   lam: Optional[float] = None) -> List[BenchResult]:
     """Repeated seeded runs of every (method, M) pair on one dataset."""
     for m in methods:
@@ -293,8 +292,8 @@ def run_benchmark(dataset: Dataset, methods: Sequence[str], M_grid: Sequence[int
             good, failures = [], []
             for rs in seeds:
                 try:
-                    good.append(_one_run(dataset, method, M, rs, sigma, kernel,
-                                         lam_val, pool_factor))
+                    good.append(_one_run(dataset, method, M, rs, sigma, lam_val,
+                                         pool_factor))
                 except EofError as exc:
                     failures.append(f"{type(exc).__name__}: {exc}")
             if good:

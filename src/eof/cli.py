@@ -124,7 +124,7 @@ def cmd_bench(args):
     ds = _dataset(args)
     try:
         results = bench.run_benchmark(ds, args.methods.split(","), args.m,
-                                      args.runs, args.seed, kernel=args.kernel,
+                                      args.runs, args.seed,
                                       pool_factor=args.pool_factor)
     except ValueError as exc:   # an unknown method name
         raise SystemExit(str(exc))
@@ -165,7 +165,6 @@ def build_parser():
     p_train.set_defaults(func=cmd_train)
 
     p_bench = sub.add_parser("bench", help="compare methods on a dataset")
-    _add_kernel_flags(p_bench)
     p_bench.add_argument("--data", required=True)
     p_bench.add_argument("--target", default="target")
     p_bench.add_argument("--task", choices=["reg", "clf"], required=True)

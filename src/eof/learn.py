@@ -48,6 +48,8 @@ def _check_features(F, y, lam):
         raise InvalidData("targets contain non-finite values")
     F = (F.tocsr().astype(np.float64, copy=False) if sp.issparse(F)
          else np.asarray(F, dtype=np.float64))
+    if not np.all(np.isfinite(F.data if sp.issparse(F) else F)):
+        raise InvalidData("features contain non-finite values")
     if F.shape[0] != len(y):
         raise DimError(f"{F.shape[0]} rows but {len(y)} targets")
     return F, y
@@ -131,17 +133,10 @@ def logistic_fit(F, y, lam: float, max_iter: int = 100,
         raise InvalidData("labels must be -1 or +1")
     N, M = F.shape
     w = np.zeros(M)
-
-    def margins(wv):
-        return y * np.asarray(F @ wv).ravel()
-
-    def objective(wv):
-        m = margins(wv)
-        return float(np.mean(np.logaddexp(0.0, -m)) + lam * wv @ wv)
-
-    obj = objective(w)
+    m = np.zeros(N)                            # the margins y * (F w)
+    obj = float(np.mean(np.logaddexp(0.0, -m)))
     for it in range(max_iter + 1):
-        s = expit(-margins(w))                 # sigma(-y F w)
+        s = expit(-m)                          # sigma(-y F w)
         grad = -np.asarray(F.T @ (y * s)).ravel() / N + 2.0 * lam * w
         gnorm = float(np.linalg.norm(grad))
         if gnorm < tol:
@@ -153,9 +148,12 @@ def logistic_fit(F, y, lam: float, max_iter: int = 100,
         eta = 1.0
         while eta > 1e-12:
             cand = w - eta * step
-            cand_obj = objective(cand)
+            cand_m = y * np.asarray(F @ cand).ravel()
+            cand_obj = float(np.mean(np.logaddexp(0.0, -cand_m))
+                             + lam * cand @ cand)
             if cand_obj <= obj - 1e-4 * eta * float(grad @ step):
-                w, obj = cand, cand_obj
+                # the accepted margins serve the next Newton step
+                w, m, obj = cand, cand_m, cand_obj
                 break
             eta *= 0.5
         else:
@@ -212,6 +210,8 @@ def load_model(path) -> Model:
 
 def predict(model: Model, Z) -> np.ndarray:
     """Raw linear predictions Z @ w."""
+    if np.ndim(Z) != 2:
+        raise DimError(f"features must be 2-D, got {np.ndim(Z)}-D")
     if Z.shape[1] != len(model.weights):
         raise DimError(f"{Z.shape[1]} columns but {len(model.weights)} weights")
     return np.asarray(Z @ model.weights).ravel()

@@ -205,7 +205,7 @@ class TestBenchCommand:
 
     @pytest.mark.parametrize("flag, bad", [
         ("--m", "0"), ("--m", "abc"), ("--m", "5,,7"), ("--runs", "0"),
-        ("--pool-factor", "0")])
+        ("--pool-factor", "0"), ("--omega", "2"), ("--kernel", "bb")])
     def test_out_of_range_flags_exit_with_usage(self, tmp_path, capsys, flag,
                                                 bad):
         ds = bench.synthetic_rkhs_dataset(N_train=40, N_test=2, seed=0)

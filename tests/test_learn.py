@@ -201,6 +201,19 @@ class TestFeatureTypes:
             got = fit(as_input(F), target, 0.1).weights
             np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+    def test_non_finite_features_rejected(self, sparse, bad):
+        rng = np.random.default_rng(7)
+        F = (rng.uniform(size=(40, 6)) < 0.5) * rng.standard_normal((40, 6))
+        F[3, 2] = bad
+        y = rng.standard_normal(40)
+        labels = np.where(y > 0.0, 1.0, -1.0)
+        as_input = sp.csr_matrix if sparse else np.asarray
+        for fit, target in ((ridge_fit, y), (logistic_fit, labels)):
+            with pytest.raises(InvalidData, match="features"):
+                fit(as_input(F), target, 0.1)
+
     def test_float64_features_are_not_copied(self):
         F = np.random.default_rng(0).uniform(size=(5, 3))
         y = np.ones(5)
@@ -233,6 +246,8 @@ class TestPredictAndError:
         model = Model(np.ones(3))
         with pytest.raises(DimError):
             predict(model, np.ones((2, 2)))
+        with pytest.raises(DimError, match="2-D"):
+            error_of(model, np.ones(3), np.ones(1))
 
     def test_default_lambda_schedule(self):
         assert default_lambda(4) == 0.5
