@@ -209,7 +209,9 @@ def load_model(path) -> Model:
 
 
 def predict(model: Model, Z) -> np.ndarray:
-    """Raw linear predictions Z @ w."""
+    """Raw linear predictions Z @ w; Z is a sparse matrix or array-like."""
+    if not sp.issparse(Z):
+        Z = np.asarray(Z)
     if np.ndim(Z) != 2:
         raise DimError(f"features must be 2-D, got {np.ndim(Z)}-D")
     if Z.shape[1] != len(model.weights):
@@ -225,5 +227,7 @@ def test_error(model: Model, Z, y) -> float:
         raise DimError("prediction / target length mismatch")
     if model.task == REGRESSION:
         return float(np.mean((pred - y) ** 2))
+    if not np.all(np.isin(y, (-1.0, 1.0))):
+        raise InvalidData("labels must be -1 or +1")
     labels = np.where(pred >= 0.0, 1.0, -1.0)
     return float(np.mean(labels != y))

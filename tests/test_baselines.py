@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -191,6 +192,21 @@ class TestSelection:
                 np.testing.assert_array_equal(got.frequencies,
                                               pool.frequencies[:M])
 
+    @staticmethod
+    def _full_matrix_keep(pool, y, X, M, select):
+        """The float64 top-M over the whole N x M0 cosine matrix."""
+        a = y @ np.cos(X @ pool.frequencies.T + pool.phases)
+        score = a ** 2 if select is lkrf_select else np.abs(a) / len(y)
+        return np.sort(np.argsort(-score, kind="stable")[:M])
+
+    def _assert_full_matrix_choice(self, pool, y, X, M):
+        for select in (lkrf_select, eerf_select):
+            keep = self._full_matrix_keep(pool, y, X, M, select)
+            got = select(pool, y, X, M)
+            np.testing.assert_array_equal(got.frequencies,
+                                          pool.frequencies[keep])
+            np.testing.assert_array_equal(got.phases, pool.phases[keep])
+
     @pytest.mark.parametrize("M", [1, 4, 9])
     @pytest.mark.parametrize("k", [3, 5])
     @pytest.mark.parametrize("extra", [-1, 0, 1])
@@ -200,14 +216,65 @@ class TestSelection:
         rng = np.random.default_rng(M0)
         X = rng.uniform(0, 1, (80, 2))
         y = rng.standard_normal(80)
-        a = y @ np.cos(X @ pool.frequencies.T + pool.phases)
-        for select, score in ((lkrf_select, a ** 2),
-                              (eerf_select, np.abs(a) / len(y))):
-            keep = np.sort(np.argsort(-score, kind="stable")[:M])
-            got = select(pool, y, X, M)
-            np.testing.assert_array_equal(got.frequencies,
-                                          pool.frequencies[keep])
-            np.testing.assert_array_equal(got.phases, pool.phases[keep])
+        self._assert_full_matrix_choice(pool, y, X, M)
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.integers(0, 2 ** 31 - 1))
+    def test_screen_keeps_the_full_matrix_choice(self, seed):
+        # random shapes, pool sizes, bandwidths and label scales, points
+        # partly outside the cube
+        rng = np.random.default_rng(seed)
+        D, M = int(rng.integers(1, 4)), int(rng.integers(1, 20))
+        M0 = M * int(rng.integers(1, 12)) + int(rng.integers(0, M))
+        N = int(rng.integers(8 * M, 400))
+        pool = rks_map(D, M0, float(10.0 ** rng.uniform(-1, 2)), seed)
+        X = rng.uniform(-0.5, 1.5, (N, D))
+        y = rng.standard_normal(N) * 10.0 ** rng.uniform(-3, 3)
+        self._assert_full_matrix_choice(pool, y, X, M)
+
+    def test_near_tie_across_blocks_follows_float64(self):
+        # candidates 4 and 25 share a float32 frequency, so their float32
+        # scores are equal; in float64 they differ by ~1e-9 relative, and
+        # the two nudges put the higher one on either side of the cut
+        # (M = 3 keeps 0, 15 and one of the pair; 4 and 25 lie in blocks
+        # 1 and 8)
+        kept = set()
+        for nudge in (1e-9, -1e-9):
+            rng = np.random.default_rng(3)
+            X = rng.uniform(0.0, 1.0, (500, 1))
+            freqs = 10.0 * (np.arange(30) + 1.0)[:, None]
+            freqs[25] = freqs[4] * (1.0 + nudge)
+            assert np.float32(freqs[25, 0]) == np.float32(freqs[4, 0])
+            phases = rng.uniform(0, 2 * np.pi, 30)
+            phases[25] = phases[4]
+            pool = RandomFeatureMap(freqs, phases)
+            Z = np.cos(X @ freqs[[0, 15, 4]].T + phases[[0, 15, 4]])
+            y = Z @ np.array([3.0, 2.0, 1.0])
+            y -= y.mean()
+            keep = self._full_matrix_keep(pool, y, X, 3, lkrf_select)
+            assert {0, 15} < set(keep) and len({4, 25} & set(keep)) == 1
+            kept.add(tuple(keep))
+            self._assert_full_matrix_choice(pool, y, X, 3)
+        assert len(kept) == 2   # the float64 choice moves with the nudge
+
+    @pytest.mark.parametrize("x_scale, g_scale, y_scale", [
+        (1e20, 1.0, 1.0),      # points far outside the cube
+        (1e20, 1e30, 1.0),     # arguments near 1e50: float32 overflows
+        (1.0, 1e39, 1.0),      # frequencies beyond float32's range
+        (1.0, 1.0, 1e39),      # labels beyond float32's range
+        (1e-40, 1.0, 1e-42),   # points and labels that underflow float32
+    ])
+    def test_extreme_inputs_keep_the_float64_choice(self, x_scale, g_scale,
+                                                    y_scale):
+        rng = np.random.default_rng(8)
+        N, M = 60, 4
+        pool = rks_map(2, 10 * M, 1.0, seed=8)
+        pool = RandomFeatureMap(pool.frequencies * g_scale, pool.phases)
+        X = rng.uniform(-1.0, 1.0, (N, 2)) * x_scale
+        y = rng.standard_normal(N) * y_scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self._assert_full_matrix_choice(pool, y, X, M)
 
     def test_selection_memory_bounded_by_blocks(self):
         N, M0, M = 2000, 4000, 8

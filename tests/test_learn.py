@@ -249,6 +249,22 @@ class TestPredictAndError:
         with pytest.raises(DimError, match="2-D"):
             error_of(model, np.ones(3), np.ones(1))
 
+    def test_nested_list_features_predict(self):
+        model = Model(np.array([0.5, -1.0]))
+        np.testing.assert_array_equal(predict(model, [[1.0, 2.0]]), [-1.5])
+        assert error_of(model, [[1.0, 2.0], [2.0, 0.0]], [0.0, 1.0]) == 1.125
+        with pytest.raises(DimError):
+            predict(model, [[1.0, 2.0, 3.0]])
+
+    def test_classification_labels_outside_plus_minus_one_rejected(self):
+        # predictions (1, -2): labels (1, 0) scored as {-1, +1} would give
+        # an error rate of 0.5 without complaint
+        model = Model(np.ones(2), task=CLASSIFICATION)
+        Z = np.array([[1.0, 0.0], [0.0, -2.0]])
+        with pytest.raises(InvalidData, match="-1 or \\+1"):
+            error_of(model, Z, [1.0, 0.0])
+        assert error_of(model, Z, [1.0, -1.0]) == 0.0
+
     def test_default_lambda_schedule(self):
         assert default_lambda(4) == 0.5
         assert default_lambda(2000) == pytest.approx(2000 ** -0.5)
