@@ -32,8 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimError, InvalidData, InvalidM
+from .errors import DimError, check_M
 from .kernels import _finite_point
+from .learn import _targets
 
 RKS = "rks"
 ORF = "orf"
@@ -57,11 +58,17 @@ class RandomFeatureMap:
         return self.frequencies.shape[1]
 
 
+def _rng(D: int, M: int, seed: int) -> np.random.Generator:
+    """The generator of a new map, once D >= 1 (``DimError``) and M >= 1."""
+    if D < 1:
+        raise DimError(f"D={D} must be >= 1")
+    check_M(M)
+    return np.random.default_rng(seed)
+
+
 def rks_map(D: int, M: int, sigma: float, seed: int) -> RandomFeatureMap:
     """Cauchy-frequency map approximating exp(-sigma * ||x - x'||_1)."""
-    if M < 1:
-        raise InvalidM("M must be >= 1")
-    rng = np.random.default_rng(seed)
+    rng = _rng(D, M, seed)
     freqs = rng.standard_cauchy((M, D)) * sigma
     phases = rng.uniform(0.0, 2.0 * np.pi, M)
     return RandomFeatureMap(freqs, phases)
@@ -74,9 +81,7 @@ def orf_map(D: int, M: int, sigma: float, seed: int) -> RandomFeatureMap:
     Gaussian matrix and S diagonal with chi(D)-distributed entries; blocks
     are stacked and truncated to M rows.
     """
-    if M < 1:
-        raise InvalidM("M must be >= 1")
-    rng = np.random.default_rng(seed)
+    rng = _rng(D, M, seed)
     blocks = []
     n_blocks = -(-M // D)
     for _ in range(n_blocks):
@@ -93,9 +98,7 @@ def orf_map(D: int, M: int, sigma: float, seed: int) -> RandomFeatureMap:
 
 def rf_embed(fmap: RandomFeatureMap, x) -> np.ndarray:
     """Dense feature vector (1-D input) or matrix (2-D input)."""
-    x = _finite_point(x)   # cosine features take any real x: no clipping
-    if x.shape[-1] != fmap.dim:
-        raise DimError(f"point dimension {x.shape[-1]} != map dimension {fmap.dim}")
+    x = _finite_point(x, fmap.dim)   # cosine features take any real x: no clipping
     Z = x @ fmap.frequencies.T
     Z += fmap.phases
     np.cos(Z, out=Z)
@@ -166,16 +169,9 @@ def _select(score, pool: RandomFeatureMap, y, X, M: int) -> RandomFeatureMap:
     index).  The kept set is the float64 top-M of the whole pool; a
     non-finite float32 score (overflow) counts as unbounded.
     """
-    if M < 1:
-        raise InvalidM("M must be >= 1")
-    if M > pool.M:
-        raise InvalidM(f"M={M} exceeds pool size {pool.M}")
-    X = _finite_point(X)
-    y = np.asarray(y, dtype=float)
-    if not np.all(np.isfinite(y)):
-        raise InvalidData("labels contain non-finite values")
-    if len(y) != X.shape[0]:
-        raise DimError(f"{X.shape[0]} rows but {len(y)} labels")
+    check_M(M, pool.M)
+    X = _finite_point(X, pool.dim, 2)
+    y = _targets(y, len(X))
     G, b, N = pool.frequencies, pool.phases, len(y)
     a = np.empty(pool.M)
     with np.errstate(over="ignore", invalid="ignore"):

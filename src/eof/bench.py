@@ -218,14 +218,13 @@ def estimate_sigma(X_train) -> float:
 
     Falls back to the (N-1)-th neighbor when the training set is too small.
     """
-    X_train = _finite_point(X_train)
-    N = X_train.shape[0]
-    if N < 2:
+    X_train = _finite_point(X_train, ndim=2)
+    if len(X_train) < 2:
         raise DegenerateData("need at least 2 points")
     # imported here so that importing eof does not load scipy.spatial
     from scipy.spatial import cKDTree
 
-    k = min(NEIGHBOR, N - 1)
+    k = min(NEIGHBOR, len(X_train) - 1)
     tree = cKDTree(X_train)
     dists, _ = tree.query(X_train, k=k + 1)
     mean_dist = float(np.mean(dists[:, k]))
@@ -284,7 +283,7 @@ def run_benchmark(dataset: Dataset, methods: Sequence[str], M_grid: Sequence[int
     if runs < 1:
         raise InvalidData("runs must be >= 1")
     sigma = estimate_sigma(dataset.X_train)
-    lam_val = lam if lam is not None else learn.default_lambda(dataset.N_train)
+    lam = learn.default_lambda(dataset.N_train) if lam is None else learn._lambda(lam)
     results = []
     for mi, method in enumerate(methods):
         for Mi, M in enumerate(M_grid):
@@ -292,7 +291,7 @@ def run_benchmark(dataset: Dataset, methods: Sequence[str], M_grid: Sequence[int
             good, failures = [], []
             for rs in seeds:
                 try:
-                    good.append(_one_run(dataset, method, M, rs, sigma, lam_val,
+                    good.append(_one_run(dataset, method, M, rs, sigma, lam,
                                          pool_factor))
                 except EofError as exc:
                     failures.append(f"{type(exc).__name__}: {exc}")

@@ -10,6 +10,7 @@ import sys
 from . import bench, learn
 from .design import enumerate_sparse_grid, level_for_feature_count, select_design
 from .embedding import embed_batch
+from .errors import EofError
 from .kernels import KernelSpec
 
 
@@ -29,12 +30,15 @@ def _number_in(lo, hi, expected):
 
 _positive = _number_in(0.0, math.inf, "a positive number")        # --omega
 _fraction = _number_in(0.0, 1.0, "a number between 0 and 1")     # --split
-_lambda_value = _number_in(0.0, math.inf, "'auto' or a positive number")
 
 
 def _lambda(text):
-    """``--lambda``: ``auto`` or a positive finite number."""
-    return text if text == "auto" else _lambda_value(text)
+    """``--lambda``: ``auto`` or a number that ``learn._lambda`` accepts."""
+    try:
+        return text if text == "auto" else learn._lambda(float(text))
+    except (ValueError, EofError):
+        raise argparse.ArgumentTypeError(
+            f"expected 'auto' or a positive number, got {text!r}")
 
 
 def _count(text):

@@ -18,14 +18,13 @@ are built only on request.
 
 from __future__ import annotations
 
-import warnings
 from itertools import combinations
 from math import comb
 from typing import Mapping, Tuple
 
 import numpy as np
 
-from .errors import DimError, InvalidLevel, InvalidM
+from .errors import DimError, InvalidLevel, check_M
 from .features import FeatureIndex
 from .kernels import KernelSpec
 
@@ -117,10 +116,8 @@ def sparse_grid_size(D: int, n: int) -> int:
 
 def enumerate_sparse_grid(D: int, n: int) -> IndexSet:
     """All indices with |l| <= n + D - 1, sorted by the canonical key."""
-    if n < 1:
-        raise InvalidLevel("n must be >= 1")
-    if D < 1:
-        raise InvalidLevel("D must be >= 1")
+    if n < 1 or D < 1:
+        raise InvalidLevel(f"n={n} and D={D} must both be >= 1")
     # a level vector is the gaps between D - 1 cuts of 1..|l| - 1, and cuts in
     # lexicographic order give level vectors in lexicographic order
     bounds = np.array([(0, *cuts, total) for total in range(D, n + D)
@@ -133,21 +130,17 @@ def entropic_select(candidates: IndexSet, C: Mapping[FeatureIndex, float],
     """Keep the M candidates with the largest design constants.
 
     Ties break by the canonical (|l|, l, i) order.  With a cardinality-only
-    budget, top-M is the exact optimum of the selection objective.
+    budget, top-M is the exact optimum of the selection objective.  M outside
+    1..len(candidates) raises ``InvalidM``.
     """
-    if M < 1:
-        raise InvalidM("M must be >= 1")
-    if M > len(candidates):
-        warnings.warn("M exceeds candidate count; returning all candidates")
-        M = len(candidates)
+    check_M(M, len(candidates))
     ranked = sorted(candidates, key=lambda idx: (-float(C[idx]), idx.sort_key()))
     return IndexSet(ranked[:M])
 
 
 def truncate_random(full: IndexSet, M: int, seed: int) -> IndexSet:
     """Uniformly random M-subset of ``full``, canonical order preserved."""
-    if not 1 <= M <= len(full):
-        raise InvalidM(f"M={M} out of range 1..{len(full)}")
+    check_M(M, len(full))
     rng = np.random.default_rng(seed)
     keep = np.sort(rng.choice(len(full), size=M, replace=False))
     level = np.searchsorted(full.offsets, keep, side="right") - 1
@@ -160,8 +153,7 @@ def truncate_random(full: IndexSet, M: int, seed: int) -> IndexSet:
 
 def level_for_feature_count(D: int, M: int) -> int:
     """Smallest n with |S*_{n-1}| < M <= |S*_n| (the truncation rule)."""
-    if M < 1:
-        raise InvalidM("M must be >= 1")
+    check_M(M)
     n = 1
     while sparse_grid_size(D, n) < M:
         n += 1

@@ -23,7 +23,8 @@ import scipy.sparse as sp
 
 from .design import IndexSet
 from .errors import DimError
-from .kernels import KernelSpec, _prepare_point, _profile_1d, expansion_coeff
+from .kernels import (KernelSpec, _finite_point, _prepare_point, _profile_1d,
+                      expansion_coeff)
 
 # value = sqrt(C) * phi: as the design grows, z(x).z(x') converges to the
 # boundary-conditioned kernel (see expansion_coeff), which is k only for bb
@@ -33,8 +34,7 @@ SCALE_PLAIN = "plain"  # value = phi alone; learned weights absorb the constants
 
 def embed(spec: KernelSpec, S: IndexSet, x, scale: str = SCALE_SQRT) -> sp.csr_matrix:
     """Feature vector z(x) over the columns of ``S``, as a 1 x M CSR row."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return embed_batch(spec, S, x[None], scale=scale)
+    return embed_batch(spec, S, np.atleast_1d(x)[None], scale=scale)
 
 
 def _dyadic_profile(spec: KernelSpec, level: int, x: np.ndarray):
@@ -56,12 +56,9 @@ def embed_batch(spec: KernelSpec, S: IndexSet, X,
     """Embed N points into an N x M CSR matrix with sorted column indices."""
     if scale not in (SCALE_SQRT, SCALE_PLAIN):
         raise ValueError(f"unknown scale {scale!r}")
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise DimError("X must be a 2-D array of shape (N, D)")
-    if S.dim and X.shape[1] != S.dim:
-        raise DimError(f"row dimension {X.shape[1]} != design dimension {S.dim}")
-    X = _prepare_point(spec, X)
+    if S.dim and S.dim != spec.dim:
+        raise DimError(f"design dimension {S.dim} != kernel dimension {spec.dim}")
+    X = _prepare_point(spec, X, spec.dim, 2)
     N = X.shape[0]
     # one row per level vector: each point's column and value in that level
     cols = np.empty((len(S.levels), N), dtype=np.int32)
@@ -93,10 +90,8 @@ def embed_batch(spec: KernelSpec, S: IndexSet, X,
 def kernel_approx(spec: KernelSpec, S: IndexSet, x, xp) -> float:
     """Truncated expansion z(x)^T z(x') at sqrt scaling, approximating the
     boundary-conditioned kernel (see ``SCALE_SQRT``)."""
-    x, xp = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (x, xp))
-    if x.shape != xp.shape:
-        raise DimError("x and x' have different dimensions")
-    F = embed_batch(spec, S, np.stack([x, xp]))
+    F = embed_batch(spec, S, np.stack([_finite_point(v, spec.dim, 1)
+                                       for v in (x, xp)]))
     mid = F.indptr[1]
     _, ia, ib = np.intersect1d(F.indices[:mid], F.indices[mid:],
                                assume_unique=True, return_indices=True)

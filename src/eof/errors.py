@@ -1,4 +1,4 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the range rule for M."""
 
 
 class EofError(Exception):
@@ -23,6 +23,12 @@ class DimError(EofError):
 
 class InvalidM(EofError):
     """Requested feature count is out of the valid range."""
+
+
+def check_M(M, limit=float("inf")):
+    """``InvalidM`` unless 1 <= M <= ``limit``."""
+    if not 1 <= M <= limit:
+        raise InvalidM(f"M={M} outside 1..{limit}")
 
 
 class InvalidData(EofError):

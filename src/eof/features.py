@@ -38,19 +38,13 @@ class FeatureIndex:
         for ld, id_ in zip(self.l, self.i):
             if ld < 1:
                 raise InvalidLevel(f"level {ld} must be >= 1")
-            if id_ % 2 == 0:
-                raise InvalidIndex(f"position {id_} must be odd")
-            if not 1 <= id_ <= 2 ** ld - 1:
-                raise InvalidIndex(f"position {id_} out of range for level {ld}")
+            if id_ % 2 == 0 or not 1 <= id_ <= 2 ** ld - 1:
+                raise InvalidIndex(f"position {id_} at level {ld} is not an odd "
+                                   f"number in 1..{2 ** ld - 1}")
 
     @property
     def dim(self) -> int:
         return len(self.l)
-
-    @property
-    def center(self) -> np.ndarray:
-        """The grid node z_{l,i} where the feature equals 1."""
-        return np.array([i * 2.0 ** (-l) for l, i in zip(self.l, self.i)])
 
     def sort_key(self):
         """Canonical ordering key: (|l|, l, i)."""
@@ -71,9 +65,7 @@ def phi_1d(spec: KernelSpec, l: int, i: int, x) -> float:
 
 def phi_nd(spec: KernelSpec, idx: FeatureIndex, x) -> float:
     """Tensor-product feature value at a D-dimensional point."""
-    x = _prepare_point(spec, x)
-    if x.shape[-1] != idx.dim:
-        raise DimError(f"point dimension {x.shape[-1]} != index dimension {idx.dim}")
+    x = _prepare_point(spec, x, idx.dim)
     val = 1.0
     for d in range(idx.dim):
         val = val * _profile_1d(spec, idx.l[d], idx.i[d], x[..., d])

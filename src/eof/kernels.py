@@ -72,31 +72,32 @@ class KernelSpec:
             raise ValueError("custom kernels need p and q callables")
 
 
-def _finite_point(x) -> np.ndarray:
-    """``x`` as floats; a NaN or infinite coordinate raises ``InvalidPoint``."""
-    x = np.asarray(x, dtype=float)
+def _finite_point(x, dim=None, ndim=None) -> np.ndarray:
+    """``x`` as floats, a scalar as a 1-vector: the one point rule.  Another
+    ``ndim`` (1: one point, 2: an (N, D) batch) or a last axis other than
+    ``dim`` raises ``DimError``, a NaN or infinite coordinate ``InvalidPoint``."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if ndim is not None and x.ndim != ndim:
+        raise DimError(f"expected a {ndim}-D array of points, got {x.ndim}-D")
+    if dim is not None and x.shape[-1] != dim:
+        raise DimError(f"point dimension {x.shape[-1]} != {dim}")
     if not np.all(np.isfinite(x)):
         raise InvalidPoint("point contains NaN or Inf")
     return x
 
 
-def _prepare_point(spec: KernelSpec, x) -> np.ndarray:
-    x = _finite_point(x)
-    if x.ndim == 0:
-        x = x.reshape(1)
-    if spec.strict:
-        if np.any(x < 0.0) or np.any(x > 1.0):
-            raise InvalidPoint("point outside [0,1]^D in strict mode")
-        return x
-    return np.clip(x, 0.0, 1.0)
+def _prepare_point(spec: KernelSpec, x, dim=None, ndim=None) -> np.ndarray:
+    """``_finite_point`` clipped to [0,1]^D; strict mode raises outside it."""
+    x = _finite_point(x, dim, ndim)
+    if spec.strict and (np.any(x < 0.0) or np.any(x > 1.0)):
+        raise InvalidPoint("point outside [0,1]^D in strict mode")
+    return x if spec.strict else np.clip(x, 0.0, 1.0)
 
 
 def kernel_eval(spec: KernelSpec, x, xp) -> float:
     """Evaluate k(x, x') as the product of per-dimension factors."""
-    x = _prepare_point(spec, x)
-    xp = _prepare_point(spec, xp)
-    if x.shape != xp.shape or x.shape[0] != spec.dim:
-        raise DimError(f"expected points of dimension {spec.dim}")
+    x = _prepare_point(spec, x, spec.dim, 1)
+    xp = _prepare_point(spec, xp, spec.dim, 1)
     return float(_kernel_rows(spec, x, xp))
 
 

@@ -39,20 +39,38 @@ def default_lambda(N: int) -> float:
     return float(N) ** -0.5
 
 
-def _check_features(F, y, lam):
-    """F as float64 CSR or array (float64 input is not copied), and y."""
-    if not lam > 0:
-        raise InvalidData("lam must be positive")
-    y = np.asarray(y, dtype=float).ravel()
-    if not np.all(np.isfinite(y)):
-        raise InvalidData("targets contain non-finite values")
+def _lambda(lam):
+    """``lam`` itself; ``InvalidData`` unless it is positive and finite."""
+    if not 0.0 < lam < np.inf:
+        raise InvalidData(f"lambda must be positive and finite, got {lam!r}")
+    return lam
+
+
+def _features(F, cols=None):
+    """F as float64 CSR or array (float64 input is not copied).  It must be 2-D
+    with ``cols`` columns when given (``DimError``) and finite (``InvalidData``)."""
     F = (F.tocsr().astype(np.float64, copy=False) if sp.issparse(F)
          else np.asarray(F, dtype=np.float64))
+    if F.ndim != 2:
+        raise DimError(f"features must be 2-D, got {F.ndim}-D")
+    if cols is not None and F.shape[1] != cols:
+        raise DimError(f"{F.shape[1]} feature columns but {cols} weights")
     if not np.all(np.isfinite(F.data if sp.issparse(F) else F)):
         raise InvalidData("features contain non-finite values")
-    if F.shape[0] != len(y):
-        raise DimError(f"{F.shape[0]} rows but {len(y)} targets")
-    return F, y
+    return F
+
+
+def _targets(y, n, task=REGRESSION) -> np.ndarray:
+    """``y`` raveled to floats.  Its length must be ``n`` (``DimError``), its
+    values finite and, for classification, -1 or +1 (``InvalidData``)."""
+    y = np.asarray(y, dtype=float).ravel()
+    if len(y) != n:
+        raise DimError(f"{n} rows but {len(y)} targets")
+    if not np.all(np.isfinite(y)):
+        raise InvalidData("targets contain non-finite values")
+    if task == CLASSIFICATION and not np.all(np.isin(y, (-1.0, 1.0))):
+        raise InvalidData("labels must be -1 or +1")
+    return y
 
 
 CG_RTOL = 1e-12        # relative residual at which conjugate gradients stop
@@ -62,7 +80,7 @@ CG_MAX_ITER = 10       # iteration cap, as a multiple of M
 def _solve(F, b, shift, d=None, n=1):
     """Solve (F^T diag(d) F / n + shift I) x = b; d defaults to all ones.
 
-    F is a float64 array or CSR matrix, as ``_check_features`` returns it.
+    F is a float64 array or CSR matrix, as ``_features`` returns it.
     Dense F: the Gram plus ``np.linalg.solve``.  Sparse F: Jacobi-preconditioned
     conjugate gradients on the matrix-free operator; raises
     ``ConvergenceError`` with the relative residual if it is still above
@@ -112,7 +130,9 @@ def _model(F, w, lam, task) -> Model:
 
 def ridge_fit(F, y, lam: float) -> Model:
     """Solve (F^T F + lam N I) w = F^T y."""
-    F, y = _check_features(F, y, lam)
+    _lambda(lam)
+    F = _features(F)
+    y = _targets(y, F.shape[0])
     b = np.asarray(F.T @ y).ravel()
     return _model(F, _solve(F, b, lam * F.shape[0]), lam, REGRESSION)
 
@@ -128,9 +148,9 @@ def logistic_fit(F, y, lam: float, max_iter: int = 100,
     # imported here so that importing eof does not load scipy.special
     from scipy.special import expit
 
-    F, y = _check_features(F, y, lam)
-    if not np.all(np.isin(y, (-1.0, 1.0))):
-        raise InvalidData("labels must be -1 or +1")
+    _lambda(lam)
+    F = _features(F)
+    y = _targets(y, F.shape[0], CLASSIFICATION)
     N, M = F.shape
     w = np.zeros(M)
     m = np.zeros(N)                            # the margins y * (F w)
@@ -176,7 +196,7 @@ def save_model(model: Model, path, metadata: Optional[dict] = None) -> None:
     """Write a model as version-tagged flat text: header lines, then weights."""
     meta = dict(metadata or {})
     meta.setdefault("task", model.task)
-    meta.setdefault("lambda", repr(model.lam))
+    meta.setdefault("lambda", repr(float(model.lam)))
     meta.setdefault("nnz_F", model.nnz_F)
     with open(path, "w") as fh:
         fh.write(f"# {MODEL_FORMAT}\n")
@@ -186,48 +206,43 @@ def save_model(model: Model, path, metadata: Optional[dict] = None) -> None:
             fh.write(f"{float(w)!r}\n")
 
 
+_FIELDS = {"lambda": float, "nnz_F": int, "task": (REGRESSION, CLASSIFICATION).index}
+
+
 def load_model(path) -> Model:
-    """Read a model written by ``save_model``."""
-    meta = {}
-    weights = []
+    """Read a model written by ``save_model``.  A weight, ``lambda`` or
+    ``nnz_F`` that is not a number, or a ``task`` other than regression or
+    classification, raises ``InvalidData`` naming the line."""
+    meta, weights = {}, []
     with open(path) as fh:
-        first = fh.readline().strip()
-        if first != f"# {MODEL_FORMAT}":
+        if fh.readline().strip() != f"# {MODEL_FORMAT}":
             raise InvalidData(f"not an {MODEL_FORMAT} file: {path}")
-        for line in fh:
+        for lnum, line in enumerate(fh, start=2):
             line = line.strip()
-            if line.startswith("#"):
-                key, _, value = line[1:].strip().partition("=")
-                meta[key] = value
-            elif line:
-                weights.append(float(line))
-    return Model(np.asarray(weights),
-                 feature_map=meta,
-                 lam=float(meta.get("lambda", "0") or 0.0),
-                 task=meta.get("task", REGRESSION),
-                 nnz_F=int(meta.get("nnz_F", "0") or 0))
+            try:
+                if line.startswith("#"):
+                    key, _, value = line[1:].strip().partition("=")
+                    meta[key] = value
+                    _FIELDS.get(key, str)(value)
+                elif line:
+                    weights.append(float(line))
+            except ValueError:
+                raise InvalidData(f"{path}, line {lnum}: bad value {line!r}") from None
+    return Model(np.asarray(weights), feature_map=meta,
+                 lam=float(meta.get("lambda", 0.0)), task=meta.get("task", REGRESSION),
+                 nnz_F=int(meta.get("nnz_F", 0)))
 
 
 def predict(model: Model, Z) -> np.ndarray:
     """Raw linear predictions Z @ w; Z is a sparse matrix or array-like."""
-    if not sp.issparse(Z):
-        Z = np.asarray(Z)
-    if np.ndim(Z) != 2:
-        raise DimError(f"features must be 2-D, got {np.ndim(Z)}-D")
-    if Z.shape[1] != len(model.weights):
-        raise DimError(f"{Z.shape[1]} columns but {len(model.weights)} weights")
+    Z = _features(Z, len(model.weights))
     return np.asarray(Z @ model.weights).ravel()
 
 
 def test_error(model: Model, Z, y) -> float:
     """MSE for regression; misclassification rate (sign(0) -> +1) otherwise."""
-    y = np.asarray(y, dtype=float).ravel()
     pred = predict(model, Z)
-    if len(pred) != len(y):
-        raise DimError("prediction / target length mismatch")
+    y = _targets(y, len(pred), model.task)
     if model.task == REGRESSION:
         return float(np.mean((pred - y) ** 2))
-    if not np.all(np.isin(y, (-1.0, 1.0))):
-        raise InvalidData("labels must be -1 or +1")
-    labels = np.where(pred >= 0.0, 1.0, -1.0)
-    return float(np.mean(labels != y))
+    return float(np.mean(np.where(pred >= 0.0, 1.0, -1.0) != y))

@@ -1,5 +1,4 @@
 import itertools
-import warnings
 
 import numpy as np
 import pytest
@@ -147,14 +146,13 @@ class TestEntropicSelect:
                    for sub in itertools.combinations(pool, M))
         assert got == pytest.approx(best, rel=1e-12)
 
-    def test_oversized_m_warns_and_returns_all(self):
+    def test_oversized_m_raises(self):
+        # like truncate_random and the LKRF/EERF selection: no warning, no clamp
         S = enumerate_sparse_grid(1, 2)
         C = {idx: 1.0 for idx in S}
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            got = entropic_select(S, C, 99)
-        assert len(got) == len(S)
-        assert len(caught) == 1
+        with pytest.raises(InvalidM):
+            entropic_select(S, C, len(S) + 1)
+        assert len(entropic_select(S, C, len(S))) == len(S)
 
 
 class TestTruncateRandom:

@@ -22,7 +22,7 @@ valid_li = st.integers(1, 8).flatmap(
 class TestFeatureIndex:
     def test_valid_construction(self):
         idx = FeatureIndex((2, 3), (3, 5))
-        assert idx.center == pytest.approx([0.75, 0.625])
+        assert (idx.l, idx.i, idx.dim) == ((2, 3), (3, 5), 2)
 
     def test_even_position_rejected(self):
         with pytest.raises(InvalidIndex):

@@ -13,7 +13,7 @@ from eof.embedding import SCALE_PLAIN, SCALE_SQRT, embed_batch
 from eof.errors import ConvergenceError, DimError, InvalidData
 from eof.kernels import KernelSpec
 from eof.learn import (CLASSIFICATION, MODEL_FORMAT, REGRESSION, Model,
-                       _check_features, default_lambda, load_model,
+                       _features, default_lambda, load_model,
                        logistic_fit, predict, ridge_fit, save_model)
 from eof.learn import test_error as error_of
 
@@ -216,10 +216,9 @@ class TestFeatureTypes:
 
     def test_float64_features_are_not_copied(self):
         F = np.random.default_rng(0).uniform(size=(5, 3))
-        y = np.ones(5)
-        assert _check_features(F, y, 1.0)[0] is F
+        assert _features(F) is F
         Fs = sp.csr_matrix(F)
-        assert _check_features(Fs, y, 1.0)[0] is Fs
+        assert _features(Fs) is Fs
 
 
 class TestPredictAndError:
@@ -282,6 +281,13 @@ class TestModelSerialization:
         assert back.task == CLASSIFICATION
         assert back.nnz_F == 42
         assert back.feature_map["kernel"] == "laplace"
+
+    def test_numpy_scalar_lambda_round_trips(self, tmp_path):
+        # numpy 2 reprs np.float64(0.25) as "np.float64(0.25)", which
+        # load_model cannot read back
+        path = tmp_path / "model.txt"
+        save_model(ridge_fit(np.eye(2), [1.0, 2.0], np.float64(0.25)), path)
+        assert load_model(path).lam == 0.25
 
     def test_version_tag_enforced(self, tmp_path):
         path = tmp_path / "bad.txt"
