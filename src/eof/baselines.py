@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimError, check_M
+from .errors import check_M, check_dim
 from .kernels import _finite_point
 from .learn import _targets
 
@@ -60,8 +60,7 @@ class RandomFeatureMap:
 
 def _rng(D: int, M: int, seed: int) -> np.random.Generator:
     """The generator of a new map, once D >= 1 (``DimError``) and M >= 1."""
-    if D < 1:
-        raise DimError(f"D={D} must be >= 1")
+    check_dim(D)
     check_M(M)
     return np.random.default_rng(seed)
 

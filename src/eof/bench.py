@@ -30,6 +30,7 @@ EOF_METHOD = "eof"
 ALL_METHODS = (EOF_METHOD, baselines.RKS, baselines.ORF, baselines.LKRF,
                baselines.EERF)
 NEIGHBOR = 50   # estimate_sigma reads the distance to this nearest neighbor
+POOL_FACTOR = 10   # LKRF and EERF choose M features from POOL_FACTOR * M
 
 
 @dataclass
@@ -69,19 +70,43 @@ class Dataset:
 
 @dataclass
 class BenchResult:
+    """One (method, M) cell of ``run_benchmark``: ``errors`` and ``failures``
+    (``"Type: message"``) of its runs in seed order, the successful runs' mean
+    ``t_feature``, ``t_solve`` and rounded ``nnz_F``, and ``M0``, the full
+    design (eof) or pool (LKRF/EERF) size, else 0.  Derived: ``mean_error``,
+    ``std_error``, ``t_train`` (NaN if no run succeeded) and ``n_failed``."""
+
     method: str
     M: int
     M0: int
-    mean_error: float
-    std_error: float
-    t_train: float
+    errors: List[float]
+    failures: List[str]
     t_feature: float
     t_solve: float
     nnz_F: int
-    seeds: List[int] = field(default_factory=list)
-    n_failed: int = 0
-    errors: List[float] = field(default_factory=list)
-    failures: List[str] = field(default_factory=list)   # "Type: message"
+
+    @property
+    def mean_error(self) -> float:
+        return _mean(self.errors)
+
+    @property
+    def std_error(self) -> float:
+        # about the first error, so that runs that agree give exactly 0
+        return (float(np.std(np.subtract(self.errors, self.errors[:1])))
+                if self.errors else math.nan)
+
+    @property
+    def t_train(self) -> float:
+        return self.t_feature + self.t_solve
+
+    @property
+    def n_failed(self) -> int:
+        return len(self.failures)
+
+
+def _mean(values, empty=math.nan) -> float:
+    """The mean of ``values`` as a float; ``empty`` when there are none."""
+    return float(np.mean(values)) if len(values) else empty
 
 
 def read_table(path) -> Tuple[List[str], np.ndarray]:
@@ -165,6 +190,13 @@ def write_csv(raw: RawData, path, target_column: str = "target") -> None:
             writer.writerow([repr(float(v)) for v in xi] + [repr(float(yi))])
 
 
+def _split_ratio(ratio):
+    """``ratio`` itself; ``InvalidData`` unless it lies in (0, 1)."""
+    if not 0.0 < ratio < 1.0:
+        raise InvalidData(f"split_ratio must lie in (0, 1), got {ratio!r}")
+    return ratio
+
+
 def standardize(raw: RawData, split_ratio: float = 0.7, seed: int = 0) -> Dataset:
     """Random split plus min-max scaling fit on the training part.
 
@@ -176,8 +208,7 @@ def standardize(raw: RawData, split_ratio: float = 0.7, seed: int = 0) -> Datase
     N = raw.X.shape[0]
     if N < 2:
         raise InvalidData("need at least 2 rows to split")
-    if not 0.0 < split_ratio < 1.0:
-        raise InvalidData(f"split_ratio must lie in (0, 1), got {split_ratio!r}")
+    _split_ratio(split_ratio)
     rng = np.random.default_rng(seed)
     perm = rng.permutation(N)
     n_train = max(1, min(N - 1, int(round(split_ratio * N))))
@@ -240,7 +271,7 @@ def _run_seed(master: int, method_idx: int, m_idx: int, run: int) -> int:
 
 
 def _one_run(dataset: Dataset, method: str, M: int, run_seed: int,
-             sigma: float, lam: float, pool_factor: int):
+             sigma: float, lam: float):
     D = dataset.D
     t0 = time.perf_counter()
     if method == EOF_METHOD:
@@ -259,7 +290,7 @@ def _one_run(dataset: Dataset, method: str, M: int, run_seed: int,
         elif method == baselines.ORF:
             fmap = baselines.orf_map(D, M, sigma, run_seed)
         else:
-            M0 = pool_factor * M
+            M0 = POOL_FACTOR * M
             pool = baselines.rks_map(D, M0, sigma, run_seed)
             select = (baselines.lkrf_select if method == baselines.LKRF
                       else baselines.eerf_select)
@@ -274,7 +305,7 @@ def _one_run(dataset: Dataset, method: str, M: int, run_seed: int,
 
 
 def run_benchmark(dataset: Dataset, methods: Sequence[str], M_grid: Sequence[int],
-                  runs: int, seed: int, pool_factor: int = 10,
+                  runs: int, seed: int,
                   lam: Optional[float] = None) -> List[BenchResult]:
     """Repeated seeded runs of every (method, M) pair on one dataset."""
     for m in methods:
@@ -287,32 +318,17 @@ def run_benchmark(dataset: Dataset, methods: Sequence[str], M_grid: Sequence[int
     results = []
     for mi, method in enumerate(methods):
         for Mi, M in enumerate(M_grid):
-            seeds = [_run_seed(seed, mi, Mi, r) for r in range(runs)]
             good, failures = [], []
-            for rs in seeds:
+            for r in range(runs):
                 try:
-                    good.append(_one_run(dataset, method, M, rs, sigma, lam,
-                                         pool_factor))
+                    good.append(_one_run(dataset, method, M,
+                                         _run_seed(seed, mi, Mi, r), sigma, lam))
                 except EofError as exc:
                     failures.append(f"{type(exc).__name__}: {exc}")
-            if good:
-                errs = np.array([o[0] for o in good])
-                t_feat = float(np.mean([o[1] for o in good]))
-                t_solve = float(np.mean([o[2] for o in good]))
-                nnz = int(round(np.mean([o[3] for o in good])))
-                M0 = good[0][4]
-                # the spread about the first error is exactly 0 when all
-                # runs agree; np.std(errs) rounds np.mean of equal values
-                spread = float(np.std(errs - errs[0]))
-                res = BenchResult(method, M, M0, float(np.mean(errs)),
-                                  spread, t_feat + t_solve,
-                                  t_feat, t_solve, nnz, seeds, len(failures),
-                                  errs.tolist(), failures)
-            else:
-                res = BenchResult(method, M, 0, float("nan"), float("nan"),
-                                  float("nan"), float("nan"), float("nan"),
-                                  0, seeds, len(failures), failures=failures)
-            results.append(res)
+            errs, t_feat, t_solve, nnz, M0 = zip(*good) if good else ((),) * 5
+            results.append(BenchResult(method, M, max(M0, default=0),
+                                       list(errs), failures, _mean(t_feat),
+                                       _mean(t_solve), round(_mean(nnz, 0))))
     return results
 
 
@@ -322,35 +338,20 @@ _COLUMNS = ("method", "M", "M0", "T_train", "nnz_F", "mean_error", "std_error")
 def report(results: Sequence[BenchResult], fmt: str = "text",
            include_timing: bool = True) -> str:
     """Render results as CSV or an aligned text table."""
-    rows = []
-    for r in results:
-        rows.append([r.method, str(r.M), str(r.M0) if r.M0 else "",
-                     f"{r.t_train:.4f}" if include_timing else "",
-                     str(r.nnz_F), f"{r.mean_error:.6g}", f"{r.std_error:.6g}"])
+    table = [list(_COLUMNS)] + [
+        [r.method, str(r.M), str(r.M0) if r.M0 else "",
+         f"{r.t_train:.4f}" if include_timing else "",
+         str(r.nnz_F), f"{r.mean_error:.6g}", f"{r.std_error:.6g}"]
+        for r in results]
     if fmt == "csv":
         buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(_COLUMNS)
-        writer.writerows(rows)
+        csv.writer(buf).writerows(table)
         return buf.getvalue()
     if fmt != "text":
         raise ValueError(f"unknown report format {fmt!r}")
-    table = [list(_COLUMNS)] + rows
-    widths = [max(len(row[j]) for row in table) for j in range(len(_COLUMNS))]
-    lines = []
-    for row in table:
-        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-    return "\n".join(lines) + "\n"
-
-
-def curves_csv(results: Sequence[BenchResult]) -> str:
-    """Plot data: one (method, M, mean_error, std_error) row per result."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["method", "M", "mean_error", "std_error"])
-    for r in results:
-        writer.writerow([r.method, r.M, f"{r.mean_error:.6g}", f"{r.std_error:.6g}"])
-    return buf.getvalue()
+    widths = [max(map(len, column)) for column in zip(*table)]
+    return "".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
+                   + "\n" for row in table)
 
 
 def synthetic_rkhs_dataset(N_train: int = 2000, N_test: int = 500, D: int = 2,

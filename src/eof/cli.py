@@ -3,47 +3,37 @@
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
-from . import bench, learn
+from . import bench, kernels, learn
 from .design import enumerate_sparse_grid, level_for_feature_count, select_design
 from .embedding import embed_batch
 from .errors import EofError
 from .kernels import KernelSpec
 
 
-def _number_in(lo, hi, expected):
-    """An argparse type: a number strictly between ``lo`` and ``hi``."""
+def _rule(check, expected, keep=()):
+    """An argparse type: ``check(float(text))`` for a library input rule, or
+    ``text`` itself when it is in ``keep``; what ``check`` rejects exits 2."""
     def parse(text):
+        if text in keep:
+            return text
         try:
-            value = float(text)
-        except ValueError:
-            value = math.nan
-        if not lo < value < hi:
+            return check(float(text))
+        except (ValueError, EofError):
             raise argparse.ArgumentTypeError(
                 f"expected {expected}, got {text!r}")
-        return value
     return parse
 
 
-_positive = _number_in(0.0, math.inf, "a positive number")        # --omega
-_fraction = _number_in(0.0, 1.0, "a number between 0 and 1")     # --split
-
-
-def _lambda(text):
-    """``--lambda``: ``auto`` or a number that ``learn._lambda`` accepts."""
-    try:
-        return text if text == "auto" else learn._lambda(float(text))
-    except (ValueError, EofError):
-        raise argparse.ArgumentTypeError(
-            f"expected 'auto' or a positive number, got {text!r}")
+_lambda = _rule(learn._lambda, "'auto' or a positive number", keep=("auto",))
+_omega = _rule(kernels._omega, "a positive finite number")
+_split = _rule(bench._split_ratio, "a number between 0 and 1")
 
 
 def _count(text):
-    """``--level``, ``--num-features``, ``--runs``, ``--pool-factor``: an
-    integer >= 1."""
+    """``--level``, ``--num-features``, ``--runs``: an integer >= 1."""
     try:
         value = int(text)
     except ValueError:
@@ -66,7 +56,7 @@ def _counts(text):
 def _add_kernel_flags(p):
     p.add_argument("--kernel", choices=["laplace", "sobolev", "bb"],
                    default="laplace")
-    p.add_argument("--omega", type=_positive, default=1.0)
+    p.add_argument("--omega", type=_omega, default=1.0)
 
 
 def _add_design_flags(p):
@@ -128,15 +118,13 @@ def cmd_bench(args):
     ds = _dataset(args)
     try:
         results = bench.run_benchmark(ds, args.methods.split(","), args.m,
-                                      args.runs, args.seed,
-                                      pool_factor=args.pool_factor)
+                                      args.runs, args.seed)
     except ValueError as exc:   # an unknown method name
         raise SystemExit(str(exc))
     table = bench.report(results, fmt="text")
     os.makedirs(args.out, exist_ok=True)
     for name, text in (("results.csv", bench.report(results, fmt="csv")),
-                       ("table.txt", table),
-                       ("curves.csv", bench.curves_csv(results))):
+                       ("table.txt", table)):
         with open(os.path.join(args.out, name), "w") as fh:
             fh.write(text)
     print(table)
@@ -164,7 +152,7 @@ def build_parser():
                          help="regularization strength or 'auto' (N^-1/2)")
     p_train.add_argument("--data", required=True)
     p_train.add_argument("--target", default="target")
-    p_train.add_argument("--split", type=_fraction, default=0.7)
+    p_train.add_argument("--split", type=_split, default=0.7)
     p_train.add_argument("--model-out", default="model.txt")
     p_train.set_defaults(func=cmd_train)
 
@@ -177,8 +165,7 @@ def build_parser():
                          help="comma-separated feature counts")
     p_bench.add_argument("--runs", type=_count, default=50)
     p_bench.add_argument("--seed", type=int, default=7)
-    p_bench.add_argument("--split", type=_fraction, default=0.7)
-    p_bench.add_argument("--pool-factor", type=_count, default=10)
+    p_bench.add_argument("--split", type=_split, default=0.7)
     p_bench.add_argument("--out", default="results")
     p_bench.set_defaults(func=cmd_bench)
     return parser

@@ -24,9 +24,9 @@ from typing import Mapping, Tuple
 
 import numpy as np
 
-from .errors import DimError, InvalidLevel, check_M
+from .errors import DimError, InvalidLevel, check_M, check_dim
 from .features import FeatureIndex
-from .kernels import KernelSpec
+from .kernels import KernelSpec, _check_levels
 
 
 class IndexSet:
@@ -116,8 +116,8 @@ def sparse_grid_size(D: int, n: int) -> int:
 
 def enumerate_sparse_grid(D: int, n: int) -> IndexSet:
     """All indices with |l| <= n + D - 1, sorted by the canonical key."""
-    if n < 1 or D < 1:
-        raise InvalidLevel(f"n={n} and D={D} must both be >= 1")
+    check_dim(D)
+    _check_levels(n)
     # a level vector is the gaps between D - 1 cuts of 1..|l| - 1, and cuts in
     # lexicographic order give level vectors in lexicographic order
     bounds = np.array([(0, *cuts, total) for total in range(D, n + D)

@@ -1,4 +1,4 @@
-"""Exception types shared across the library, and the range rule for M."""
+"""Exception types shared across the library, and the range rules for D and M."""
 
 
 class EofError(Exception):
@@ -19,6 +19,12 @@ class InvalidIndex(EofError):
 
 class DimError(EofError):
     """Dimension mismatch between a point/matrix and the expected D or M."""
+
+
+def check_dim(D):
+    """``DimError`` unless the dimension D >= 1."""
+    if not D >= 1:
+        raise DimError(f"D={D} must be >= 1")
 
 
 class InvalidM(EofError):

@@ -25,7 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DimError, InvalidLevel, InvalidPoint
+from .errors import DimError, InvalidData, InvalidLevel, InvalidPoint, check_dim
 
 LAPLACE = "laplace"
 SOBOLEV = "sobolev"
@@ -44,9 +44,9 @@ class KernelSpec:
     kind : str
         One of ``"laplace"``, ``"sobolev"``, ``"bb"``, ``"custom"``.
     omega : float
-        Bandwidth; must be positive for laplace/sobolev, ignored for bb.
+        Bandwidth; positive and finite for laplace/sobolev, ignored for bb.
     dim : int
-        Input dimension D >= 1.
+        Input dimension D >= 1 (``DimError``).
     strict : bool
         If True, points outside [0,1]^D raise ``InvalidPoint`` instead of
         being clamped.
@@ -64,12 +64,18 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
-        if self.kind in (LAPLACE, SOBOLEV) and not self.omega > 0:
-            raise ValueError("omega must be positive")
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
+        if self.kind in (LAPLACE, SOBOLEV):
+            _omega(self.omega)
+        check_dim(self.dim)
         if self.kind == CUSTOM and (self.p is None or self.q is None):
             raise ValueError("custom kernels need p and q callables")
+
+
+def _omega(omega):
+    """``omega`` itself; ``InvalidData`` unless it is positive and finite."""
+    if not 0.0 < omega < np.inf:
+        raise InvalidData(f"omega must be positive and finite, got {omega!r}")
+    return omega
 
 
 def _finite_point(x, dim=None, ndim=None) -> np.ndarray:

@@ -269,6 +269,18 @@ class TestRunBenchmark:
         res = bench.run_benchmark(ds, ["rks"], [8], runs=6, seed=2)
         assert res[0].failures == ["EofError: synthetic failure"] * 3
 
+    def test_all_failed_cell_reports_nan(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise EofError("synthetic failure")
+
+        monkeypatch.setattr(bench, "_one_run", fail)
+        res = bench.run_benchmark(toy_dataset(), ["lkrf"], [8], runs=3, seed=0)
+        (r,) = res
+        assert np.isnan([r.mean_error, r.std_error, r.t_train]).all()
+        assert (r.n_failed, r.M0, r.nnz_F, r.errors) == (3, 0, 0, [])
+        assert bench.report(res, fmt="text").splitlines()[1] == \
+            "lkrf    8      nan      0      nan         nan"
+
     def test_unknown_method_rejected_before_any_run(self, monkeypatch):
         def no_run(*args, **kwargs):
             raise AssertionError("a run started")
@@ -315,13 +327,6 @@ class TestReport:
         got = bench.report(res, fmt="csv", include_timing=False)
         with open(os.path.join(DATA_DIR, "report_golden.csv"), newline="") as fh:
             assert got == fh.read()
-
-    def test_curves_csv_one_row_per_result(self):
-        ds = toy_dataset()
-        res = bench.run_benchmark(ds, ["rks", "orf"], [4, 8], runs=1, seed=0)
-        lines = bench.curves_csv(res).strip().splitlines()
-        assert lines[0] == "method,M,mean_error,std_error"
-        assert len(lines) == 5
 
 
 class TestSyntheticDataset:

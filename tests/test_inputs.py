@@ -2,10 +2,11 @@
 
 Each kind of input has one checking function: points
 (``kernels._finite_point``), targets (``learn._targets``), features
-(``learn._features``), lambda (``learn._lambda``) and the feature count M
-(``errors.check_M``).  A wrong shape raises ``DimError``, a non-finite point
-``InvalidPoint``, a bad target, feature, lambda or model file
-``InvalidData``, and a bad M ``InvalidM``.
+(``learn._features``), lambda (``learn._lambda``), omega (``kernels._omega``),
+the dimension D (``errors.check_dim``) and the feature count M
+(``errors.check_M``).  A wrong shape or D < 1 raises ``DimError``, a
+non-finite point ``InvalidPoint``, a bad target, feature, lambda, omega or
+model file ``InvalidData``, and a bad M ``InvalidM``.
 """
 
 import numpy as np
@@ -123,6 +124,13 @@ MALFORMED = [
      InvalidData),
     ("load_model", lambda t: load_model(_model_file(t, nnz_F="1.5")), InvalidData),
     ("load_model", lambda t: load_model(_model_file(t, task="bogus")), InvalidData),
+    # kernel dimension D < 1 (rows appended so that earlier ids keep their number)
+    ("KernelSpec", lambda t: KernelSpec("laplace", dim=0), DimError),
+    ("enumerate_sparse_grid", lambda t: enumerate_sparse_grid(0, 3), DimError),
+    # omega
+    ("KernelSpec", lambda t: KernelSpec("laplace", omega=np.inf), InvalidData),
+    ("KernelSpec", lambda t: KernelSpec("laplace", omega=np.nan), InvalidData),
+    ("KernelSpec", lambda t: KernelSpec("laplace", omega=0.0), InvalidData),
 ]
 
 
