@@ -11,19 +11,19 @@ the dot product to obtain the unbiased kernel estimator.
 
 RKS draws frequencies from a scaled Cauchy (Laplace kernel); ORF builds
 orthogonal blocks approximating a Gaussian kernel; LKRF and EERF draw an
-oversampled Cauchy pool and keep the top-M candidates by a label-alignment
-score.  The two scores used here (squared alignment sum for LKRF, absolute
-first moment for EERF) are simple stand-ins for the original reweighting
-procedures; they rank only and never rescale surviving features.
+oversampled Cauchy pool and keep the top-M candidates by label alignment
+|a| = |y^T z|, the same rule for both, so they differ only in their pool
+seed.  The rule ranks only and never rescales surviving features; it is a
+simple stand-in for the original reweighting procedures.
 
 Selection scores the pool M candidates at a time, so besides the (M0,)
-score vector it holds one N x M cosine block, the size of the map that
+alignment vector it holds one N x M cosine block, the size of the map that
 ``rf_embed`` builds next: O(N M + M0) memory, not O(N M0).  It screens the
-pool in float32, where ``np.cos`` is some 25x faster than in float64, and
+pool in float32, where the cosine is some 25x faster than in float64, and
 bounds each candidate's float32 error from closed-form quantities.  Only the
-blocks holding a candidate whose score interval straddles the cut are scored
+blocks holding a candidate whose |a| interval straddles the cut are scored
 again in float64, with the same block formula, so the kept set is exactly
-the one the float64 scores of the whole pool give.
+the one the float64 |a| of the whole pool gives.
 """
 
 from __future__ import annotations
@@ -95,12 +95,17 @@ def orf_map(D: int, M: int, sigma: float, seed: int) -> RandomFeatureMap:
     return RandomFeatureMap(freqs, phases)
 
 
+def _cosines(X, G, b) -> np.ndarray:
+    """cos(X G^T + b), built in one buffer in the inputs' dtype."""
+    Z = X @ G.T
+    Z += b
+    return np.cos(Z, out=Z)
+
+
 def rf_embed(fmap: RandomFeatureMap, x) -> np.ndarray:
     """Dense feature vector (1-D input) or matrix (2-D input)."""
     x = _finite_point(x, fmap.dim)   # cosine features take any real x: no clipping
-    Z = x @ fmap.frequencies.T
-    Z += fmap.phases
-    np.cos(Z, out=Z)
+    Z = _cosines(x, fmap.frequencies, fmap.phases)
     Z /= np.sqrt(fmap.M)
     return Z
 
@@ -116,17 +121,11 @@ U32 = 2.0 ** -24
 TINY32 = float(np.finfo(np.float32).tiny)
 
 
-def _block_scores(X, y, G, b) -> np.ndarray:
-    """y^T cos(X G^T + b) for one block of candidates, in the inputs' dtype."""
-    Z = X @ G.T
-    Z += b
-    np.cos(Z, out=Z)
-    return y @ Z
-
-
 def _screen_error(G, b, X, y) -> np.ndarray:
-    """Bound on |a32 - a64| per candidate, a32 and a64 being ``y^T cos(X g +
-    b)`` as ``_block_scores`` computes it in float32 and in float64.
+    """Bound on |a32 - a64| per candidate, a32 and a64 being its label
+    alignment ``y^T cos(X g + b)`` as ``_select`` computes it from
+    ``_cosines`` in float32 and in float64.  It bounds ||a32| - |a64|| too,
+    so it brackets |a|, the one key LKRF and EERF both rank by.
 
     With t = x^T g + b and T = sum_d (|g_d| + TINY32) (max|X| + TINY32) +
     |b| + TINY32 >= max |t| (over all points, inside the cube or not):
@@ -154,52 +153,53 @@ def _screen_error(G, b, X, y) -> np.ndarray:
     return S * U32 * ((2 * D + 6) * t_max + 2 * N + 10)
 
 
-def _select(score, pool: RandomFeatureMap, y, X, M: int) -> RandomFeatureMap:
-    """Keep the top-M pool candidates by ``score(y^T Z, N)`` over the raw
-    cosine matrix Z of the training points, built M columns at a time.
+def _select(pool: RandomFeatureMap, y, X, M: int) -> RandomFeatureMap:
+    """Keep the top-M pool candidates by label alignment |a| = |y^T Z| over
+    the raw cosine matrix Z of the training points, built M columns at a time.
 
-    ``score`` must be even in a and non-decreasing in |a| as evaluated in
-    float64.  The pool is screened in float32 and each score bracketed by
+    The pool is screened in float32 and each |a| bracketed by
     ``_screen_error``: a candidate whose upper bound lies below the M-th
     largest lower bound is certainly out, one whose lower bound lies above
     the (M+1)-th largest upper bound certainly in.  Every block holding a
     candidate that is neither is scored again in float64, and the remaining
-    places go to the best of those by the stable rule (ties keep the lower
-    index).  The kept set is the float64 top-M of the whole pool; a
-    non-finite float32 score (overflow) counts as unbounded.
+    places go to the largest |a| of those by the stable rule (ties keep the
+    lower index).  The kept set is the float64 top-M of the whole pool; a
+    non-finite float32 alignment (overflow) counts as unbounded.  LKRF and
+    EERF both select by this rule, so they differ only in their pool seed.
     """
     check_M(M, pool.M)
     X = _finite_point(X, pool.dim, 2)
     y = _targets(y, len(X))
-    G, b, N = pool.frequencies, pool.phases, len(y)
+    G, b = pool.frequencies, pool.phases
     a = np.empty(pool.M)
     with np.errstate(over="ignore", invalid="ignore"):
         X32, y32 = X.astype(np.float32), y.astype(np.float32)
         G32, b32 = G.astype(np.float32), b.astype(np.float32)
         for j in range(0, pool.M, M):
-            a[j:j + M] = _block_scores(X32, y32, G32[j:j + M], b32[j:j + M])
+            a[j:j + M] = y32 @ _cosines(X32, G32[j:j + M], b32[j:j + M])
         err = _screen_error(G, b, X, y)
         bad = ~np.isfinite(a) | np.isnan(err)
         a[bad], err[bad] = 0.0, np.inf
-        lo = score(np.maximum(np.abs(a) - err, 0.0), N)
-        hi = score(np.abs(a) + err, N)
+        lo, hi = np.maximum(np.abs(a) - err, 0.0), np.abs(a) + err
     out = hi < np.partition(lo, -M)[-M]
     cut_hi = np.partition(hi, -M - 1)[-M - 1] if M < pool.M else -np.inf
     sure = np.flatnonzero(lo > cut_hi)
     near = np.flatnonzero(~out & (lo <= cut_hi))
     for j in np.unique(near // M) * M:
-        a[j:j + M] = _block_scores(X, y, G[j:j + M], b[j:j + M])
+        a[j:j + M] = y @ _cosines(X, G[j:j + M], b[j:j + M])
     # stable: ties keep the lower candidate index
-    best = near[np.argsort(-score(a[near], N), kind="stable")]
+    best = near[np.argsort(-np.abs(a[near]), kind="stable")]
     keep = np.sort(np.concatenate([sure, best[:M - len(sure)]]))
     return RandomFeatureMap(pool.frequencies[keep], pool.phases[keep])
 
 
 def lkrf_select(pool: RandomFeatureMap, y, X, M: int) -> RandomFeatureMap:
-    """Keep the top-M pool candidates by squared label alignment."""
-    return _select(lambda a, N: a ** 2, pool, y, X, M)
+    """Keep the top-M pool candidates by label alignment |y^T z|: EERF's
+    rule, until LKRF gets its own reweighting, so only the pool seed differs."""
+    return _select(pool, y, X, M)
 
 
 def eerf_select(pool: RandomFeatureMap, y, X, M: int) -> RandomFeatureMap:
-    """Keep the top-M pool candidates by absolute first-moment score."""
-    return _select(lambda a, N: np.abs(a) / N, pool, y, X, M)
+    """Keep the top-M pool candidates by label alignment |y^T z|, the rule
+    ``lkrf_select`` shares; only the pool seed differs."""
+    return _select(pool, y, X, M)

@@ -225,22 +225,18 @@ def standardize(raw: RawData, split_ratio: float = 0.7, seed: int = 0) -> Datase
         out[:, flat] = 0.5
         return np.clip(out, 0.0, 1.0)
 
-    y_train, y_test = raw.y[tr].astype(float), raw.y[te].astype(float)
+    # every row's target is mapped at once; the clip acts on test rows only
+    y = raw.y.astype(float)
     if raw.task == learn.REGRESSION:
-        ylo, yhi = y_train.min(), y_train.max()
-        if yhi > ylo:
-            y_train = 2.0 * (y_train - ylo) / (yhi - ylo) - 1.0
-            y_test = np.clip(2.0 * (y_test - ylo) / (yhi - ylo) - 1.0, -1.0, 1.0)
-        else:
-            y_train = np.zeros_like(y_train)
-            y_test = np.zeros_like(y_test)
+        ylo, yhi = y[tr].min(), y[tr].max()
+        y = (np.clip(2.0 * (y - ylo) / (yhi - ylo) - 1.0, -1.0, 1.0)
+             if yhi > ylo else np.zeros_like(y))
     else:
         uniq = np.unique(raw.y)
         if len(uniq) != 2:
             raise InvalidData(f"classification needs 2 label values, got {len(uniq)}")
-        y_train = np.where(y_train == uniq[1], 1.0, -1.0)
-        y_test = np.where(y_test == uniq[1], 1.0, -1.0)
-    return Dataset(scale(X_train), scale(X_test), y_train, y_test,
+        y = np.where(y == uniq[1], 1.0, -1.0)
+    return Dataset(scale(X_train), scale(X_test), y[tr], y[te],
                    raw.name, raw.task)
 
 

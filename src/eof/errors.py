@@ -1,5 +1,7 @@
 """Exception types shared across the library, and the range rules for D and M."""
 
+import numbers
+
 
 class EofError(Exception):
     """Base class for all library errors."""
@@ -32,7 +34,9 @@ class InvalidM(EofError):
 
 
 def check_M(M, limit=float("inf")):
-    """``InvalidM`` unless 1 <= M <= ``limit``."""
+    """``InvalidM`` unless M is an integer (numpy's too) with 1 <= M <= ``limit``."""
+    if not isinstance(M, numbers.Integral):
+        raise InvalidM(f"M={M!r} is not an integer")
     if not 1 <= M <= limit:
         raise InvalidM(f"M={M} outside 1..{limit}")
 

@@ -17,7 +17,8 @@ from eof import bench
 from eof.baselines import (eerf_select, kernel_estimate, lkrf_select, orf_map,
                            rf_embed, rks_map)
 from eof.design import (enumerate_sparse_grid, entropic_select,
-                        level_for_feature_count, select_design, truncate_random)
+                        level_for_feature_count, select_design, sparse_grid_size,
+                        truncate_random)
 from eof.embedding import embed, embed_batch, kernel_approx
 from eof.errors import DimError, EofError, InvalidData, InvalidM, InvalidPoint
 from eof.features import FeatureIndex, phi_1d, phi_nd
@@ -131,6 +132,15 @@ MALFORMED = [
     ("KernelSpec", lambda t: KernelSpec("laplace", omega=np.inf), InvalidData),
     ("KernelSpec", lambda t: KernelSpec("laplace", omega=np.nan), InvalidData),
     ("KernelSpec", lambda t: KernelSpec("laplace", omega=0.0), InvalidData),
+    # design size at D < 1
+    ("sparse_grid_size", lambda t: sparse_grid_size(0, 3), DimError),
+    ("level_for_feature_count", lambda t: level_for_feature_count(0, 5), DimError),
+    # M that is not an integer
+    ("select_design", lambda t: select_design(LAP2, 2.5, 0), InvalidM),
+    ("truncate_random", lambda t: truncate_random(S2, 2.5, 0), InvalidM),
+    ("rks_map", lambda t: rks_map(2, 2.5, 1.0, 0), InvalidM),
+    ("level_for_feature_count", lambda t: level_for_feature_count(2, 2.5), InvalidM),
+    ("lkrf_select", lambda t: lkrf_select(POOL, Y10, X10, 4.0), InvalidM),
 ]
 
 
@@ -140,6 +150,13 @@ def test_malformed_input_raises_its_error(entry, call, error, tmp_path):
     assert issubclass(error, EofError)
     with pytest.raises(error):
         call(tmp_path)
+
+
+def test_numpy_integer_M_passes_the_M_rule():
+    M = np.int64(5)
+    assert len(select_design(LAP2, M, 0)) == 5
+    assert rks_map(2, M, 1.0, 0).M == 5
+    assert eerf_select(POOL, Y10, X10, M).M == 5
 
 
 def test_model_file_error_names_the_line(tmp_path):
