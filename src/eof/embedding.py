@@ -2,18 +2,19 @@
 
 For each level vector in the design, at most one position index can be
 nonzero at a given point (supports within a level have disjoint interiors),
-and it is found directly from the dyadic coordinates of the point: the odd
-member of {ceil(x 2^l), floor(x 2^l)} per dimension.  ``embed_batch`` finds
-that position and the 1-D feature value there once per (dimension, level)
-pair, for all rows at once, and fills an (L, N) table of columns and values
-one level vector at a time, in the design's canonical order.  The design
-alone knows its column layout: ``IndexSet.columns`` turns the positions
-(i_d - 1) / 2 into columns and, for a level vector that truncation left
-partial, flags the rows whose position the design does not keep.  One
-nonzero mask compresses the tables into CSR.  A point thus costs O(#levels)
-array steps.  The scale factor of every level vector comes from one
-``expansion_coeff`` call over the design's (L, D) level array.  ``embed`` is
-the one-row case and returns a 1 x M CSR row.
+and it is found directly from the dyadic coordinates of the point: per
+dimension, (i - 1) / 2 of the odd position i is floor(x 2^(l-1)), and the
+point lies on an even node, in no feature's interior, when x 2^(l-1) is an
+integer.  ``embed_batch`` finds that position and the 1-D feature value
+there once per (dimension, level) pair, for all rows at once, and fills an
+(L, N) table of columns and values one level vector at a time, in the
+design's canonical order.  The design alone knows its column layout:
+``IndexSet.columns`` turns the positions (i_d - 1) / 2 into columns and, for
+a level vector that truncation left partial, flags the rows whose position
+the design does not keep.  One nonzero mask compresses the tables into CSR.
+A point thus costs O(#levels) array steps.  The scale factor of every level
+vector comes from one ``expansion_coeff`` call over the design's (L, D)
+level array.  ``embed`` is the one-row case and returns a 1 x M CSR row.
 """
 
 from __future__ import annotations
@@ -38,17 +39,17 @@ def embed(spec: KernelSpec, S: IndexSet, x, scale: str = SCALE_SQRT) -> sp.csr_m
 
 
 def _dyadic_profile(spec: KernelSpec, level: int, x: np.ndarray):
-    """Per row: (i - 1) // 2 of the odd position i at ``level`` and the 1-D
-    feature value there.  A row on an even node, where no feature of the level
-    is nonzero, gets code 0 and value 0, so it drops out of every product."""
-    t = x * 2.0 ** level
-    up = np.ceil(t).astype(np.int64)
-    i = np.where(up % 2 == 1, up, np.floor(t).astype(np.int64))
-    odd = i % 2 == 1
+    """Per row: (i - 1) // 2 of the odd position i at ``level``, which is
+    floor(x 2^(level-1)), and the 1-D feature value there.  A row on an even
+    node, where x 2^(level-1) is an integer and no feature of the level is
+    nonzero, gets code 0 and value 0, so it drops out of every product."""
+    half = x * 2.0 ** (level - 1)
+    code = np.floor(half)
     # rows on even nodes are evaluated at i = 1, so that the (p, q) form
-    # never sees a point outside [0, 1]
-    i = np.where(odd, i, 1)
-    return i // 2, np.where(odd, _profile_1d(spec, level, i, x), 0.0)
+    # never sees a point outside [0, 1]; they lie at least h from its centre
+    # h, off its support, so their value is 0
+    code[code == half] = 0.0
+    return code.astype(np.int64), _profile_1d(spec, level, 2.0 * code + 1.0, x)
 
 
 def embed_batch(spec: KernelSpec, S: IndexSet, X,

@@ -34,8 +34,9 @@ class InvalidM(EofError):
 
 
 def check_M(M, limit=float("inf")):
-    """``InvalidM`` unless M is an integer (numpy's too) with 1 <= M <= ``limit``."""
-    if not isinstance(M, numbers.Integral):
+    """``InvalidM`` unless M is an integer (numpy's too, but not a bool) with
+    1 <= M <= ``limit``."""
+    if isinstance(M, bool) or not isinstance(M, numbers.Integral):
         raise InvalidM(f"M={M!r} is not an integer")
     if not 1 <= M <= limit:
         raise InvalidM(f"M={M} outside 1..{limit}")

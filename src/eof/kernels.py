@@ -144,32 +144,43 @@ def _profile_1d(spec: KernelSpec, l: int, i, x: np.ndarray) -> np.ndarray:
     whole column of points, each at its own position.  No validation: the
     caller passes valid odd positions.  Kinds without a closed form use the
     generic (p, q) form, whose two halves are the solutions of the kernel's
-    differential equation through the support endpoints.
+    differential equation through the support endpoints.  The closed forms
+    are built in one buffer, a 0-d array for a single point.
     """
     h = 2.0 ** (-l)
     z = i * h
-    dist = np.abs(x - z)
-    inside = dist < h
+    if spec.kind == CUSTOM:
+        zm, zp = z - h, z + h
+        left = _wronskian(spec, zm, x) / _wronskian(spec, zm, z)
+        right = _wronskian(spec, x, zp) / _wronskian(spec, z, zp)
+        return np.where(np.abs(x - z) < h, np.where(x <= z, left, right), 0.0)
+    # r = min(|x - z|, h) is h off the support, where both closed forms are 0
+    r = np.asarray(x - z)
+    np.abs(r, out=r)
+    np.minimum(r, h, out=r)
     if spec.kind in (BROWNIAN_BRIDGE, SOBOLEV):
-        return np.where(inside, 1.0 - dist / h, 0.0)
-    if spec.kind == LAPLACE:
-        return np.where(inside, _sinh_ratio(spec.omega * (h - np.minimum(dist, h)),
-                                            spec.omega * h), 0.0)
-    zm, zp = z - h, z + h
-    left = _wronskian(spec, zm, x) / _wronskian(spec, zm, z)
-    right = _wronskian(spec, x, zp) / _wronskian(spec, z, zp)
-    return np.where(inside, np.where(x <= z, left, right), 0.0)
+        np.divide(r, h, out=r)
+        return np.subtract(1.0, r, out=r)
+    b = spec.omega * h
+    if b == 0.0:    # omega h underflowed: sinh(a) / sinh(b) is 1 on the support
+        return (r < h).astype(float)
+    np.subtract(h, r, out=r)
+    np.multiply(spec.omega, r, out=r)
+    return _sinh_ratio(r, b)
 
 
-def _sinh_ratio(a, b):
-    # sinh(a)/sinh(b) for 0 <= a <= b, stable against overflow for large b:
-    # sinh(a)/sinh(b) = e^{a-b} (1 - e^{-2a}) / (1 - e^{-2b}).
-    a = np.asarray(a, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        num = -np.expm1(-2.0 * a)
-        den = -np.expm1(-2.0 * b)
-        out = np.exp(a - b) * num / den
-    return np.where(den == 0.0, np.where(a == b, 1.0, 0.0), out)
+def _sinh_ratio(a: np.ndarray, b: float) -> np.ndarray:
+    """sinh(a) / sinh(b) for an array 0 <= a <= b and a float b > 0, written
+    over ``a``.  Stable against overflow for large b:
+    sinh(a) / sinh(b) = e^{a-b} (1 - e^{-2a}) / (1 - e^{-2b})."""
+    num = np.multiply(a, -2.0, out=np.empty_like(a))
+    np.expm1(num, out=num)
+    np.negative(num, out=num)
+    np.subtract(a, b, out=a)
+    np.exp(a, out=a)
+    a *= num
+    a /= -np.expm1(-2.0 * b)
+    return a
 
 
 def norm_const(spec: KernelSpec, l):

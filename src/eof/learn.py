@@ -94,9 +94,11 @@ def _solve(F, b, shift, d=None, n=1):
         A.flat[::M + 1] += shift
         return np.linalg.solve(A, b)
     Ft = F.T                                   # a CSC view, not a copy
-    dn = (np.ones(N) if d is None else d) / n
+    # row weights d / n; ridge (d = None, n = 1) has none to apply
+    dn = None if d is None and n == 1 else (np.ones(N) if d is None else d) / n
     sq = F.data ** 2
-    sq *= np.repeat(dn, np.diff(F.indptr))
+    if dn is not None:
+        sq *= np.repeat(dn, np.diff(F.indptr))
     inv_diag = 1.0 / (np.bincount(F.indices, sq, minlength=M) + shift)
     x = np.zeros(M)
     r = np.array(b, dtype=float)
@@ -107,7 +109,8 @@ def _solve(F, b, shift, d=None, n=1):
     p = z.copy()
     rz, rel = float(r @ z), 1.0
     for _ in range(CG_MAX_ITER * M):
-        Ap = Ft @ (dn * (F @ p)) + shift * p
+        Fp = F @ p if dn is None else dn * (F @ p)
+        Ap = Ft @ Fp + shift * p
         alpha = rz / float(p @ Ap)
         x += alpha * p
         r -= alpha * Ap
@@ -202,8 +205,8 @@ def save_model(model: Model, path, metadata: Optional[dict] = None) -> None:
         fh.write(f"# {MODEL_FORMAT}\n")
         for key in sorted(meta):
             fh.write(f"# {key}={meta[key]}\n")
-        for w in model.weights:
-            fh.write(f"{float(w)!r}\n")
+        fh.write("".join(f"{w!r}\n" for w in
+                         np.asarray(model.weights, dtype=float).tolist()))
 
 
 _FIELDS = {"lambda": float, "nnz_F": int, "task": (REGRESSION, CLASSIFICATION).index}

@@ -14,7 +14,7 @@ from eof.embedding import (SCALE_PLAIN, SCALE_SQRT, embed, embed_batch,
                            kernel_approx)
 from eof.errors import DimError, InvalidLevel, InvalidPoint
 from eof.features import FeatureIndex, phi_nd
-from eof.kernels import KernelSpec, _profile_1d, expansion_coeff, kernel_eval
+from eof.kernels import KernelSpec, expansion_coeff, kernel_eval
 
 BB1 = KernelSpec("bb", dim=1)
 SCALES = [SCALE_SQRT, SCALE_PLAIN]
@@ -214,6 +214,25 @@ def _level_keys(l, positions):
     return keys[order], np.fromiter(positions.values(), np.int64)[order]
 
 
+def _profile_reference(spec, l, i, x):
+    """The bb, sobolev and Laplace 1-D profiles written as whole-array
+    selections, independently of ``kernels._profile_1d``."""
+    h = 2.0 ** (-l)
+    dist = np.abs(x - i * h)
+    inside = dist < h
+    if spec.kind in ("bb", "sobolev"):
+        return np.where(inside, 1.0 - dist / h, 0.0)
+    assert spec.kind == "laplace"
+    # sinh(a) / sinh(b) = e^{a-b} (1 - e^{-2a}) / (1 - e^{-2b})
+    a, b = spec.omega * (h - np.minimum(dist, h)), spec.omega * h
+    with np.errstate(divide="ignore", invalid="ignore"):
+        num = -np.expm1(-2.0 * a)
+        den = -np.expm1(-2.0 * b)
+        ratio = np.exp(a - b) * num / den
+    return np.where(inside, np.where(den == 0.0, np.where(a == b, 1.0, 0.0),
+                                     ratio), 0.0)
+
+
 def coo_reference(spec, S, X, scale):
     """The COO assembly that the level-by-row tables replaced: per level
     vector, a key search for every row, then COO triplets sorted into CSR.
@@ -231,7 +250,7 @@ def coo_reference(spec, S, X, scale):
                 up = np.ceil(t).astype(np.int64)
                 i = np.where(up % 2 == 1, up, np.floor(t).astype(np.int64))
                 odd = i % 2 == 1
-                profiles[d, ld] = (np.where(odd, i // 2, -1), _profile_1d(
+                profiles[d, ld] = (np.where(odd, i // 2, -1), _profile_reference(
                     spec, ld, np.where(odd, i, 1), X[:, d]))
             half = profiles[d, ld][0]
             code = code * 2 ** (ld - 1) + half
@@ -258,11 +277,14 @@ def coo_reference(spec, S, X, scale):
 
 
 def _test_rows(D, n, N, seed):
-    """Generic rows, rows on dyadic nodes down to level n, and 0 and 1."""
+    """Generic rows, rows on dyadic nodes down to level n, 0 and 1, and rows
+    one ulp from 1, from 0 and on either side of 1/2 in every coordinate."""
     rng = np.random.default_rng(seed)
+    ulps = np.array([1.0 - 2.0 ** -53, 5e-324,
+                     np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0)])
     return np.vstack([rng.uniform(0.0, 1.0, (N, D)),
                       rng.integers(0, 2 ** n + 1, (N, D)) / 2.0 ** n,
-                      np.zeros(D), np.ones(D)])
+                      np.zeros(D), np.ones(D), np.repeat(ulps[:, None], D, axis=1)])
 
 
 def _shuffled(S, seed):

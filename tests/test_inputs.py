@@ -141,6 +141,7 @@ MALFORMED = [
     ("rks_map", lambda t: rks_map(2, 2.5, 1.0, 0), InvalidM),
     ("level_for_feature_count", lambda t: level_for_feature_count(2, 2.5), InvalidM),
     ("lkrf_select", lambda t: lkrf_select(POOL, Y10, X10, 4.0), InvalidM),
+    ("rks_map", lambda t: rks_map(2, True, 1.0, 0), InvalidM),
 ]
 
 
