@@ -1,10 +1,11 @@
 """Sparse multilevel kernel features with entropy-maximizing selection.
 
 The library constructs compactly-supported, mutually orthogonal features of
-product-form (Sturm-Liouville) kernels, selects the entropy-maximizing subset
-(the sparse-grid design), embeds data into sparse feature vectors, trains
+product-form (Sturm-Liouville) kernels, offers the entropy-maximizing subset
+(``entropic_select``), embeds data into sparse feature vectors, trains
 ridge / logistic models on the result, and benchmarks against four
-random-feature baselines.
+random-feature baselines.  ``eof train --num-features`` and the benchmark
+use ``select_design``: a seeded random M-subset of the smallest full design.
 """
 
 from .design import (IndexSet, enumerate_sparse_grid, entropic_select,

@@ -15,8 +15,9 @@ import math
 import os
 import time
 import warnings
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,7 +42,6 @@ class RawData:
     y: np.ndarray
     name: str
     task: str
-    columns: List[str] = field(default_factory=list)
 
 
 @dataclass
@@ -72,17 +72,17 @@ class Dataset:
 class BenchResult:
     """One (method, M) cell of ``run_benchmark``: ``errors`` and ``failures``
     (``"Type: message"``) of its runs in seed order, the successful runs' mean
-    ``t_feature``, ``t_solve`` and rounded ``nnz_F``, and ``M0``, the full
-    design (eof) or pool (LKRF/EERF) size, else 0.  Derived: ``mean_error``,
-    ``std_error``, ``t_train`` (NaN if no run succeeded) and ``n_failed``."""
+    ``t_train`` (wall time of a whole run: features, fit and scoring; NaN if
+    no run succeeded) and rounded ``nnz_F``, and ``M0``, the full design (eof)
+    or pool (LKRF/EERF) size, else 0.  Derived: ``mean_error``, ``std_error``
+    and ``n_failed``."""
 
     method: str
     M: int
     M0: int
     errors: List[float]
     failures: List[str]
-    t_feature: float
-    t_solve: float
+    t_train: float
     nnz_F: int
 
     @property
@@ -94,10 +94,6 @@ class BenchResult:
         # about the first error, so that runs that agree give exactly 0
         return (float(np.std(np.subtract(self.errors, self.errors[:1])))
                 if self.errors else math.nan)
-
-    @property
-    def t_train(self) -> float:
-        return self.t_feature + self.t_solve
 
     @property
     def n_failed(self) -> int:
@@ -176,18 +172,7 @@ def load_csv(path, target_column: str, task: str) -> RawData:
     t_idx = header.index(target_column)
     mask = np.arange(data.shape[1]) != t_idx
     name = os.path.splitext(os.path.basename(str(path)))[0]
-    return RawData(data[:, mask], data[:, t_idx], name, task,
-                   [h for j, h in enumerate(header) if j != t_idx])
-
-
-def write_csv(raw: RawData, path, target_column: str = "target") -> None:
-    """Inverse of load_csv, for round-trip checks."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        cols = raw.columns or [f"x{j}" for j in range(raw.X.shape[1])]
-        writer.writerow(cols + [target_column])
-        for xi, yi in zip(raw.X, raw.y):
-            writer.writerow([repr(float(v)) for v in xi] + [repr(float(yi))])
+    return RawData(data[:, mask], data[:, t_idx], name, task)
 
 
 def _split_ratio(ratio):
@@ -266,18 +251,24 @@ def _run_seed(master: int, method_idx: int, m_idx: int, run: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
+def fit_and_score(dataset: Dataset, featurize: Callable, lam: float):
+    """``(model, test_error)`` of ``learn.fit`` on ``featurize(X_train)``, where
+    ``featurize`` maps (N, D) points to features.  The test split is embedded
+    after the solve returns, so one split's features are alive at a time."""
+    model = learn.fit(dataset.task, featurize(dataset.X_train), dataset.y_train, lam)
+    return model, learn.test_error(model, featurize(dataset.X_test), dataset.y_test)
+
+
 def _one_run(dataset: Dataset, method: str, M: int, run_seed: int,
              sigma: float, lam: float):
     D = dataset.D
-    t0 = time.perf_counter()
     if method == EOF_METHOD:
         # matched kernel: Cauchy(sigma) frequencies approximate the Laplace
         # kernel exp(-sigma ||x-x'||_1), which these features expand
         spec = KernelSpec("laplace", omega=sigma, dim=D)
         S = select_design(spec, M, run_seed)
         # unnormalized basis columns: ridge weights absorb the level constants
-        F_train = embed_batch(spec, S, dataset.X_train, scale=SCALE_PLAIN)
-        F_test = embed_batch(spec, S, dataset.X_test, scale=SCALE_PLAIN)
+        featurize = partial(embed_batch, spec, S, scale=SCALE_PLAIN)
         M0 = sparse_grid_size(D, level_for_feature_count(D, M))
     else:
         M0 = 0
@@ -291,13 +282,9 @@ def _one_run(dataset: Dataset, method: str, M: int, run_seed: int,
             select = (baselines.lkrf_select if method == baselines.LKRF
                       else baselines.eerf_select)
             fmap = select(pool, dataset.y_train, dataset.X_train, M)
-        F_train = baselines.rf_embed(fmap, dataset.X_train)
-        F_test = baselines.rf_embed(fmap, dataset.X_test)
-    t1 = time.perf_counter()
-    model = learn.fit(dataset.task, F_train, dataset.y_train, lam)
-    t_solve = time.perf_counter() - t1
-    err = learn.test_error(model, F_test, dataset.y_test)
-    return err, t1 - t0, t_solve, model.nnz_F, M0
+        featurize = partial(baselines.rf_embed, fmap)
+    model, err = fit_and_score(dataset, featurize, lam)
+    return err, model.nnz_F, M0
 
 
 def run_benchmark(dataset: Dataset, methods: Sequence[str], M_grid: Sequence[int],
@@ -316,15 +303,17 @@ def run_benchmark(dataset: Dataset, methods: Sequence[str], M_grid: Sequence[int
         for Mi, M in enumerate(M_grid):
             good, failures = [], []
             for r in range(runs):
+                t0 = time.perf_counter()
                 try:
-                    good.append(_one_run(dataset, method, M,
-                                         _run_seed(seed, mi, Mi, r), sigma, lam))
+                    good.append((*_one_run(dataset, method, M,
+                                           _run_seed(seed, mi, Mi, r), sigma,
+                                           lam), time.perf_counter() - t0))
                 except EofError as exc:
                     failures.append(f"{type(exc).__name__}: {exc}")
-            errs, t_feat, t_solve, nnz, M0 = zip(*good) if good else ((),) * 5
+            errs, nnz, M0, t_train = zip(*good) if good else ((),) * 4
             results.append(BenchResult(method, M, max(M0, default=0),
-                                       list(errs), failures, _mean(t_feat),
-                                       _mean(t_solve), round(_mean(nnz, 0))))
+                                       list(errs), failures, _mean(t_train),
+                                       round(_mean(nnz, 0))))
     return results
 
 

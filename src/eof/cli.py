@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import partial
 
 from . import bench, kernels, learn
 from .design import enumerate_sparse_grid, level_for_feature_count, select_design
@@ -96,12 +97,8 @@ def cmd_train(args):
     ds = _dataset(args)
     spec = KernelSpec(args.kernel, omega=args.omega, dim=ds.D)
     S = _design(spec, args)
-    F_train = embed_batch(spec, S, ds.X_train)
-    F_test = embed_batch(spec, S, ds.X_test)
-    lam = (learn.default_lambda(ds.N_train) if args.lam == "auto"
-           else args.lam)
-    model = learn.fit(ds.task, F_train, ds.y_train, lam)
-    err = learn.test_error(model, F_test, ds.y_test)
+    lam = learn.default_lambda(ds.N_train) if args.lam == "auto" else args.lam
+    model, err = bench.fit_and_score(ds, partial(embed_batch, spec, S), lam)
     # --num-features: the full design that select_design truncates, and the seed
     level = args.level or level_for_feature_count(ds.D, args.num_features)
     seed = None if args.level else args.seed

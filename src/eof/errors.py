@@ -12,7 +12,7 @@ class InvalidPoint(EofError):
 
 
 class InvalidLevel(EofError):
-    """A level index is zero or negative."""
+    """A level index is zero or negative, or too deep for the kernel's (p, q)."""
 
 
 class InvalidIndex(EofError):

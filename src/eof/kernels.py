@@ -126,6 +126,18 @@ def _wronskian(spec: KernelSpec, a, b):
     return spec.p(b) * spec.q(a) - spec.p(a) * spec.q(b)
 
 
+def _step_wronskian(spec: KernelSpec, a, b, level):
+    """``_wronskian`` across one step at ``level``, to divide by.  p and q lose
+    their difference over a deep level's step; where it rounds to 0 or is not
+    finite, ``InvalidLevel`` names the level."""
+    w = _wronskian(spec, a, b)
+    bad = ~np.isfinite(w) | (w == 0.0)
+    if np.any(bad):
+        raise InvalidLevel(f"level {np.broadcast_to(level, np.shape(bad))[bad].min()}"
+                           " is too deep for the kernel's (p, q)")
+    return w
+
+
 def _check_levels(l) -> np.ndarray:
     l = np.asarray(l, dtype=int)
     if np.any(l < 1):
@@ -151,8 +163,8 @@ def _profile_1d(spec: KernelSpec, l: int, i, x: np.ndarray) -> np.ndarray:
     z = i * h
     if spec.kind == CUSTOM:
         zm, zp = z - h, z + h
-        left = _wronskian(spec, zm, x) / _wronskian(spec, zm, z)
-        right = _wronskian(spec, x, zp) / _wronskian(spec, z, zp)
+        left = _wronskian(spec, zm, x) / _step_wronskian(spec, zm, z, l)
+        right = _wronskian(spec, x, zp) / _step_wronskian(spec, z, zp, l)
         return np.where(np.abs(x - z) < h, np.where(x <= z, left, right), 0.0)
     # r = min(|x - z|, h) is h off the support, where both closed forms are 0
     r = np.asarray(x - z)
@@ -234,7 +246,8 @@ def surplus_alpha_1d(spec: KernelSpec, level, i):
         return _float_or_array(2.0 / (spec.omega * h))
     zm, zc, zp = (i - 1) * h, i * h, (i + 1) * h
     return _float_or_array(_wronskian(spec, zm, zp)
-                           / (_wronskian(spec, zm, zc) * _wronskian(spec, zc, zp)))
+                           / (_step_wronskian(spec, zm, zc, level)
+                              * _step_wronskian(spec, zc, zp, level)))
 
 
 def surplus_beta_1d(spec: KernelSpec, level, i):
@@ -248,4 +261,4 @@ def surplus_beta_1d(spec: KernelSpec, level, i):
         return _float_or_array(1.0 / h)
     if spec.kind == SOBOLEV:
         return _float_or_array(1.0 / (spec.omega * h))
-    return _float_or_array(1.0 / _wronskian(spec, i * h, (i + 1) * h))
+    return _float_or_array(1.0 / _step_wronskian(spec, i * h, (i + 1) * h, level))

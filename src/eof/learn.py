@@ -14,7 +14,7 @@ comparable across sample sizes; the default follows lambda = N^{-1/2}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,7 +28,6 @@ CLASSIFICATION = "classification"
 @dataclass
 class Model:
     weights: np.ndarray
-    feature_map: Any = None
     lam: float = 0.0
     task: str = REGRESSION
     nnz_F: int = 0
@@ -231,9 +230,8 @@ def load_model(path) -> Model:
                     weights.append(float(line))
             except ValueError:
                 raise InvalidData(f"{path}, line {lnum}: bad value {line!r}") from None
-    return Model(np.asarray(weights), feature_map=meta,
-                 lam=float(meta.get("lambda", 0.0)), task=meta.get("task", REGRESSION),
-                 nnz_F=int(meta.get("nnz_F", 0)))
+    return Model(np.asarray(weights), lam=float(meta.get("lambda", 0.0)),
+                 task=meta.get("task", REGRESSION), nnz_F=int(meta.get("nnz_F", 0)))
 
 
 def predict(model: Model, Z) -> np.ndarray:

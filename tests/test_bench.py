@@ -1,9 +1,11 @@
 import os
+import time
+import weakref
 
 import numpy as np
 import pytest
 
-from eof import bench, learn
+from eof import baselines, bench, learn
 from eof.errors import (DegenerateData, EofError, InvalidData, InvalidPoint,
                         ParseError)
 from eof.kernels import KernelSpec, kernel_eval
@@ -23,7 +25,6 @@ class TestLoadCsv:
         raw = bench.load_csv(path, "target", learn.REGRESSION)
         np.testing.assert_array_equal(raw.X, [[1, 2], [4, 5], [7, 8]])
         np.testing.assert_array_equal(raw.y, [3, 6, 9])
-        assert raw.columns == ["a", "b"]
 
     def test_missing_target_column(self, tmp_path):
         path = tmp_path / "toy.csv"
@@ -49,10 +50,10 @@ class TestLoadCsv:
     def test_round_trip_identity(self, tmp_path):
         rng = np.random.default_rng(2)
         raw = bench.RawData(rng.uniform(-5, 5, (20, 3)),
-                            rng.standard_normal(20), "rt", learn.REGRESSION,
-                            ["a", "b", "c"])
+                            rng.standard_normal(20), "rt", learn.REGRESSION)
         path = tmp_path / "rt.csv"
-        bench.write_csv(raw, path)
+        np.savetxt(path, np.column_stack([raw.X, raw.y]), delimiter=",",
+                   fmt="%.17g", header="a,b,c,target", comments="")
         back = bench.load_csv(path, "target", learn.REGRESSION)
         np.testing.assert_array_equal(back.X, raw.X)
         np.testing.assert_array_equal(back.y, raw.y)
@@ -302,6 +303,59 @@ class TestRunBenchmark:
             lo.append(res[0].t_train)
             hi.append(res[1].t_train)
         assert np.median(hi) >= np.median(lo)
+
+    def test_t_train_times_the_whole_run(self, monkeypatch):
+        def slow(*args, **kwargs):
+            time.sleep(0.02)
+            return 0.5, 3, 0
+
+        monkeypatch.setattr(bench, "_one_run", slow)
+        (r,) = bench.run_benchmark(toy_dataset(), ["rks"], [4], runs=2, seed=0)
+        assert r.t_train >= 0.02 and (r.errors, r.nnz_F) == ([0.5, 0.5], 3)
+
+
+class TestFitAndScore:
+    def test_test_split_embedded_after_the_fit(self, monkeypatch):
+        ds = toy_dataset()
+        fmap = baselines.rks_map(ds.D, 8, 2.0, 0)
+        events, train = [], []
+        real_fit = learn.fit
+
+        def fit(*args, **kwargs):
+            events.append("fit")
+            model = real_fit(*args, **kwargs)
+            events.append("fit returned")
+            return model
+
+        def featurize(X):
+            split = "train" if X is ds.X_train else "test"
+            # the training features are freed before the test split is embedded
+            events.append((split, bool(train) and train[0]() is None))
+            F = baselines.rf_embed(fmap, X)
+            if split == "train":
+                train.append(weakref.ref(F))
+            return F
+
+        monkeypatch.setattr(learn, "fit", fit)
+        model, err = bench.fit_and_score(ds, featurize, 0.01)
+        assert events == [("train", False), "fit", "fit returned", ("test", True)]
+        assert err == learn.test_error(model, baselines.rf_embed(fmap, ds.X_test),
+                                       ds.y_test)
+
+    def test_every_bench_cell_fits_through_it_once_per_run(self, monkeypatch):
+        real = bench.fit_and_score
+        featurizers = []
+
+        def counted(dataset, featurize, lam):
+            featurizers.append(featurize.func)
+            return real(dataset, featurize, lam)
+
+        monkeypatch.setattr(bench, "fit_and_score", counted)
+        res = bench.run_benchmark(toy_dataset(), bench.ALL_METHODS, [6, 9],
+                                  runs=2, seed=0)
+        assert sum(len(r.errors) for r in res) == 20
+        assert featurizers == (
+            [bench.embed_batch] * 4 + [baselines.rf_embed] * 16)
 
 
 class TestReport:

@@ -21,8 +21,9 @@ def write_points_csv(path, X):
 
 
 def write_labeled_csv(path, X, y):
-    raw = bench.RawData(X, y, "toy", learn.REGRESSION)
-    bench.write_csv(raw, path)
+    header = ",".join([f"x{j}" for j in range(X.shape[1])] + ["target"])
+    np.savetxt(path, np.column_stack([X, y]), delimiter=",", fmt="%.17g",
+               header=header, comments="")
 
 
 class TestEmbedCommand:
@@ -115,7 +116,23 @@ class TestTrainCommand:
         model_path = tmp_path / "model.txt"
         main(["train", "--task", "reg", *args, "--data", str(data),
               "--model-out", str(model_path)])
-        assert learn.load_model(model_path).feature_map["design"] == line
+        assert f"# design={line}" in model_path.read_text().splitlines()
+
+    def test_fits_through_fit_and_score_once(self, tmp_path, monkeypatch):
+        ds = bench.synthetic_rkhs_dataset(N_train=60, N_test=2, seed=0)
+        data = tmp_path / "train.csv"
+        write_labeled_csv(data, ds.X_train, ds.y_train)
+        real = bench.fit_and_score
+        calls = []
+
+        def counted(dataset, featurize, lam):
+            calls.append(featurize.func)
+            return real(dataset, featurize, lam)
+
+        monkeypatch.setattr(bench, "fit_and_score", counted)
+        main(["train", "--task", "reg", "--level", "2", "--data", str(data),
+              "--model-out", str(tmp_path / "model.txt")])
+        assert calls == [embed_batch]
 
     def test_classification_path(self, tmp_path, capsys):
         rng = np.random.default_rng(5)

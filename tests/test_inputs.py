@@ -6,7 +6,8 @@ Each kind of input has one checking function: points
 the dimension D (``errors.check_dim``) and the feature count M
 (``errors.check_M``).  A wrong shape or D < 1 raises ``DimError``, a
 non-finite point ``InvalidPoint``, a bad target, feature, lambda, omega or
-model file ``InvalidData``, and a bad M ``InvalidM``.
+model file ``InvalidData``, a bad M ``InvalidM``, and a level too deep for a
+custom kernel's (p, q) ``InvalidLevel``.
 """
 
 import numpy as np
@@ -16,13 +17,14 @@ import scipy.sparse as sp
 from eof import bench
 from eof.baselines import (eerf_select, kernel_estimate, lkrf_select, orf_map,
                            rf_embed, rks_map)
-from eof.design import (enumerate_sparse_grid, entropic_select,
+from eof.design import (IndexSet, enumerate_sparse_grid, entropic_select,
                         level_for_feature_count, select_design, sparse_grid_size,
                         truncate_random)
 from eof.embedding import embed, embed_batch, kernel_approx
-from eof.errors import DimError, EofError, InvalidData, InvalidM, InvalidPoint
+from eof.errors import (DimError, EofError, InvalidData, InvalidLevel, InvalidM,
+                        InvalidPoint)
 from eof.features import FeatureIndex, phi_1d, phi_nd
-from eof.kernels import KernelSpec, kernel_eval
+from eof.kernels import KernelSpec, kernel_eval, surplus_beta_1d
 from eof.learn import (CLASSIFICATION, MODEL_FORMAT, Model, load_model,
                        logistic_fit, predict, ridge_fit)
 from eof.learn import test_error as error_of
@@ -34,6 +36,9 @@ X10 = np.random.default_rng(0).uniform(size=(10, 2))
 Y10 = np.where(np.arange(10) % 2 == 0, 1.0, -1.0)
 NAN_ROW = np.array([[0.2, 0.3], [np.nan, 0.5]])
 F10 = np.random.default_rng(1).uniform(size=(10, 4))
+# the Laplace pair (omega 2) given as a custom kernel
+LAP_PQ = KernelSpec("custom", omega=2.0, p=lambda x: np.exp(2.0 * x),
+                    q=lambda x: np.exp(-2.0 * x))
 
 
 def _model_file(tmp, weights=("1.0",), **header):
@@ -142,6 +147,14 @@ MALFORMED = [
     ("level_for_feature_count", lambda t: level_for_feature_count(2, 2.5), InvalidM),
     ("lkrf_select", lambda t: lkrf_select(POOL, Y10, X10, 4.0), InvalidM),
     ("rks_map", lambda t: rks_map(2, True, 1.0, 0), InvalidM),
+    # a level whose (p, q) Wronskian over one step rounds to 0
+    ("embed_batch", lambda t: embed_batch(
+        LAP_PQ, IndexSet((FeatureIndex((60,), (2 ** 59 + 1,)),)), [[0.5]]),
+     InvalidLevel),
+    ("embed_batch", lambda t: embed_batch(
+        LAP_PQ, IndexSet((FeatureIndex((62,), (1,)),)), [[1.5 * 2.0 ** -62]],
+        scale="plain"), InvalidLevel),
+    ("surplus_beta_1d", lambda t: surplus_beta_1d(LAP_PQ, 60, 1), InvalidLevel),
 ]
 
 
