@@ -21,9 +21,9 @@ alignment vector it holds one N x M cosine block, the size of the map that
 ``rf_embed`` builds next: O(N M + M0) memory, not O(N M0).  It screens the
 pool in float32, where the cosine is some 25x faster than in float64, and
 bounds each candidate's float32 error from closed-form quantities.  Only the
-blocks holding a candidate whose |a| interval straddles the cut are scored
-again in float64, with the same block formula, so the kept set is exactly
-the one the float64 |a| of the whole pool gives.
+candidates whose |a| interval straddles the cut are scored again in float64:
+those candidates, M at a time, with the same block formula.  So the kept set
+is exactly the one the float64 |a| of the whole pool gives.
 """
 
 from __future__ import annotations
@@ -78,19 +78,21 @@ def orf_map(D: int, M: int, sigma: float, seed: int) -> RandomFeatureMap:
 
     Each D x D block is sigma * S * Q with Q from the QR factorization of a
     Gaussian matrix and S diagonal with chi(D)-distributed entries; blocks
-    are stacked and truncated to M rows.
+    are stacked and truncated to M rows.  All blocks are factorized by one
+    stacked QR.
     """
     rng = _rng(D, M, seed)
-    blocks = []
     n_blocks = -(-M // D)
-    for _ in range(n_blocks):
-        G = rng.standard_normal((D, D))
-        Q, R = np.linalg.qr(G)
-        # fix signs so Q is Haar-distributed
-        Q = Q * np.sign(np.diag(R))
-        chi = np.sqrt(rng.chisquare(D, size=D))
-        blocks.append(sigma * chi[:, None] * Q)
-    freqs = np.vstack(blocks)[:M]
+    G = np.empty((n_blocks, D, D))
+    chi2 = np.empty((n_blocks, D))
+    for k in range(n_blocks):   # per block, in the order of the RNG stream
+        G[k] = rng.standard_normal((D, D))
+        chi2[k] = rng.chisquare(D, size=D)
+    Q, R = np.linalg.qr(G)
+    # fix signs so Q is Haar-distributed
+    Q *= np.sign(np.diagonal(R, axis1=1, axis2=2))[:, None, :]
+    Q *= sigma * np.sqrt(chi2)[:, :, None]
+    freqs = Q.reshape(-1, D)[:M]
     phases = rng.uniform(0.0, 2.0 * np.pi, M)
     return RandomFeatureMap(freqs, phases)
 
@@ -160,10 +162,10 @@ def _select(pool: RandomFeatureMap, y, X, M: int) -> RandomFeatureMap:
     The pool is screened in float32 and each |a| bracketed by
     ``_screen_error``: a candidate whose upper bound lies below the M-th
     largest lower bound is certainly out, one whose lower bound lies above
-    the (M+1)-th largest upper bound certainly in.  Every block holding a
-    candidate that is neither is scored again in float64, and the remaining
-    places go to the largest |a| of those by the stable rule (ties keep the
-    lower index).  The kept set is the float64 top-M of the whole pool; a
+    the (M+1)-th largest upper bound certainly in.  The candidates that are
+    neither are scored again in float64, those candidates, M at a time, and
+    the remaining places go to the largest |a| of those by the stable rule
+    (ties keep the lower index).  The kept set is the float64 top-M of the whole pool; a
     non-finite float32 alignment (overflow) counts as unbounded.  LKRF and
     EERF both select by this rule, so they differ only in their pool seed.
     """
@@ -185,8 +187,9 @@ def _select(pool: RandomFeatureMap, y, X, M: int) -> RandomFeatureMap:
     cut_hi = np.partition(hi, -M - 1)[-M - 1] if M < pool.M else -np.inf
     sure = np.flatnonzero(lo > cut_hi)
     near = np.flatnonzero(~out & (lo <= cut_hi))
-    for j in np.unique(near // M) * M:
-        a[j:j + M] = y @ _cosines(X, G[j:j + M], b[j:j + M])
+    for j in range(0, len(near), M):
+        idx = near[j:j + M]
+        a[idx] = y @ _cosines(X, G[idx], b[idx])
     # stable: ties keep the lower candidate index
     best = near[np.argsort(-np.abs(a[near]), kind="stable")]
     keep = np.sort(np.concatenate([sure, best[:M - len(sure)]]))

@@ -126,12 +126,20 @@ def _wronskian(spec: KernelSpec, a, b):
     return spec.p(b) * spec.q(a) - spec.p(a) * spec.q(b)
 
 
-def _step_wronskian(spec: KernelSpec, a, b, level):
-    """``_wronskian`` across one step at ``level``, to divide by.  p and q lose
-    their difference over a deep level's step; where it rounds to 0 or is not
-    finite, ``InvalidLevel`` names the level."""
+def _flagged_step_wronskian(spec: KernelSpec, a, b):
+    """``_wronskian`` across one step, to divide by, and the mask where it is
+    bad: p and q lose their difference over a deep level's step, so it rounds
+    to 0 (or is not finite).  Bad entries are NaN, so dividing by them warns
+    of nothing."""
     w = _wronskian(spec, a, b)
     bad = ~np.isfinite(w) | (w == 0.0)
+    return np.where(bad, np.nan, w), bad
+
+
+def _step_wronskian(spec: KernelSpec, a, b, level):
+    """``_flagged_step_wronskian`` at ``level``; where it is bad,
+    ``InvalidLevel`` names the level."""
+    w, bad = _flagged_step_wronskian(spec, a, b)
     if np.any(bad):
         raise InvalidLevel(f"level {np.broadcast_to(level, np.shape(bad))[bad].min()}"
                            " is too deep for the kernel's (p, q)")
@@ -156,29 +164,43 @@ def _profile_1d(spec: KernelSpec, l: int, i, x: np.ndarray) -> np.ndarray:
     whole column of points, each at its own position.  No validation: the
     caller passes valid odd positions.  Kinds without a closed form use the
     generic (p, q) form, whose two halves are the solutions of the kernel's
-    differential equation through the support endpoints.  The closed forms
-    are built in one buffer, a 0-d array for a single point.
+    differential equation through the support endpoints; a position whose
+    step Wronskian is bad raises ``InvalidLevel``, wherever ``x`` lies.  The
+    closed forms are built in one buffer, a 0-d array for a single point.
     """
+    value, bad = _flagged_profile_1d(spec, l, i, x)
+    if bad is not None and np.any(bad):
+        raise InvalidLevel(f"level {l} is too deep for the kernel's (p, q)")
+    return value
+
+
+def _flagged_profile_1d(spec: KernelSpec, l: int, i, x: np.ndarray):
+    """``_profile_1d`` and, for the (p, q) form, the mask of the positions
+    whose step Wronskian is bad instead of its error (``None`` for a closed
+    form).  Such a position's value is NaN on its support and 0 off it."""
     h = 2.0 ** (-l)
     z = i * h
     if spec.kind == CUSTOM:
         zm, zp = z - h, z + h
-        left = _wronskian(spec, zm, x) / _step_wronskian(spec, zm, z, l)
-        right = _wronskian(spec, x, zp) / _step_wronskian(spec, z, zp, l)
-        return np.where(np.abs(x - z) < h, np.where(x <= z, left, right), 0.0)
+        w_left, bad_left = _flagged_step_wronskian(spec, zm, z)
+        w_right, bad_right = _flagged_step_wronskian(spec, z, zp)
+        left = _wronskian(spec, zm, x) / w_left
+        right = _wronskian(spec, x, zp) / w_right
+        return (np.where(np.abs(x - z) < h, np.where(x <= z, left, right), 0.0),
+                bad_left | bad_right)
     # r = min(|x - z|, h) is h off the support, where both closed forms are 0
     r = np.asarray(x - z)
     np.abs(r, out=r)
     np.minimum(r, h, out=r)
     if spec.kind in (BROWNIAN_BRIDGE, SOBOLEV):
         np.divide(r, h, out=r)
-        return np.subtract(1.0, r, out=r)
+        return np.subtract(1.0, r, out=r), None
     b = spec.omega * h
     if b == 0.0:    # omega h underflowed: sinh(a) / sinh(b) is 1 on the support
-        return (r < h).astype(float)
+        return (r < h).astype(float), None
     np.subtract(h, r, out=r)
     np.multiply(spec.omega, r, out=r)
-    return _sinh_ratio(r, b)
+    return _sinh_ratio(r, b), None
 
 
 def _sinh_ratio(a: np.ndarray, b: float) -> np.ndarray:

@@ -1,11 +1,13 @@
 import tracemalloc
 import warnings
+from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eof import baselines
 from eof.baselines import (RandomFeatureMap, eerf_select, kernel_estimate,
                            lkrf_select, orf_map, rf_embed, rks_map)
 from eof.errors import DimError, InvalidData, InvalidM, InvalidPoint
@@ -94,6 +96,27 @@ class TestOrfMap:
             mse_orf.append(np.mean((got_o - want) ** 2))
             mse_iid.append(np.mean((got_i - want) ** 2))
         assert np.median(mse_orf) <= np.median(mse_iid)
+
+
+    @staticmethod
+    def _per_block_orf(D, M, sigma, seed):
+        """The orthogonal blocks built one QR at a time."""
+        rng = np.random.default_rng(seed)
+        blocks = []
+        for _ in range(-(-M // D)):
+            Q, R = np.linalg.qr(rng.standard_normal((D, D)))
+            Q = Q * np.sign(np.diag(R))
+            chi = np.sqrt(rng.chisquare(D, size=D))
+            blocks.append(sigma * chi[:, None] * Q)
+        return np.vstack(blocks)[:M], rng.uniform(0.0, 2.0 * np.pi, M)
+
+    @pytest.mark.parametrize("D", [1, 2, 3, 8])
+    def test_stacked_qr_matches_per_block_qr(self, D):
+        for M, seed, sigma in product((1, D, D + 1, 129), (0, 17), (0.5, 3.0)):
+            freqs, phases = self._per_block_orf(D, M, sigma, seed)
+            m = orf_map(D, M, sigma, seed)
+            assert m.frequencies.tobytes() == freqs.tobytes()
+            assert m.phases.tobytes() == phases.tobytes()
 
 
 class TestRfEmbed:
@@ -257,6 +280,29 @@ class TestSelection:
             self._assert_full_matrix_choice(pool, y, X, 3)
         assert len(kept) == 2   # the float64 choice moves with the nudge
 
+    def test_only_the_near_candidates_are_rescored(self, monkeypatch):
+        # in the near-tie setup only candidates 4 and 25 straddle the cut, so
+        # two float64 columns are scored, not their two blocks of M = 3
+        rng = np.random.default_rng(3)
+        X = rng.uniform(0.0, 1.0, (500, 1))
+        freqs = 10.0 * (np.arange(30) + 1.0)[:, None]
+        freqs[25] = freqs[4] * (1.0 + 1e-9)
+        phases = rng.uniform(0, 2 * np.pi, 30)
+        phases[25] = phases[4]
+        y = np.cos(X @ freqs[[0, 15, 4]].T + phases[[0, 15, 4]]) @ [3.0, 2.0, 1.0]
+        y -= y.mean()
+        columns = []
+        cosines = baselines._cosines
+
+        def counted(X, G, b):
+            if G.dtype == np.float64:
+                columns.append(len(G))
+            return cosines(X, G, b)
+
+        monkeypatch.setattr(baselines, "_cosines", counted)
+        lkrf_select(RandomFeatureMap(freqs, phases), y, X, 3)
+        assert sum(columns) == 2, columns
+
     @pytest.mark.parametrize("x_scale, g_scale, y_scale", [
         (1e20, 1.0, 1.0),      # points far outside the cube
         (1e20, 1e30, 1.0),     # arguments near 1e50: float32 overflows
@@ -289,6 +335,21 @@ class TestSelection:
         finally:
             tracemalloc.stop()
         # the whole N x M0 cosine pool would be N * M0 * 8 bytes (64 MB)
+        assert peak < N * M0 * 8 / 4, peak
+
+    def test_all_near_candidates_rescored_in_bounded_memory(self):
+        # zero labels leave every candidate at the cut, so the whole pool is
+        # scored again in float64, still M columns at a time
+        N, M0, M = 2000, 4000, 8
+        pool = self._pool(M0=M0)
+        X = np.random.default_rng(5).uniform(0, 1, (N, 2))
+        tracemalloc.start()
+        try:
+            got = lkrf_select(pool, np.zeros(N), X, M)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(got.frequencies, pool.frequencies[:M])
         assert peak < N * M0 * 8 / 4, peak
 
     def test_m_equals_pool_returns_everything(self):

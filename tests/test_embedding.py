@@ -185,6 +185,36 @@ class TestEmbedBatch:
                 embed_batch(custom, S, X, scale=scale).toarray(),
                 embed_batch(lap, S, X, scale=scale).toarray(), atol=1e-12)
 
+    def test_deep_custom_level_raises_only_inside_its_kept_support(self):
+        # the Laplace pair as a custom kernel loses its step Wronskian at
+        # level 54 away from 0; position 1 keeps it, so a design of that one
+        # feature embeds every row, the rows it never touches as 0
+        pq = dict(omega=2.0, p=lambda x: np.exp(2.0 * x),
+                  q=lambda x: np.exp(-2.0 * x))
+        custom = KernelSpec("custom", **pq)
+        h = 2.0 ** -54
+        S = IndexSet((FeatureIndex((54,), (1,)),))
+        X = np.vstack([np.random.default_rng(0).uniform(0.0, 0.5, (200, 1)),
+                       [[0.5 * h]]])
+        for scale in SCALES:
+            F = embed_batch(custom, S, X, scale=scale).toarray()
+            assert np.all(F[:-1] == 0.0) and F[-1, 0] > 0.0
+            for x, row in zip(X, F):
+                np.testing.assert_array_equal(
+                    embed_batch(custom, S, x[None], scale=scale).toarray()[0], row)
+        # at D = 2, a row inside the bad support in the first dimension but on
+        # an even node in the second lies off the feature's open support
+        custom2 = KernelSpec("custom", dim=2, **pq)
+        S2 = IndexSet((FeatureIndex((54, 1), (2 ** 52 + 1, 1)),))
+        z = 0.25 + h    # the centre, one ulp above 0.25
+        F = embed_batch(custom2, S2, [[z, 0.0], [z, 1.0], [0.1, 0.3]],
+                        scale=SCALE_PLAIN)
+        assert F.nnz == 0
+        with pytest.raises(InvalidLevel, match=r"\(54, 1\)"):
+            embed_batch(custom2, S2, [[z, 0.3]], scale=SCALE_PLAIN)
+        with pytest.raises(InvalidLevel, match="level 54"):
+            phi_nd(custom2, S2.indices[0], [0.1, 0.3])
+
     def test_scale_options_consistent(self):
         spec = KernelSpec("laplace", omega=1.0, dim=1)
         S = enumerate_sparse_grid(1, 3)
