@@ -24,8 +24,8 @@ import scipy.sparse as sp
 
 from .design import IndexSet
 from .errors import DimError, InvalidLevel
-from .kernels import (KernelSpec, _finite_point, _flagged_profile_1d,
-                      _prepare_point, expansion_coeff)
+from .kernels import (KernelSpec, _finite_point, _prepare_point, _profile_1d,
+                      expansion_coeff)
 
 # value = sqrt(C) * phi: as the design grows, z(x).z(x') converges to the
 # boundary-conditioned kernel (see expansion_coeff), which is k only for bb
@@ -40,47 +40,29 @@ def embed(spec: KernelSpec, S: IndexSet, x, scale: str = SCALE_SQRT) -> sp.csr_m
 
 def _dyadic_profile(spec: KernelSpec, level: int, x: np.ndarray):
     """Per row: (i - 1) // 2 of the odd position i at ``level``, which is
-    floor(x 2^(level-1)), the 1-D feature value there and whether the row is
-    on an even node; and the mask of the rows strictly inside a support whose
-    step Wronskian is bad (a custom (p, q) at a deep level), or ``None`` if
-    there are none.  A row on an even node, where x 2^(level-1) is an integer
-    and no feature of the level is nonzero, gets code 0 and value 0, so it
-    drops out of every product; a flagged row's value is NaN."""
+    floor(x 2^(level-1)), and the 1-D feature value there.  A row on an even
+    node, where x 2^(level-1) is an integer and no feature of the level is
+    nonzero, gets code 0 and value exactly 0, so it drops out of every
+    product; every other row is strictly inside its position's support, and
+    NaN where that position's step Wronskian is bad (a custom (p, q) at a
+    deep level, see ``_profile_1d``)."""
     half = x * 2.0 ** (level - 1)
     code = np.floor(half)
-    even = code == half
     # rows on even nodes are evaluated at i = 1, so that the (p, q) form
     # never sees a point outside [0, 1]; they lie at least h from its centre
     # h, off its support, so their value is 0
-    code[even] = 0.0
-    value, bad = _flagged_profile_1d(spec, level, 2.0 * code + 1.0, x)
-    if bad is not None:     # every other row is strictly inside its support
-        bad &= ~even
-        bad = bad if bad.any() else None
-    return code.astype(np.int64), value, even, bad
-
-
-def _clear_flagged(l, profiles, dropped, vals):
-    """Embed as 0 the flagged rows of level vector ``l`` (see
-    ``_dyadic_profile``) that are dropped or on an even node in some
-    dimension, since they lie off the feature's open support.
-    ``InvalidLevel`` if any other row is flagged."""
-    bad = [profiles[d, ld][3] for d, ld in enumerate(l)
-           if profiles[d, ld][3] is not None]
-    if not bad:
-        return
-    bad = np.logical_or.reduce(bad)
-    off = np.logical_or.reduce([profiles[d, ld][2] for d, ld in enumerate(l)])
-    if dropped is not None:
-        off |= dropped
-    if np.any(bad & ~off):
-        raise InvalidLevel(f"level vector {l} is too deep for the kernel's (p, q)")
-    vals[bad] = 0.0
+    code[code == half] = 0.0
+    return code.astype(np.int64), _profile_1d(spec, level, 2.0 * code + 1.0, x)
 
 
 def embed_batch(spec: KernelSpec, S: IndexSet, X,
                 scale: str = SCALE_SQRT) -> sp.csr_matrix:
-    """Embed N points into an N x M CSR matrix with sorted column indices."""
+    """Embed N points into an N x M CSR matrix with sorted column indices.
+
+    A row whose product of 1-D values is NaN (see ``_dyadic_profile``) embeds
+    as 0 if the design drops its position or another factor is exactly 0,
+    which puts it off the feature's open support, and raises
+    ``InvalidLevel`` naming the level vector otherwise."""
     if scale not in (SCALE_SQRT, SCALE_PLAIN):
         raise ValueError(f"unknown scale {scale!r}")
     if S.dim and S.dim != spec.dim:
@@ -88,16 +70,17 @@ def embed_batch(spec: KernelSpec, S: IndexSet, X,
     X = _prepare_point(spec, X, spec.dim, 2)
     N = X.shape[0]
     # one row per level vector: each point's column and value in that level
-    cols = np.empty((len(S.levels), N), dtype=np.int32)
+    cols = np.empty((len(S.levels), N),
+                    dtype=np.int32 if len(S) < 2 ** 31 else np.int64)
     vals = np.empty((len(S.levels), N))
     factor = (np.sqrt(expansion_coeff(spec, S.levels)) if scale == SCALE_SQRT
               else np.ones(len(S.levels)))
-    profiles, flagged = {}, False
+    profiles, any_nan = {}, False
     for k, l in enumerate(map(tuple, S.levels.tolist())):
         for d, ld in enumerate(l):
             if (d, ld) not in profiles:
                 profiles[d, ld] = _dyadic_profile(spec, ld, X[:, d])
-                flagged |= profiles[d, ld][3] is not None
+                any_nan |= bool(np.isnan(profiles[d, ld][1]).any())
         cols[k], dropped = S.columns(k, [profiles[d, ld][0]
                                          for d, ld in enumerate(l)])
         np.multiply(profiles[0, l[0]][1], factor[k], out=vals[k])
@@ -105,8 +88,13 @@ def embed_batch(spec: KernelSpec, S: IndexSet, X,
             vals[k] *= profiles[d, ld][1]
         if dropped is not None:
             vals[k][dropped] = 0.0
-        if flagged:
-            _clear_flagged(l, profiles, dropped, vals[k])
+        if any_nan:     # dropped rows are 0 already
+            rows = np.flatnonzero(np.isnan(vals[k]))
+            if not np.all(np.logical_or.reduce(
+                    [profiles[d, ld][1][rows] == 0.0 for d, ld in enumerate(l)])):
+                raise InvalidLevel(
+                    f"level vector {l} is too deep for the kernel's (p, q)")
+            vals[k][rows] = 0.0
     del profiles    # D*n columns of N rows; freed before the compression
     nonzero = vals.T != 0.0
     indptr = np.zeros(N + 1, dtype=np.int64)

@@ -18,9 +18,9 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .errors import DimError, InvalidIndex, InvalidLevel
-from .kernels import (KernelSpec, _prepare_point, _profile_1d, surplus_alpha_1d,
-                      surplus_beta_1d)
+from .errors import DimError, InvalidIndex
+from .kernels import (KernelSpec, _check_levels, _prepare_point, _profile_1d,
+                      surplus_alpha_1d, surplus_beta_1d)
 
 
 @dataclass(frozen=True)
@@ -35,9 +35,8 @@ class FeatureIndex:
         object.__setattr__(self, "i", tuple(int(v) for v in self.i))
         if len(self.l) != len(self.i):
             raise DimError("level and position vectors differ in length")
+        _check_levels(self.l)
         for ld, id_ in zip(self.l, self.i):
-            if ld < 1:
-                raise InvalidLevel(f"level {ld} must be >= 1")
             if id_ % 2 == 0 or not 1 <= id_ <= 2 ** ld - 1:
                 raise InvalidIndex(f"position {id_} at level {ld} is not an odd "
                                    f"number in 1..{2 ** ld - 1}")
@@ -57,17 +56,23 @@ def phi_1d(spec: KernelSpec, l: int, i: int, x) -> float:
     For the Brownian-bridge and weighted-Sobolev kernels this is the
     triangular hat centered at i 2^-l; for the Laplace kernel it is the
     sinh-ratio profile sinh(w(h - |x - z|)) / sinh(w h) on the support.
+    A level too deep for a custom kernel's (p, q) raises ``InvalidLevel``
+    wherever ``x`` lies.
     """
     FeatureIndex((l,), (i,))
-    val = _profile_1d(spec, l, i, _prepare_point(spec, x))
+    xp = _prepare_point(spec, x)
+    surplus_alpha_1d(spec, l, i)    # raises where (l, i) is too deep
+    val = _profile_1d(spec, l, i, xp)
     return float(val[0]) if np.ndim(x) == 0 else val
 
 
 def phi_nd(spec: KernelSpec, idx: FeatureIndex, x) -> float:
-    """Tensor-product feature value at a D-dimensional point."""
+    """Tensor-product feature value at a D-dimensional point; ``InvalidLevel``
+    as for ``phi_1d``."""
     x = _prepare_point(spec, x, idx.dim)
     val = 1.0
     for d in range(idx.dim):
+        surplus_alpha_1d(spec, idx.l[d], idx.i[d])
         val = val * _profile_1d(spec, idx.l[d], idx.i[d], x[..., d])
     return float(val) if np.ndim(val) == 0 else val
 

@@ -126,24 +126,23 @@ def _wronskian(spec: KernelSpec, a, b):
     return spec.p(b) * spec.q(a) - spec.p(a) * spec.q(b)
 
 
-def _flagged_step_wronskian(spec: KernelSpec, a, b):
-    """``_wronskian`` across one step, to divide by, and the mask where it is
-    bad: p and q lose their difference over a deep level's step, so it rounds
-    to 0 (or is not finite).  Bad entries are NaN, so dividing by them warns
-    of nothing."""
+def _step_wronskian(spec: KernelSpec, a, b):
+    """``_wronskian`` across one step, to divide by.  p and q lose their
+    difference over a deep level's step, so it rounds to 0 (or is not
+    finite); there it is NaN, so dividing by it warns of nothing and every
+    value built on it is NaN."""
     w = _wronskian(spec, a, b)
-    bad = ~np.isfinite(w) | (w == 0.0)
-    return np.where(bad, np.nan, w), bad
+    return np.where(np.isfinite(w) & (w != 0.0), w, np.nan)
 
 
-def _step_wronskian(spec: KernelSpec, a, b, level):
-    """``_flagged_step_wronskian`` at ``level``; where it is bad,
-    ``InvalidLevel`` names the level."""
-    w, bad = _flagged_step_wronskian(spec, a, b)
+def _check_depth(value, level):
+    """``value``; ``InvalidLevel`` naming the shallowest ``level`` (which
+    broadcasts against it) where it is NaN."""
+    bad = np.isnan(value)
     if np.any(bad):
-        raise InvalidLevel(f"level {np.broadcast_to(level, np.shape(bad))[bad].min()}"
+        raise InvalidLevel(f"level {np.broadcast_to(level, bad.shape)[bad].min()}"
                            " is too deep for the kernel's (p, q)")
-    return w
+    return value
 
 
 def _check_levels(l) -> np.ndarray:
@@ -164,43 +163,34 @@ def _profile_1d(spec: KernelSpec, l: int, i, x: np.ndarray) -> np.ndarray:
     whole column of points, each at its own position.  No validation: the
     caller passes valid odd positions.  Kinds without a closed form use the
     generic (p, q) form, whose two halves are the solutions of the kernel's
-    differential equation through the support endpoints; a position whose
-    step Wronskian is bad raises ``InvalidLevel``, wherever ``x`` lies.  The
-    closed forms are built in one buffer, a 0-d array for a single point.
+    differential equation through the support endpoints; a position with a
+    bad step Wronskian (see ``_step_wronskian``) is NaN on its whole support
+    and 0 off it.  The closed forms are built in one buffer, a 0-d array for
+    a single point.
     """
-    value, bad = _flagged_profile_1d(spec, l, i, x)
-    if bad is not None and np.any(bad):
-        raise InvalidLevel(f"level {l} is too deep for the kernel's (p, q)")
-    return value
-
-
-def _flagged_profile_1d(spec: KernelSpec, l: int, i, x: np.ndarray):
-    """``_profile_1d`` and, for the (p, q) form, the mask of the positions
-    whose step Wronskian is bad instead of its error (``None`` for a closed
-    form).  Such a position's value is NaN on its support and 0 off it."""
     h = 2.0 ** (-l)
     z = i * h
     if spec.kind == CUSTOM:
         zm, zp = z - h, z + h
-        w_left, bad_left = _flagged_step_wronskian(spec, zm, z)
-        w_right, bad_right = _flagged_step_wronskian(spec, z, zp)
-        left = _wronskian(spec, zm, x) / w_left
-        right = _wronskian(spec, x, zp) / w_right
-        return (np.where(np.abs(x - z) < h, np.where(x <= z, left, right), 0.0),
-                bad_left | bad_right)
+        w_left, w_right = _step_wronskian(spec, zm, z), _step_wronskian(spec, z, zp)
+        value = np.where(x <= z, _wronskian(spec, zm, x) / w_left,
+                         _wronskian(spec, x, zp) / w_right)
+        # either bad step spoils the whole support, not only its own half
+        value = np.where(np.isnan(w_left) | np.isnan(w_right), np.nan, value)
+        return np.where(np.abs(x - z) < h, value, 0.0)
     # r = min(|x - z|, h) is h off the support, where both closed forms are 0
     r = np.asarray(x - z)
     np.abs(r, out=r)
     np.minimum(r, h, out=r)
     if spec.kind in (BROWNIAN_BRIDGE, SOBOLEV):
         np.divide(r, h, out=r)
-        return np.subtract(1.0, r, out=r), None
+        return np.subtract(1.0, r, out=r)
     b = spec.omega * h
     if b == 0.0:    # omega h underflowed: sinh(a) / sinh(b) is 1 on the support
-        return (r < h).astype(float), None
+        return (r < h).astype(float)
     np.subtract(h, r, out=r)
     np.multiply(spec.omega, r, out=r)
-    return _sinh_ratio(r, b), None
+    return _sinh_ratio(r, b)
 
 
 def _sinh_ratio(a: np.ndarray, b: float) -> np.ndarray:
@@ -267,9 +257,9 @@ def surplus_alpha_1d(spec: KernelSpec, level, i):
     if spec.kind == SOBOLEV:
         return _float_or_array(2.0 / (spec.omega * h))
     zm, zc, zp = (i - 1) * h, i * h, (i + 1) * h
-    return _float_or_array(_wronskian(spec, zm, zp)
-                           / (_step_wronskian(spec, zm, zc, level)
-                              * _step_wronskian(spec, zc, zp, level)))
+    return _float_or_array(_check_depth(
+        _wronskian(spec, zm, zp)
+        / (_step_wronskian(spec, zm, zc) * _step_wronskian(spec, zc, zp)), level))
 
 
 def surplus_beta_1d(spec: KernelSpec, level, i):
@@ -283,4 +273,5 @@ def surplus_beta_1d(spec: KernelSpec, level, i):
         return _float_or_array(1.0 / h)
     if spec.kind == SOBOLEV:
         return _float_or_array(1.0 / (spec.omega * h))
-    return _float_or_array(1.0 / _step_wronskian(spec, i * h, (i + 1) * h, level))
+    return _float_or_array(
+        _check_depth(1.0 / _step_wronskian(spec, i * h, (i + 1) * h), level))

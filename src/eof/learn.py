@@ -74,6 +74,8 @@ def _targets(y, n, task=REGRESSION) -> np.ndarray:
 
 CG_RTOL = 1e-12        # relative residual at which conjugate gradients stop
 CG_MAX_ITER = 10       # iteration cap, as a multiple of M
+NEWTON_TOL = 1e-6      # gradient norm at which the logistic Newton loop stops
+NEWTON_MAX_ITER = 200  # its iteration cap
 
 
 def _solve(F, b, shift, d=None, n=1):
@@ -139,8 +141,8 @@ def ridge_fit(F, y, lam: float) -> Model:
     return _model(F, _solve(F, b, lam * F.shape[0]), lam, REGRESSION)
 
 
-def logistic_fit(F, y, lam: float, max_iter: int = 100,
-                 tol: float = 1e-8) -> Model:
+def logistic_fit(F, y, lam: float, max_iter: int = NEWTON_MAX_ITER,
+                 tol: float = NEWTON_TOL) -> Model:
     """L2-regularized logistic regression on labels in {-1, +1}.
 
     Minimizes (1/N) sum log(1 + exp(-y_i F_i w)) + lam ||w||^2 by damped
@@ -188,7 +190,7 @@ def fit(task: str, F, y, lam: float) -> Model:
     """The solver for ``task``: ridge for regression, logistic otherwise."""
     if task == REGRESSION:
         return ridge_fit(F, y, lam)
-    return logistic_fit(F, y, lam, max_iter=200, tol=1e-6)
+    return logistic_fit(F, y, lam)
 
 
 MODEL_FORMAT = "eof-model-v1"

@@ -171,6 +171,15 @@ class TestEmbedBatch:
         with pytest.raises(InvalidLevel, match=r"\(64,\)"):
             IndexSet((FeatureIndex((64,), (2 ** 63 + 1,)),))
 
+    def test_columns_past_int32(self):
+        # 2^32 - 1 columns: level 32 starts at column 2^31 - 1, so its
+        # columns wrapped to negative numbers in an int32 table
+        S = enumerate_sparse_grid(1, 32)
+        F = embed_batch(KernelSpec("laplace", dim=1), S, [[0.9999999]],
+                        scale=SCALE_PLAIN)
+        assert F.nnz == 32 and F.indices.min() >= 0
+        assert F.indices[-1] == 2 ** 31 - 1 + int(0.9999999 * 2 ** 31) == 4294967080
+
     def test_custom_pq_matches_closed_form(self):
         omega = 2.0
         custom = KernelSpec("custom", omega=omega, dim=2,

@@ -23,7 +23,7 @@ from eof.design import (IndexSet, enumerate_sparse_grid, entropic_select,
 from eof.embedding import embed, embed_batch, kernel_approx
 from eof.errors import (DimError, EofError, InvalidData, InvalidLevel, InvalidM,
                         InvalidPoint)
-from eof.features import FeatureIndex, phi_1d, phi_nd
+from eof.features import FeatureIndex, hierarchical_surplus, phi_1d, phi_nd
 from eof.kernels import KernelSpec, kernel_eval, surplus_beta_1d
 from eof.learn import (CLASSIFICATION, MODEL_FORMAT, Model, load_model,
                        logistic_fit, predict, ridge_fit)
@@ -155,6 +155,10 @@ MALFORMED = [
         LAP_PQ, IndexSet((FeatureIndex((62,), (1,)),)), [[1.5 * 2.0 ** -62]],
         scale="plain"), InvalidLevel),
     ("surplus_beta_1d", lambda t: surplus_beta_1d(LAP_PQ, 60, 1), InvalidLevel),
+    # the same level off the support, and through the surplus operator
+    ("phi_1d", lambda t: phi_1d(LAP_PQ, 60, 1, 0.9), InvalidLevel),
+    ("hierarchical_surplus", lambda t: hierarchical_surplus(
+        LAP_PQ, lambda x: x, FeatureIndex((60,), (1,))), InvalidLevel),
 ]
 
 
