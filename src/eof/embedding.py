@@ -7,11 +7,13 @@ dimension, (i - 1) / 2 of the odd position i is floor(x 2^(l-1)), and the
 point lies on an even node, in no feature's interior, when x 2^(l-1) is an
 integer.  ``embed_batch`` finds that position and the 1-D feature value
 there once per (dimension, level) pair, for all rows at once, and fills an
-(L, N) table of columns and values one level vector at a time, in the
-design's canonical order.  The design alone knows its column layout:
+(N, L) table of columns and values, a block of level vectors at a time, in
+the design's canonical order.  The design alone knows its column layout:
 ``IndexSet.columns`` turns the positions (i_d - 1) / 2 into columns and, for
 a level vector that truncation left partial, flags the rows whose position
-the design does not keep.  One nonzero mask compresses the tables into CSR.
+the design does not keep.  Each row's columns are then sorted, so the two
+tables are the CSR's indices and data as they stand; dropping the zeros in
+place finishes the matrix, with no mask or compressed copy beside it.
 A point thus costs O(#levels) array steps.  The scale factor of every level
 vector comes from one ``expansion_coeff`` call over the design's (L, D)
 level array.  ``embed`` is the one-row case and returns a 1 x M CSR row.
@@ -31,6 +33,8 @@ from .kernels import (KernelSpec, _finite_point, _prepare_point, _profile_1d,
 # boundary-conditioned kernel (see expansion_coeff), which is k only for bb
 SCALE_SQRT = "sqrt"
 SCALE_PLAIN = "plain"  # value = phi alone; learned weights absorb the constants
+
+_LEVEL_BLOCK = 16   # level vectors per transposed store: one cache line of int32
 
 
 def embed(spec: KernelSpec, S: IndexSet, x, scale: str = SCALE_SQRT) -> sp.csr_matrix:
@@ -57,7 +61,11 @@ def _dyadic_profile(spec: KernelSpec, level: int, x: np.ndarray):
 
 def embed_batch(spec: KernelSpec, S: IndexSet, X,
                 scale: str = SCALE_SQRT) -> sp.csr_matrix:
-    """Embed N points into an N x M CSR matrix with sorted column indices.
+    """Embed N points into an N x M CSR matrix with sorted column indices
+    and no stored zeros.  Row i of an (N, L) table holds its column and
+    value in each level vector; the tables become the CSR's indices and
+    data, with row pointers 0, L, 2L, ..., and the zeros are then dropped
+    in place.
 
     A row whose product of 1-D values is NaN (see ``_dyadic_profile``) embeds
     as 0 if the design drops its position or another factor is exactly 0,
@@ -68,40 +76,47 @@ def embed_batch(spec: KernelSpec, S: IndexSet, X,
     if S.dim and S.dim != spec.dim:
         raise DimError(f"design dimension {S.dim} != kernel dimension {spec.dim}")
     X = _prepare_point(spec, X, spec.dim, 2)
-    N = X.shape[0]
-    # one row per level vector: each point's column and value in that level
-    cols = np.empty((len(S.levels), N),
-                    dtype=np.int32 if len(S) < 2 ** 31 else np.int64)
-    vals = np.empty((len(S.levels), N))
+    N, L = X.shape[0], len(S.levels)
+    # level vectors come in design order, so each row's columns are sorted
+    cols = np.empty((N, L), dtype=np.int32 if len(S) < 2 ** 31 else np.int64)
+    vals = np.empty((N, L))
+    # level vectors are built _LEVEL_BLOCK at a time, level-major, and each
+    # block is then stored transposed: a strided (N, L) column per level
+    # vector is slower to fill
+    block_cols = np.empty((min(_LEVEL_BLOCK, L), N), dtype=cols.dtype)
+    block_vals = np.empty((min(_LEVEL_BLOCK, L), N))
     factor = (np.sqrt(expansion_coeff(spec, S.levels)) if scale == SCALE_SQRT
-              else np.ones(len(S.levels)))
+              else np.ones(L))
     profiles, any_nan = {}, False
     for k, l in enumerate(map(tuple, S.levels.tolist())):
+        j = k % _LEVEL_BLOCK
         for d, ld in enumerate(l):
             if (d, ld) not in profiles:
                 profiles[d, ld] = _dyadic_profile(spec, ld, X[:, d])
                 any_nan |= bool(np.isnan(profiles[d, ld][1]).any())
-        cols[k], dropped = S.columns(k, [profiles[d, ld][0]
-                                         for d, ld in enumerate(l)])
-        np.multiply(profiles[0, l[0]][1], factor[k], out=vals[k])
+        block_cols[j], dropped = S.columns(k, [profiles[d, ld][0]
+                                               for d, ld in enumerate(l)])
+        v = block_vals[j]
+        np.multiply(profiles[0, l[0]][1], factor[k], out=v)
         for d, ld in enumerate(l[1:], start=1):
-            vals[k] *= profiles[d, ld][1]
+            v *= profiles[d, ld][1]
         if dropped is not None:
-            vals[k][dropped] = 0.0
+            v[dropped] = 0.0
         if any_nan:     # dropped rows are 0 already
-            rows = np.flatnonzero(np.isnan(vals[k]))
+            rows = np.flatnonzero(np.isnan(v))
             if not np.all(np.logical_or.reduce(
                     [profiles[d, ld][1][rows] == 0.0 for d, ld in enumerate(l)])):
                 raise InvalidLevel(
                     f"level vector {l} is too deep for the kernel's (p, q)")
-            vals[k][rows] = 0.0
-    del profiles    # D*n columns of N rows; freed before the compression
-    nonzero = vals.T != 0.0
-    indptr = np.zeros(N + 1, dtype=np.int64)
-    np.cumsum(nonzero.sum(axis=1), out=indptr[1:])
-    out = sp.csr_matrix((vals.T[nonzero], cols.T[nonzero], indptr),
-                        shape=(N, len(S)))
-    out.sort_indices()
+            v[rows] = 0.0
+        if j == _LEVEL_BLOCK - 1 or k == L - 1:
+            cols[:, k - j:k + 1] = block_cols[:j + 1].T
+            vals[:, k - j:k + 1] = block_vals[:j + 1].T
+    # freed first: eliminate_zeros copies the tables if it drops most entries
+    del profiles, block_cols, block_vals
+    out = sp.csr_matrix((vals.reshape(-1), cols.reshape(-1),
+                         np.arange(N + 1) * L), shape=(N, len(S)))
+    out.eliminate_zeros()   # drops -0.0 too
     return out
 
 

@@ -4,11 +4,13 @@ Ridge and every damped Newton step of logistic regression solve one system,
 (F^T diag(d) F / n + shift I) x = b (``_solve``).  For a sparse feature
 matrix it runs Jacobi-preconditioned conjugate gradients on the operator
 v -> F^T (d * (F v)) / n + shift v, so each iteration costs O(nnz(F)) and no
-M x M array is formed.  Dense features (the random-feature baselines) form the
-Gram and solve it directly in O(M^3).  Ridge uses the normal equations
-(d = 1); logistic uses the logistic weights d = s (1 - s).  The regularizer
-enters as lambda * N inside the normal equations so that lambda is
-comparable across sample sizes; the default follows lambda = N^{-1/2}.
+M x M array is formed; the Jacobi diagonal is summed a row block at a time,
+so the solve adds one row block of temporaries beyond F.  Dense features (the
+random-feature baselines) form the Gram and solve it directly in O(M^3).
+Ridge uses the normal equations (d = 1); logistic uses the logistic weights
+d = s (1 - s).  The regularizer enters as lambda * N inside the normal
+equations so that lambda is comparable across sample sizes; the default
+follows lambda = N^{-1/2}.
 """
 
 from __future__ import annotations
@@ -76,6 +78,26 @@ CG_RTOL = 1e-12        # relative residual at which conjugate gradients stop
 CG_MAX_ITER = 10       # iteration cap, as a multiple of M
 NEWTON_TOL = 1e-6      # gradient norm at which the logistic Newton loop stops
 NEWTON_MAX_ITER = 200  # its iteration cap
+JACOBI_BLOCK_NNZ = 2 ** 16  # nonzeros per row block of the Jacobi diagonal
+
+
+def _jacobi_diag(F, dn=None):
+    """Column sums of dn_i F_ij^2 over a CSR F (dn = None: all ones).
+
+    Rows are taken a block of about ``JACOBI_BLOCK_NNZ`` nonzeros at a time, so
+    the temporaries are one block, not F-sized.  ``np.add.at`` adds in storage
+    order, as one ``np.bincount`` over all of F's nonzeros would, so the sums
+    are the same to the last bit."""
+    N, M = F.shape
+    diag = np.zeros(M)
+    rows = max(1, JACOBI_BLOCK_NNZ * N // max(F.nnz, 1))
+    for start in range(0, N, rows):
+        ptr = F.indptr[start:start + rows + 1]
+        sq = F.data[ptr[0]:ptr[-1]] ** 2
+        if dn is not None:
+            sq *= np.repeat(dn[start:start + rows], np.diff(ptr))
+        np.add.at(diag, F.indices[ptr[0]:ptr[-1]], sq)
+    return diag
 
 
 def _solve(F, b, shift, d=None, n=1):
@@ -97,10 +119,7 @@ def _solve(F, b, shift, d=None, n=1):
     Ft = F.T                                   # a CSC view, not a copy
     # row weights d / n; ridge (d = None, n = 1) has none to apply
     dn = None if d is None and n == 1 else (np.ones(N) if d is None else d) / n
-    sq = F.data ** 2
-    if dn is not None:
-        sq *= np.repeat(dn, np.diff(F.indptr))
-    inv_diag = 1.0 / (np.bincount(F.indices, sq, minlength=M) + shift)
+    inv_diag = 1.0 / (_jacobi_diag(F, dn) + shift)
     x = np.zeros(M)
     r = np.array(b, dtype=float)
     b_norm = float(np.linalg.norm(r))

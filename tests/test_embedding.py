@@ -399,8 +399,8 @@ def test_index_set_imposes_canonical_order(case, D, n):
 
 
 def test_embed_batch_memory_d8_level4():
-    # the level-by-row tables and the CSR output, well under the 108 MB
-    # that the COO assembly peaked at on this input
+    # the (N, L) tables that become the CSR output in place, well under the
+    # 108 MB that the COO assembly peaked at on this input
     spec = KernelSpec("laplace", omega=2.0, dim=8)
     S = enumerate_sparse_grid(8, 4)
     X = np.random.default_rng(0).uniform(0.0, 1.0, (10_000, 8))
@@ -412,6 +412,58 @@ def test_embed_batch_memory_d8_level4():
         tracemalloc.stop()
     assert F.shape == (10_000, 1121)
     assert peak < 54e6
+
+
+def test_embed_batch_memory_tied_to_output():
+    # the output, the 1-D profiles and one block of level vectors: no
+    # nonzero mask or compressed copies of the tables beside it
+    spec = KernelSpec("laplace", omega=2.0, dim=8)
+    S = enumerate_sparse_grid(8, 4)
+    X = np.random.default_rng(0).uniform(0.0, 1.0, (10_000, 8))
+    tracemalloc.start()
+    try:
+        F = embed_batch(spec, S, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out_bytes = F.data.nbytes + F.indices.nbytes + F.indptr.nbytes
+    assert peak <= 1.6 * out_bytes, peak / out_bytes
+
+
+_PQ = dict(omega=2.0, p=lambda x: np.exp(2.0 * x), q=lambda x: np.exp(-2.0 * x))
+CSR_CASES = {
+    # rows at 0, 1 and dyadic nodes, where some level vectors are 0
+    "nodes-d3-n4": (KernelSpec("sobolev", omega=1.5, dim=3),
+                    lambda: enumerate_sparse_grid(3, 4), _test_rows(3, 4, 30, 1)),
+    # dropped rows of partial level vectors
+    "truncated-d2-n6": (KernelSpec("bb", dim=2),
+                        lambda: truncate_random(enumerate_sparse_grid(2, 6), 50, 3),
+                        _test_rows(2, 6, 30, 2)),
+    "empty-design": (BB1, lambda: IndexSet(()), _test_rows(1, 3, 5, 3)),
+    "zero-rows": (KernelSpec("laplace", omega=1.0, dim=2),
+                  lambda: enumerate_sparse_grid(2, 4), np.zeros((0, 2))),
+    # NaN 1-D values off the deep feature's support embed as 0
+    "deep-custom": (KernelSpec("custom", **_PQ),
+                    lambda: IndexSet((FeatureIndex((54,), (1,)),
+                                      FeatureIndex((54,), (3,)))),
+                    np.vstack([np.random.default_rng(0).uniform(0.0, 0.5, (50, 1)),
+                               [[2.0 ** -55], [0.0], [1.0]]])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CSR_CASES))
+def test_embed_batch_is_canonical_csr(case):
+    # no stored zeros, sorted columns, int32 indices: the CSR that scipy
+    # builds from the dense matrix, to the byte
+    spec, design, X = CSR_CASES[case]
+    for scale in SCALES:
+        got = embed_batch(spec, design(), X, scale=scale)
+        want = sp.csr_matrix(got.toarray())
+        assert got.indices.dtype == np.int32
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype, name
+            assert a.tobytes() == b.tobytes(), name
 
 
 @pytest.mark.parametrize("embed_fn", [

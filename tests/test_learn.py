@@ -187,6 +187,41 @@ class TestSparseSolve:
         w = ridge_fit(F, np.zeros_like(y), 0.1).weights
         np.testing.assert_array_equal(w, 0.0)
 
+    @pytest.mark.parametrize("block", [1, 7, 64, learn.JACOBI_BLOCK_NNZ])
+    @pytest.mark.parametrize("weighted", [False, True], ids=["dn=None", "dn"])
+    def test_jacobi_diag_equals_one_bincount(self, monkeypatch, block, weighted):
+        # empty rows, and 203 rows: not a multiple of any block of rows
+        rng = np.random.default_rng(block)
+        A = rng.uniform(-1.0, 1.0, (203, 40)) * (rng.uniform(size=(203, 40)) < 0.15)
+        A[::9] = 0.0
+        F = sp.csr_matrix(A)
+        assert (np.diff(F.indptr) == 0).any()
+        dn = rng.uniform(0.0, 0.3, 203) if weighted else None
+        monkeypatch.setattr(learn, "JACOBI_BLOCK_NNZ", block)
+        weights = F.data ** 2
+        if weighted:
+            weights *= np.repeat(dn, np.diff(F.indptr))
+        np.testing.assert_array_equal(
+            learn._jacobi_diag(F, dn),
+            np.bincount(F.indices, weights, minlength=F.shape[1]))
+
+    def test_solve_allocates_no_F_sized_temporary(self):
+        X = np.random.default_rng(0).uniform(0.0, 1.0, (10_000, 8))
+        F = embed_batch(KernelSpec("laplace", omega=2.0, dim=8),
+                        enumerate_sparse_grid(8, 4), X)
+        F_bytes = F.data.nbytes + F.indices.nbytes + F.indptr.nbytes
+        y = np.sin(np.pi * X).mean(axis=1) - 0.6
+        lam = default_lambda(10_000)
+        for fit, target in ((ridge_fit, y),
+                            (logistic_fit, np.where(y > 0.0, 1.0, -1.0))):
+            tracemalloc.start()
+            try:
+                fit(F, target, lam)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 0.25 * F_bytes, (fit.__name__, peak / F_bytes)
+
 
 class TestFeatureTypes:
     @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
