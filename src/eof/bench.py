@@ -238,8 +238,9 @@ def estimate_sigma(X_train) -> float:
 
     k = min(NEIGHBOR, len(X_train) - 1)
     tree = cKDTree(X_train)
-    dists, _ = tree.query(X_train, k=k + 1)
-    mean_dist = float(np.mean(dists[:, k]))
+    # k=[k + 1]: only that neighbour's distance, an (N, 1) array
+    dists, _ = tree.query(X_train, k=[k + 1])
+    mean_dist = float(np.mean(dists[:, 0]))
     if mean_dist == 0.0:
         raise DegenerateData("zero mean neighbor distance (duplicate-only data)")
     return 1.0 / mean_dist

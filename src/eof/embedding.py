@@ -112,8 +112,9 @@ def embed_batch(spec: KernelSpec, S: IndexSet, X,
         if j == _LEVEL_BLOCK - 1 or k == L - 1:
             cols[:, k - j:k + 1] = block_cols[:j + 1].T
             vals[:, k - j:k + 1] = block_vals[:j + 1].T
-    # freed first: eliminate_zeros copies the tables if it drops most entries
-    del profiles, block_cols, block_vals
+    # freed first: eliminate_zeros copies the tables if it drops most entries;
+    # v is a view that would keep block_vals alive (v is unbound when L = 0)
+    profiles = block_cols = block_vals = v = None
     out = sp.csr_matrix((vals.reshape(-1), cols.reshape(-1),
                          np.arange(N + 1) * L), shape=(N, len(S)))
     out.eliminate_zeros()   # drops -0.0 too

@@ -24,7 +24,10 @@ class DimError(EofError):
 
 
 def check_dim(D):
-    """``DimError`` unless the dimension D >= 1."""
+    """``DimError`` unless the dimension D is an integer (numpy's too, but not
+    a bool) with D >= 1."""
+    if isinstance(D, bool) or not isinstance(D, numbers.Integral):
+        raise DimError(f"D={D!r} is not an integer")
     if not D >= 1:
         raise DimError(f"D={D} must be >= 1")
 

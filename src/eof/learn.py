@@ -8,9 +8,12 @@ M x M array is formed; the Jacobi diagonal is summed a row block at a time,
 so the solve adds one row block of temporaries beyond F.  Dense features (the
 random-feature baselines) form the Gram and solve it directly in O(M^3).
 Ridge uses the normal equations (d = 1); logistic uses the logistic weights
-d = s (1 - s).  The regularizer enters as lambda * N inside the normal
-equations so that lambda is comparable across sample sizes; the default
-follows lambda = N^{-1/2}.
+d = s (1 - s).  s = sigma(-m) at the margins m = y F w is numpy's
+1 / (1 + e^m), the formula of scipy's ``expit``, so fitting imports no
+scipy.special; scipy.spatial, in ``bench.estimate_sigma``, is the only scipy
+subpackage that eof imports lazily.  The regularizer enters as lambda * N
+inside the normal equations so that lambda is comparable across sample
+sizes; the default follows lambda = N^{-1/2}.
 """
 
 from __future__ import annotations
@@ -168,9 +171,6 @@ def logistic_fit(F, y, lam: float, max_iter: int = NEWTON_MAX_ITER,
     Newton; raises ``ConvergenceError`` (with the last gradient norm) if the
     gradient norm is still above ``tol`` after ``max_iter`` iterations.
     """
-    # imported here so that importing eof does not load scipy.special
-    from scipy.special import expit
-
     _lambda(lam)
     F = _features(F)
     y = _targets(y, F.shape[0], CLASSIFICATION)
@@ -179,7 +179,9 @@ def logistic_fit(F, y, lam: float, max_iter: int = NEWTON_MAX_ITER,
     m = np.zeros(N)                            # the margins y * (F w)
     obj = float(np.mean(np.logaddexp(0.0, -m)))
     for it in range(max_iter + 1):
-        s = expit(-m)                          # sigma(-y F w)
+        # sigma(-y F w); e^m overflows to inf past m = 709.78, where s is 0
+        with np.errstate(over="ignore"):
+            s = 1.0 / (1.0 + np.exp(m))
         grad = -np.asarray(F.T @ (y * s)).ravel() / N + 2.0 * lam * w
         gnorm = float(np.linalg.norm(grad))
         if gnorm < tol:

@@ -1,5 +1,6 @@
 import os
 import time
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -208,6 +209,19 @@ class TestEstimateSigma:
         s1 = bench.estimate_sigma(X)
         s2 = bench.estimate_sigma(4.0 * X)
         assert s2 == pytest.approx(s1 / 4.0, rel=1e-12)
+
+    def test_memory_is_one_distance_per_point(self):
+        # all 51 neighbours of 20 000 points would be 16 MB of distances
+        # and indices; the one neighbour read is 0.3 MB
+        X = np.random.default_rng(9).uniform(0.0, 1.0, (20_000, 2))
+        bench.estimate_sigma(X[:3])    # imports scipy.spatial before the trace
+        tracemalloc.start()
+        try:
+            bench.estimate_sigma(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
 
 
 class TestRunBenchmark:

@@ -256,3 +256,21 @@ def test_import_loads_no_kdtree_or_special_functions():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_train_clf_loads_no_special_functions(tmp_path):
+    # the logistic sigma is numpy's; a fresh interpreter runs the command
+    rng = np.random.default_rng(5)
+    X = rng.uniform(0.0, 1.0, (120, 2))
+    data = tmp_path / "clf.csv"
+    write_labeled_csv(data, X, np.where(X[:, 0] > 0.5, 1.0, 0.0))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(eof.__file__)))
+    code = ("import sys; from eof.cli import main; "
+            f"main(['train', '--task', 'clf', '--level', '2', '--data', {str(data)!r}, "
+            f"'--model-out', {str(tmp_path / 'm.txt')!r}]); "
+            "print('scipy.special' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert "error rate" in out
+    assert out.splitlines()[-1] == "False"

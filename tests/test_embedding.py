@@ -430,6 +430,27 @@ def test_embed_batch_memory_tied_to_output():
     assert peak <= 1.6 * out_bytes, peak / out_bytes
 
 
+def test_embed_batch_frees_scratch_before_dropping_zeros():
+    # rows at 1/2 lie on every even node past level 1, so most entries are 0
+    # and eliminate_zeros copies the kept ones; the block scratch (16
+    # floats, 128 bytes a row) is freed before then
+    spec = KernelSpec("laplace", omega=2.0, dim=8)
+    S = enumerate_sparse_grid(8, 4)
+    N = 10_000
+    X = np.full((N, 8), 0.5)
+    X[:4_500] = np.random.default_rng(0).uniform(0.0, 1.0, (4_500, 8))
+    tracemalloc.start()
+    try:
+        F = embed_batch(spec, S, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tables = N * len(S.levels) * (4 + 8)
+    assert F.nnz * (4 + 8) < tables / 2
+    copies = F.data.nbytes + F.indices.nbytes + F.indptr.nbytes
+    assert peak - tables - copies < 100 * N, (peak - tables - copies) / N
+
+
 _PQ = dict(omega=2.0, p=lambda x: np.exp(2.0 * x), q=lambda x: np.exp(-2.0 * x))
 CSR_CASES = {
     # rows at 0, 1 and dyadic nodes, where some level vectors are 0

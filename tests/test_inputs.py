@@ -4,10 +4,10 @@ Each kind of input has one checking function: points
 (``kernels._finite_point``), targets (``learn._targets``), features
 (``learn._features``), lambda (``learn._lambda``), omega (``kernels._omega``),
 the dimension D (``errors.check_dim``) and the feature count M
-(``errors.check_M``).  A wrong shape or D < 1 raises ``DimError``, a
-non-finite point ``InvalidPoint``, a bad target, feature, lambda, omega or
-model file ``InvalidData``, a bad M ``InvalidM``, and a level too deep for a
-custom kernel's (p, q) ``InvalidLevel``.
+(``errors.check_M``).  A wrong shape, or a D that is not an integer >= 1,
+raises ``DimError``, a non-finite point ``InvalidPoint``, a bad target,
+feature, lambda, omega or model file ``InvalidData``, a bad M ``InvalidM``,
+and a level too deep for a custom kernel's (p, q) ``InvalidLevel``.
 """
 
 import numpy as np
@@ -159,6 +159,14 @@ MALFORMED = [
     ("phi_1d", lambda t: phi_1d(LAP_PQ, 60, 1, 0.9), InvalidLevel),
     ("hierarchical_surplus", lambda t: hierarchical_surplus(
         LAP_PQ, lambda x: x, FeatureIndex((60,), (1,))), InvalidLevel),
+    # a dimension D that is not an integer, or is a bool
+    ("KernelSpec", lambda t: KernelSpec("laplace", dim=2.5), DimError),
+    ("KernelSpec", lambda t: KernelSpec("laplace", dim=True), DimError),
+    ("enumerate_sparse_grid", lambda t: enumerate_sparse_grid(2.5, 3), DimError),
+    ("enumerate_sparse_grid", lambda t: enumerate_sparse_grid(True, 2), DimError),
+    ("sparse_grid_size", lambda t: sparse_grid_size(2.0, 3), DimError),
+    ("level_for_feature_count", lambda t: level_for_feature_count(2.5, 5), DimError),
+    ("rks_map", lambda t: rks_map(2.5, 4, 1.0, 0), DimError),
 ]
 
 

@@ -121,6 +121,18 @@ class TestLogisticFit:
         grad = -F.T @ (y * expit(-m)) / 100 + 2 * lam * model.weights
         assert np.linalg.norm(grad) < 1e-6
 
+    def test_margins_past_exp_overflow_converge_quietly(self):
+        # once the one large point's margin grows, the Hessian is the small
+        # points' and a Newton step takes its margin to about 6e6, where
+        # e^m is inf and sigma is 0; a RuntimeWarning fails the test
+        x = np.r_[np.full(25, 1e-3), 1e3, -np.full(25, 1e-3), -1e3]
+        F, y, lam = x[:, None], np.sign(x), 1e-10
+        model = logistic_fit(F, y, lam)
+        m = y * (F @ model.weights)
+        assert m.max() > 710.0
+        grad = -F.T @ (y * expit(-m)) / len(y) + 2 * lam * model.weights
+        assert np.linalg.norm(grad) < 1e-6
+
     def test_huge_lambda_shrinks_to_zero(self):
         rng = np.random.default_rng(4)
         F = rng.standard_normal((50, 4))
