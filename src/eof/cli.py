@@ -33,15 +33,16 @@ _omega = _rule(kernels._omega, "a positive finite number")
 _split = _rule(bench._split_ratio, "a number between 0 and 1")
 
 
-def _count(text):
-    """``--level``, ``--num-features``, ``--runs``: an integer >= 1."""
+def _count(text, least=1):
+    """An integer >= ``least``: 1 for ``--level``, ``--num-features`` and
+    ``--runs``, 0 for ``--seed``."""
     try:
         value = int(text)
     except ValueError:
-        value = 0
-    if value < 1:
+        value = least - 1
+    if value < least:
         raise argparse.ArgumentTypeError(
-            f"expected an integer >= 1, got {text!r}")
+            f"expected an integer >= {least}, got {text!r}")
     return value
 
 
@@ -66,7 +67,7 @@ def _add_design_flags(p):
     group.add_argument("--num-features", type=_count,
                        help="M features via random truncation of the smallest "
                             "full design that holds them")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=partial(_count, least=0), default=0)
 
 
 def _design(spec, args):
@@ -161,7 +162,7 @@ def build_parser():
     p_bench.add_argument("--m", type=_counts, required=True,
                          help="comma-separated feature counts")
     p_bench.add_argument("--runs", type=_count, default=50)
-    p_bench.add_argument("--seed", type=int, default=7)
+    p_bench.add_argument("--seed", type=partial(_count, least=0), default=7)
     p_bench.add_argument("--split", type=_split, default=0.7)
     p_bench.add_argument("--out", default="results")
     p_bench.set_defaults(func=cmd_bench)

@@ -112,6 +112,7 @@ class IndexSet:
 def sparse_grid_size(D: int, n: int) -> int:
     """Cardinality of the full level-n design without enumerating it."""
     check_dim(D)
+    _check_levels(n)
     return sum(comb(j - 1, D - 1) * 2 ** (j - D) for j in range(D, n + D))
 
 

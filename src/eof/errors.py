@@ -12,21 +12,25 @@ class InvalidPoint(EofError):
 
 
 class InvalidLevel(EofError):
-    """A level index is zero or negative, or too deep for the kernel's (p, q)."""
+    """A level index is not an integer >= 1, or too deep for the kernel's (p, q)."""
 
 
 class InvalidIndex(EofError):
-    """A feature position index is even or out of range for its level."""
+    """A feature position is not an integer, or even, or out of range for its level."""
 
 
 class DimError(EofError):
     """Dimension mismatch between a point/matrix and the expected D or M."""
 
 
+def is_integer(v) -> bool:
+    """Whether ``v`` is an integer: numpy's too, but not a bool."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 def check_dim(D):
-    """``DimError`` unless the dimension D is an integer (numpy's too, but not
-    a bool) with D >= 1."""
-    if isinstance(D, bool) or not isinstance(D, numbers.Integral):
+    """``DimError`` unless the dimension D is an integer (``is_integer``) >= 1."""
+    if not is_integer(D):
         raise DimError(f"D={D!r} is not an integer")
     if not D >= 1:
         raise DimError(f"D={D} must be >= 1")
@@ -37,9 +41,8 @@ class InvalidM(EofError):
 
 
 def check_M(M, limit=float("inf")):
-    """``InvalidM`` unless M is an integer (numpy's too, but not a bool) with
-    1 <= M <= ``limit``."""
-    if isinstance(M, bool) or not isinstance(M, numbers.Integral):
+    """``InvalidM`` unless M is an integer (``is_integer``) in 1..``limit``."""
+    if not is_integer(M):
         raise InvalidM(f"M={M!r} is not an integer")
     if not 1 <= M <= limit:
         raise InvalidM(f"M={M} outside 1..{limit}")

@@ -18,7 +18,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .errors import DimError, InvalidIndex
+from .errors import DimError, InvalidIndex, is_integer
 from .kernels import (KernelSpec, _check_levels, _prepare_point, _profile_1d,
                       surplus_alpha_1d, surplus_beta_1d)
 
@@ -31,15 +31,18 @@ class FeatureIndex:
     i: Tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "l", tuple(int(v) for v in self.l))
-        object.__setattr__(self, "i", tuple(int(v) for v in self.i))
-        if len(self.l) != len(self.i):
+        l, i = tuple(self.l), tuple(self.i)
+        if not l:
+            raise DimError("a feature index needs at least one component")
+        if len(l) != len(i):
             raise DimError("level and position vectors differ in length")
-        _check_levels(self.l)
-        for ld, id_ in zip(self.l, self.i):
-            if id_ % 2 == 0 or not 1 <= id_ <= 2 ** ld - 1:
+        l = tuple(_check_levels(l).tolist())
+        for ld, id_ in zip(l, i):
+            if not (is_integer(id_) and id_ % 2 and 1 <= int(id_) < 2 ** ld):
                 raise InvalidIndex(f"position {id_} at level {ld} is not an odd "
                                    f"number in 1..{2 ** ld - 1}")
+        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "i", tuple(map(int, i)))
 
     @property
     def dim(self) -> int:
@@ -51,24 +54,19 @@ class FeatureIndex:
 
 
 def phi_1d(spec: KernelSpec, l: int, i: int, x) -> float:
-    """Evaluate the 1-D feature at ``x`` (scalar or array).
+    """``phi_nd`` at the index ((l,), (i,)), each value of ``x`` a 1-D point.
 
     For the Brownian-bridge and weighted-Sobolev kernels this is the
     triangular hat centered at i 2^-l; for the Laplace kernel it is the
     sinh-ratio profile sinh(w(h - |x - z|)) / sinh(w h) on the support.
-    A level too deep for a custom kernel's (p, q) raises ``InvalidLevel``
-    wherever ``x`` lies.
     """
-    FeatureIndex((l,), (i,))
-    xp = _prepare_point(spec, x)
-    surplus_alpha_1d(spec, l, i)    # raises where (l, i) is too deep
-    val = _profile_1d(spec, l, i, xp)
-    return float(val[0]) if np.ndim(x) == 0 else val
+    return phi_nd(spec, FeatureIndex((l,), (i,)),
+                  np.asarray(x, dtype=float)[..., None])
 
 
 def phi_nd(spec: KernelSpec, idx: FeatureIndex, x) -> float:
-    """Tensor-product feature value at a D-dimensional point; ``InvalidLevel``
-    as for ``phi_1d``."""
+    """Tensor-product feature value at D-dimensional points (the last axis); a
+    level too deep for a custom (p, q) raises ``InvalidLevel`` wherever x lies."""
     x = _prepare_point(spec, x, idx.dim)
     val = 1.0
     for d in range(idx.dim):

@@ -25,7 +25,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DimError, InvalidData, InvalidLevel, InvalidPoint, check_dim
+from .errors import (DimError, InvalidData, InvalidLevel, InvalidPoint, check_dim,
+                     is_integer)
 
 LAPLACE = "laplace"
 SOBOLEV = "sobolev"
@@ -146,6 +147,11 @@ def _check_depth(value, level):
 
 
 def _check_levels(l) -> np.ndarray:
+    """The level rule: ``l`` as ints; ``InvalidLevel`` unless each is an integer >= 1."""
+    # an int array passes whole; a sequence may hide a bool in numpy's ints
+    if not (isinstance(l, np.ndarray) and l.dtype.kind in "iu") and not all(
+            map(is_integer, np.asarray(l, dtype=object).flat)):
+        raise InvalidLevel(f"levels must be integers, got {l!r}")
     l = np.asarray(l, dtype=int)
     if np.any(l < 1):
         raise InvalidLevel("all levels must be >= 1")

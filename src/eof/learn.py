@@ -1,14 +1,14 @@
 """Regularized linear models over sparse or dense feature matrices.
 
 Ridge and every damped Newton step of logistic regression solve one system,
-(F^T diag(d) F / n + shift I) x = b (``_solve``).  For a sparse feature
+(F^T diag(dn) F + shift I) x = b (``_solve``).  For a sparse feature
 matrix it runs Jacobi-preconditioned conjugate gradients on the operator
-v -> F^T (d * (F v)) / n + shift v, so each iteration costs O(nnz(F)) and no
+v -> F^T (dn * (F v)) + shift v, so each iteration costs O(nnz(F)) and no
 M x M array is formed; the Jacobi diagonal is summed a row block at a time,
 so the solve adds one row block of temporaries beyond F.  Dense features (the
 random-feature baselines) form the Gram and solve it directly in O(M^3).
-Ridge uses the normal equations (d = 1); logistic uses the logistic weights
-d = s (1 - s).  s = sigma(-m) at the margins m = y F w is numpy's
+Ridge uses the normal equations (dn = 1); logistic uses the logistic weights
+dn = s (1 - s) / N.  s = sigma(-m) at the margins m = y F w is numpy's
 1 / (1 + e^m), the formula of scipy's ``expit``, so fitting imports no
 scipy.special; scipy.spatial, in ``bench.estimate_sigma``, is the only scipy
 subpackage that eof imports lazily.  The regularizer enters as lambda * N
@@ -103,8 +103,8 @@ def _jacobi_diag(F, dn=None):
     return diag
 
 
-def _solve(F, b, shift, d=None, n=1):
-    """Solve (F^T diag(d) F / n + shift I) x = b; d defaults to all ones.
+def _solve(F, b, shift, dn=None):
+    """Solve (F^T diag(dn) F + shift I) x = b; dn defaults to all ones.
 
     F is a float64 array or CSR matrix, as ``_features`` returns it.
     Dense F: the Gram plus ``np.linalg.solve``.  Sparse F: Jacobi-preconditioned
@@ -112,16 +112,12 @@ def _solve(F, b, shift, d=None, n=1):
     ``ConvergenceError`` with the relative residual if it is still above
     ``CG_RTOL`` after ``CG_MAX_ITER * M`` iterations.
     """
-    N, M = F.shape
+    M = F.shape[1]
     if not sp.issparse(F):
-        A = np.asarray(F.T @ (F if d is None else F * d[:, None]))
-        if n != 1:
-            A /= n
+        A = np.asarray(F.T @ (F if dn is None else F * dn[:, None]))
         A.flat[::M + 1] += shift
         return np.linalg.solve(A, b)
     Ft = F.T                                   # a CSC view, not a copy
-    # row weights d / n; ridge (d = None, n = 1) has none to apply
-    dn = None if d is None and n == 1 else (np.ones(N) if d is None else d) / n
     inv_diag = 1.0 / (_jacobi_diag(F, dn) + shift)
     x = np.zeros(M)
     r = np.array(b, dtype=float)
@@ -188,7 +184,7 @@ def logistic_fit(F, y, lam: float, max_iter: int = NEWTON_MAX_ITER,
             return _model(F, w, lam, CLASSIFICATION)
         if it == max_iter:
             break
-        step = _solve(F, grad, 2.0 * lam, s * (1.0 - s), N)
+        step = _solve(F, grad, 2.0 * lam, s * (1.0 - s) / N)
         # backtracking keeps the objective monotone
         eta = 1.0
         while eta > 1e-12:

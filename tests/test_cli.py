@@ -85,6 +85,16 @@ class TestEmbedCommand:
                   "--output", str(tmp_path / "f.txt")])
         assert (info.value.row, info.value.col) == (3, 2)
 
+    def test_negative_seed_exits_with_usage(self, tmp_path, capsys):
+        inp = tmp_path / "points.csv"
+        write_points_csv(inp, np.full((2, 2), 0.5))
+        with pytest.raises(SystemExit) as info:
+            main(["embed", "--num-features", "5", "--seed", "-3", "--input",
+                  str(inp), "--output", str(tmp_path / "f.txt")])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "--seed" in err
+
     def test_level_and_num_features_mutually_exclusive(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["embed", "--level", "2", "--num-features", "5",
@@ -167,7 +177,7 @@ class TestTrainCommand:
         ("--omega", "abc"), ("--level", "0"), ("--level", "-2"),
         ("--level", "2.5"), ("--num-features", "0"),
         ("--num-features", "x"), ("--split", "1.5"), ("--split", "0"),
-        ("--split", "1"), ("--split", "-0.2")])
+        ("--split", "1"), ("--split", "-0.2"), ("--seed", "-1")])
     def test_out_of_range_flags_exit_with_usage(self, tmp_path, capsys, flag,
                                                 bad):
         ds = bench.synthetic_rkhs_dataset(N_train=40, N_test=2, seed=0)
@@ -223,7 +233,7 @@ class TestBenchCommand:
     @pytest.mark.parametrize("flag, bad", [
         ("--m", "0"), ("--m", "abc"), ("--m", "5,,7"), ("--runs", "0"),
         ("--pool-factor", "0"), ("--omega", "2"), ("--kernel", "bb"),
-        ("--split", "nan")])
+        ("--split", "nan"), ("--seed", "-1")])
     def test_out_of_range_flags_exit_with_usage(self, tmp_path, capsys, flag,
                                                 bad):
         ds = bench.synthetic_rkhs_dataset(N_train=40, N_test=2, seed=0)

@@ -73,6 +73,20 @@ class TestPhi1d:
         with pytest.raises(InvalidIndex):
             phi_1d(BB1, 2, 2, 0.5)
 
+    @pytest.mark.parametrize("spec", [
+        BB1, LAPLACE1, KernelSpec("sobolev", omega=2.0),
+        KernelSpec("custom", p=lambda x: np.exp(2.0 * x),
+                   q=lambda x: np.exp(-2.0 * x))], ids=lambda s: s.kind)
+    def test_is_phi_nd_in_one_dimension(self, spec):
+        grid = np.linspace(-0.1, 1.1, 24)
+        for l, i in ((1, 1), (3, 5), (6, 41)):
+            idx = FeatureIndex((l,), (i,))
+            for x in (0.3, grid, grid.reshape(4, 6)):
+                got = phi_1d(spec, l, i, x)
+                want = phi_nd(spec, idx, np.asarray(x)[..., None])
+                assert type(got) is type(want) and np.shape(got) == np.shape(x)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
     def test_deep_level_large_omega_stable(self):
         # sinh overflows near omega ~ 710/h without the log-space branch
         spec = KernelSpec("laplace", omega=5e4, dim=1)

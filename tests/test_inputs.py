@@ -3,11 +3,15 @@
 Each kind of input has one checking function: points
 (``kernels._finite_point``), targets (``learn._targets``), features
 (``learn._features``), lambda (``learn._lambda``), omega (``kernels._omega``),
-the dimension D (``errors.check_dim``) and the feature count M
-(``errors.check_M``).  A wrong shape, or a D that is not an integer >= 1,
-raises ``DimError``, a non-finite point ``InvalidPoint``, a bad target,
-feature, lambda, omega or model file ``InvalidData``, a bad M ``InvalidM``,
-and a level too deep for a custom kernel's (p, q) ``InvalidLevel``.
+the dimension D (``errors.check_dim``), the feature count M
+(``errors.check_M``), levels (``kernels._check_levels``) and positions
+(``FeatureIndex``).  A wrong shape, a D that is not an integer >= 1, or a
+feature index with no component or with level and position vectors of
+different lengths raises ``DimError``, a non-finite point ``InvalidPoint``,
+a bad target, feature, lambda, omega or model file ``InvalidData``, a bad M
+``InvalidM``, a level that is not an integer >= 1 or is too deep for a
+custom kernel's (p, q) ``InvalidLevel``, and a position that is not an odd
+integer in 1..2^l - 1 ``InvalidIndex``.
 """
 
 import numpy as np
@@ -21,15 +25,17 @@ from eof.design import (IndexSet, enumerate_sparse_grid, entropic_select,
                         level_for_feature_count, select_design, sparse_grid_size,
                         truncate_random)
 from eof.embedding import embed, embed_batch, kernel_approx
-from eof.errors import (DimError, EofError, InvalidData, InvalidLevel, InvalidM,
-                        InvalidPoint)
+from eof.errors import (DimError, EofError, InvalidData, InvalidIndex,
+                        InvalidLevel, InvalidM, InvalidPoint)
 from eof.features import FeatureIndex, hierarchical_surplus, phi_1d, phi_nd
-from eof.kernels import KernelSpec, kernel_eval, surplus_beta_1d
+from eof.kernels import (KernelSpec, expansion_coeff, kernel_eval, norm_const,
+                         surplus_beta_1d)
 from eof.learn import (CLASSIFICATION, MODEL_FORMAT, Model, load_model,
                        logistic_fit, predict, ridge_fit)
 from eof.learn import test_error as error_of
 
 LAP2 = KernelSpec("laplace", omega=2.0, dim=2)
+BB = KernelSpec("bb")
 S2 = enumerate_sparse_grid(2, 3)
 POOL = rks_map(2, 40, 1.0, 0)
 X10 = np.random.default_rng(0).uniform(size=(10, 2))
@@ -167,6 +173,30 @@ MALFORMED = [
     ("sparse_grid_size", lambda t: sparse_grid_size(2.0, 3), DimError),
     ("level_for_feature_count", lambda t: level_for_feature_count(2.5, 5), DimError),
     ("rks_map", lambda t: rks_map(2.5, 4, 1.0, 0), DimError),
+    # levels and positions that are not integers, or are bools
+    ("phi_1d", lambda t: phi_1d(BB, 2, 1.5, 0.3), InvalidIndex),
+    ("phi_1d", lambda t: phi_1d(BB, 2.5, 1, 0.2), InvalidLevel),
+    ("FeatureIndex", lambda t: FeatureIndex((2.5,), (1,)), InvalidLevel),
+    ("FeatureIndex", lambda t: FeatureIndex((2,), (1.5,)), InvalidIndex),
+    ("FeatureIndex", lambda t: FeatureIndex((True,), (True,)), InvalidLevel),
+    ("FeatureIndex", lambda t: FeatureIndex((1,), (True,)), InvalidIndex),
+    ("hierarchical_surplus", lambda t: hierarchical_surplus(
+        BB, lambda x: x, FeatureIndex((2.7,), (3,))), InvalidLevel),
+    ("expansion_coeff", lambda t: expansion_coeff(BB, (2.5,)), InvalidLevel),
+    ("norm_const", lambda t: norm_const(BB, (True,)), InvalidLevel),
+    # a design level that is not an integer >= 1
+    ("sparse_grid_size", lambda t: sparse_grid_size(2, 0), InvalidLevel),
+    ("sparse_grid_size", lambda t: sparse_grid_size(2, -3), InvalidLevel),
+    ("sparse_grid_size", lambda t: sparse_grid_size(2, 2.5), InvalidLevel),
+    ("enumerate_sparse_grid", lambda t: enumerate_sparse_grid(2, 2.5), InvalidLevel),
+    ("enumerate_sparse_grid", lambda t: enumerate_sparse_grid(2, True), InvalidLevel),
+    # feature indices of no dimension, of mismatched lengths, of mixed dimensions
+    ("FeatureIndex", lambda t: FeatureIndex((), ()), DimError),
+    ("embed_batch", lambda t: embed_batch(BB, IndexSet([FeatureIndex((), ())]),
+                                          [[0.5]]), DimError),
+    ("FeatureIndex", lambda t: FeatureIndex((1, 2), (1,)), DimError),
+    ("IndexSet", lambda t: IndexSet([FeatureIndex((1,), (1,)),
+                                     FeatureIndex((1, 1), (1, 1))]), DimError),
 ]
 
 
@@ -183,6 +213,19 @@ def test_numpy_integer_M_passes_the_M_rule():
     assert len(select_design(LAP2, M, 0)) == 5
     assert rks_map(2, M, 1.0, 0).M == 5
     assert eerf_select(POOL, Y10, X10, M).M == 5
+
+
+def test_numpy_integer_levels_and_positions_pass_the_index_rule():
+    idx = FeatureIndex((np.int64(3), np.int32(2)), (np.int64(5), np.uint8(3)))
+    assert idx == FeatureIndex((3, 2), (5, 3))
+    assert hash(idx) == hash(FeatureIndex((3, 2), (5, 3)))
+    assert {type(v) for v in idx.l + idx.i} == {int}
+    assert phi_1d(BB, np.int64(2), np.int64(1), 0.2) == phi_1d(BB, 2, 1, 0.2)
+    assert len(enumerate_sparse_grid(2, np.int64(3))) == \
+        sparse_grid_size(2, np.int64(3)) == len(S2)
+    assert norm_const(BB, (np.int64(2),)) == norm_const(BB, (2,))
+    # Python ints of any size are positions
+    assert FeatureIndex((70,), (2 ** 69 + 1,)).i == (2 ** 69 + 1,)
 
 
 def test_model_file_error_names_the_line(tmp_path):
