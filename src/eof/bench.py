@@ -31,6 +31,7 @@ EOF_METHOD = "eof"
 ALL_METHODS = (EOF_METHOD, baselines.RKS, baselines.ORF, baselines.LKRF,
                baselines.EERF)
 NEIGHBOR = 50   # estimate_sigma reads the distance to this nearest neighbor
+SWEEP_CELLS = 1 << 14   # distances in one block of estimate_sigma's search
 POOL_FACTOR = 10   # LKRF and EERF choose M features from POOL_FACTOR * M
 
 
@@ -229,21 +230,60 @@ def estimate_sigma(X_train) -> float:
     """1 / (mean distance to the ``NEIGHBOR``-th l2 nearest neighbor).
 
     Falls back to the (N-1)-th neighbor when the training set is too small.
+    The search is exact and all in numpy (``_kth_sq_distance``): rows sorted
+    by their first coordinate are swept a block at a time, each block against
+    one window of sorted rows around it.  Subtracting, squaring and adding
+    nonnegative terms are monotone in floating point, so a row outside the
+    window is at least as far as the squared first-coordinate gap to the
+    nearest row outside it; where a block's k-th distance exceeds that gap
+    the window doubles and the block is searched again.  Each distance is
+    summed over dimensions in order, as an all-pairs search sums it.
     """
     X_train = _finite_point(X_train, ndim=2)
     if len(X_train) < 2:
         raise DegenerateData("need at least 2 points")
-    # imported here so that importing eof does not load scipy.spatial
-    from scipy.spatial import cKDTree
-
     k = min(NEIGHBOR, len(X_train) - 1)
-    tree = cKDTree(X_train)
-    # k=[k + 1]: only that neighbour's distance, an (N, 1) array
-    dists, _ = tree.query(X_train, k=[k + 1])
-    mean_dist = float(np.mean(dists[:, 0]))
+    mean_dist = float(np.mean(np.sqrt(_kth_sq_distance(X_train, k))))
     if mean_dist == 0.0:
         raise DegenerateData("zero mean neighbor distance (duplicate-only data)")
     return 1.0 / mean_dist
+
+
+def _kth_sq_distance(X: np.ndarray, k: int) -> np.ndarray:
+    """The k-th smallest squared l2 distance from each row of ``X`` to the
+    rows of ``X``, the row itself (distance 0) counted as the 0-th; k < N.
+
+    Holds O(N) plus one block of about ``SWEEP_CELLS`` distances."""
+    N = len(X)
+    order = np.argsort(X[:, 0])
+    cols = np.take(X.T, order, axis=1)   # (D, N): each coordinate contiguous
+    x0 = cols[0]
+    out = np.empty(N)
+    # the window reaches ``half`` >= k rows past the block on each side, so
+    # it holds at least k + 1 rows
+    start, half = 0, k
+    while start < N:
+        # about SWEEP_CELLS distances: rows * (rows + 2 half)
+        rows = max(1, math.isqrt(half * half + SWEEP_CELLS) - half)
+        stop = min(N, start + rows)
+        lo, hi = max(0, start - half), min(N, stop + half)
+        d2 = x0[start:stop, None] - x0[None, lo:hi]
+        np.square(d2, out=d2)
+        term = np.empty_like(d2)
+        for c in cols[1:]:
+            np.subtract(c[start:stop, None], c[None, lo:hi], out=term)
+            d2 += np.square(term, out=term)
+        d2.partition(k, axis=1)
+        kth = d2[:, k]
+        near = x0[start:stop]
+        if ((lo > 0 and np.any(kth > np.square(near - x0[lo - 1])))
+                or (hi < N and np.any(kth > np.square(x0[hi] - near)))):
+            half *= 2
+            continue
+        out[order[start:stop]] = kth
+        # shrink slowly: each doubling searches a block twice
+        start, half = stop, max(k, half - half // 16)
+    return out
 
 
 def _run_seed(master: int, method_idx: int, m_idx: int, run: int) -> int:

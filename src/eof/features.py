@@ -12,13 +12,14 @@ per-kind formulas: the 1-D profile and the surplus coefficients.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Tuple
 
 import numpy as np
 
-from .errors import DimError, InvalidIndex, is_integer
+from .errors import DimError, InvalidData, InvalidIndex, is_integer
 from .kernels import (KernelSpec, _check_levels, _prepare_point, _profile_1d,
                       surplus_alpha_1d, surplus_beta_1d)
 
@@ -90,7 +91,9 @@ def hierarchical_surplus(spec: KernelSpec, f: Callable, idx: FeatureIndex) -> fl
     on the dyadic stencil {z_{l,i-1}, z_{l,i}, z_{l,i+1}} per dimension, with
     weights (-beta, alpha, -beta) built from the kernel's (p, q) pair.  For
     the Brownian bridge this is 2^l times the dyadic second difference per
-    dimension.  Applied to phi_idx itself it returns ||phi_idx||_k^2.
+    dimension.  Applied to phi_idx itself it returns ||phi_idx||_k^2.  A
+    stencil weight that is not finite (the Laplace weights grow like 1/omega,
+    so their product overflows at a tiny omega) raises ``InvalidData``.
     """
     coeffs = []
     nodes = []
@@ -109,5 +112,8 @@ def hierarchical_surplus(spec: KernelSpec, f: Callable, idx: FeatureIndex) -> fl
         for d, c in enumerate(combo):
             w *= coeffs[d][c]
             pt[d] = nodes[d][c]
+        if not math.isfinite(w):
+            raise InvalidData(f"stencil weight {w} at index {idx} is not finite "
+                              f"(omega={spec.omega!r})")
         total += w * f(pt if idx.dim > 1 else float(pt[0]))
     return float(total)

@@ -10,10 +10,9 @@ random-feature baselines) form the Gram and solve it directly in O(M^3).
 Ridge uses the normal equations (dn = 1); logistic uses the logistic weights
 dn = s (1 - s) / N.  s = sigma(-m) at the margins m = y F w is numpy's
 1 / (1 + e^m), the formula of scipy's ``expit``, so fitting imports no
-scipy.special; scipy.spatial, in ``bench.estimate_sigma``, is the only scipy
-subpackage that eof imports lazily.  The regularizer enters as lambda * N
-inside the normal equations so that lambda is comparable across sample
-sizes; the default follows lambda = N^{-1/2}.
+scipy.special; eof imports numpy and scipy.sparse only.  The regularizer
+enters as lambda * N inside the normal equations so that lambda is
+comparable across sample sizes; the default follows lambda = N^{-1/2}.
 """
 
 from __future__ import annotations

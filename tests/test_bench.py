@@ -181,17 +181,56 @@ class TestStandardize:
             bench.standardize(raw, split_ratio=ratio)
 
 
+def _all_pairs_sigma(X):
+    """The all-pairs oracle of ``estimate_sigma``: squared differences summed
+    over dimensions in order, each row's (k+1)-th smallest (itself included)
+    by partition, then 1 / the mean distance."""
+    X = np.asarray(X, dtype=float)
+    k = min(bench.NEIGHBOR, len(X) - 1)
+    d2 = (X[:, None, 0] - X[None, :, 0]) ** 2
+    for d in range(1, X.shape[1]):
+        d2 = d2 + (X[:, None, d] - X[None, :, d]) ** 2
+    return 1.0 / float(np.mean(np.sqrt(np.partition(d2, k, axis=1)[:, k])))
+
+
+def _sigma_cases():
+    rng = np.random.default_rng(24)
+    for D in (1, 2, 3, 5, 8):
+        for N in (2, 3, 51, 52, 700):
+            yield f"uniform-D{D}-N{N}", rng.uniform(0.0, 1.0, (N, D))
+    for D in (2, 3):
+        X = rng.uniform(0.0, 1.0, (200, D))
+        yield f"duplicates-D{D}", X[rng.integers(0, 200, 700)]
+    yield "grid-D1-N52", (np.arange(52, dtype=float) * 0.01)[:, None]
+    for D, n in ((2, 12), (3, 9)):
+        grid = np.stack(np.meshgrid(*[np.arange(float(n))] * D), axis=-1)
+        yield f"lattice-D{D}", rng.permutation(grid.reshape(-1, D))
+    for D in (2, 5):
+        X = rng.uniform(0.0, 1.0, (700, D))
+        X[:, 0] = 0.25
+        yield f"constant-first-column-D{D}", X
+    for D in (1, 2, 3, 8):
+        # a tight cluster, a spread-out middle and a second tight cluster
+        # along the first coordinate: the search window grows and shrinks
+        yield f"uneven-clusters-D{D}", np.concatenate([
+            rng.normal(0.0, 1e-3, (250, D)), rng.uniform(0.0, 10.0, (200, D)),
+            rng.normal(5.0, 1e-2, (250, D))])
+    yield "unscaled-D3", rng.normal(1e6, 1e4, (700, 3)) * [1.0, 1e-2, 1e-4]
+    yield "unscaled-D2", rng.standard_cauchy((700, 2))
+
+
+SIGMA_CASES = list(_sigma_cases())
+
+
 class TestEstimateSigma:
+    @pytest.mark.parametrize("X", [X for _, X in SIGMA_CASES],
+                             ids=[name for name, _ in SIGMA_CASES])
+    def test_equals_all_pairs_oracle(self, X):
+        assert bench.estimate_sigma(X) == _all_pairs_sigma(X)
+
     def test_duplicates_degenerate(self):
         with pytest.raises(DegenerateData):
             bench.estimate_sigma(np.zeros((51, 2)))
-
-    def test_grid_matches_brute_force(self):
-        X = (np.arange(52, dtype=float) * 0.01)[:, None]
-        got = bench.estimate_sigma(X)
-        dists = np.abs(X - X[:, 0])           # all-pairs oracle
-        kth = np.sort(dists, axis=1)[:, 50]
-        assert got == pytest.approx(1.0 / kth.mean(), rel=1e-12)
 
     def test_small_sample_fallback(self):
         X = np.array([[0.0], [1.0], [3.0]])
@@ -214,7 +253,7 @@ class TestEstimateSigma:
         # all 51 neighbours of 20 000 points would be 16 MB of distances
         # and indices; the one neighbour read is 0.3 MB
         X = np.random.default_rng(9).uniform(0.0, 1.0, (20_000, 2))
-        bench.estimate_sigma(X[:3])    # imports scipy.spatial before the trace
+        bench.estimate_sigma(X[:3])    # a first call, outside the trace
         tracemalloc.start()
         try:
             bench.estimate_sigma(X)

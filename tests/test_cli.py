@@ -268,6 +268,24 @@ def test_import_loads_no_kdtree_or_special_functions():
     assert out.strip() == "[]"
 
 
+def test_bench_loads_no_spatial_special_or_linalg(tmp_path):
+    # the bandwidth search is numpy's; a fresh interpreter runs the command
+    ds = bench.synthetic_rkhs_dataset(N_train=120, N_test=2, seed=4)
+    data = tmp_path / "bench.csv"
+    write_labeled_csv(data, ds.X_train, ds.y_train)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(eof.__file__)))
+    code = ("import sys; from eof.cli import main; "
+            f"main(['bench', '--data', {str(data)!r}, '--task', 'reg', "
+            f"'--m', '5', '--runs', '1', '--out', {str(tmp_path / 'out')!r}]); "
+            "print(sorted(m for m in ('scipy.spatial', 'scipy.special', "
+            "'scipy.linalg') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert "results written" in out
+    assert out.splitlines()[-1] == "[]"
+
+
 def test_train_clf_loads_no_special_functions(tmp_path):
     # the logistic sigma is numpy's; a fresh interpreter runs the command
     rng = np.random.default_rng(5)

@@ -197,6 +197,11 @@ MALFORMED = [
     ("FeatureIndex", lambda t: FeatureIndex((1, 2), (1,)), DimError),
     ("IndexSet", lambda t: IndexSet([FeatureIndex((1,), (1,)),
                                      FeatureIndex((1, 1), (1, 1))]), DimError),
+    # a stencil weight that overflows: the Laplace alpha and beta are about
+    # 1e300 at omega 1e-300, so their product in D = 2 is inf
+    ("hierarchical_surplus", lambda t: hierarchical_surplus(
+        KernelSpec("laplace", omega=1e-300, dim=2), lambda x: np.cos(x).sum(),
+        FeatureIndex((1, 1), (1, 1))), InvalidData),
 ]
 
 
