@@ -24,7 +24,7 @@ import numpy as np
 from . import baselines, learn
 from .design import level_for_feature_count, select_design, sparse_grid_size
 from .embedding import SCALE_PLAIN, embed_batch
-from .errors import DegenerateData, EofError, InvalidData, ParseError
+from .errors import DegenerateData, EofError, InvalidData, ParseError, check_dim
 from .kernels import KernelSpec, _finite_point, _kernel_rows
 
 EOF_METHOD = "eof"
@@ -240,6 +240,7 @@ def estimate_sigma(X_train) -> float:
     summed over dimensions in order, as an all-pairs search sums it.
     """
     X_train = _finite_point(X_train, ndim=2)
+    check_dim(X_train.shape[1])
     if len(X_train) < 2:
         raise DegenerateData("need at least 2 points")
     k = min(NEIGHBOR, len(X_train) - 1)

@@ -7,13 +7,14 @@ constant, so no general knapsack solver is needed; NP-hardness only enters
 for weighted variants, which are out of scope here.
 
 A design stores its level vectors, an (L, D) int array in canonical (|l|, l)
-order, and per level vector ``None`` when it keeps all 2^(|l|-D) features,
-else the sorted int64 mixed-radix codes of (i_d - 1) / 2 that it keeps (first
-dimension most significant).  So columns are in canonical (|l|, l, i) order.
-This module alone knows that layout: ``IndexSet.columns`` maps positions to
-columns for the embedding.  A level vector whose code needs over 61 bits
-raises ``InvalidLevel`` when the design is built.  ``FeatureIndex`` objects
-are built only on request.
+order, their radixes 2^(l_d - 1), and per level vector ``None`` when it keeps
+all 2^(|l|-D) features, else the sorted int64 mixed-radix codes of the digits
+(i_d - 1) / 2 that it keeps (first dimension most significant).  So columns
+are in canonical (|l|, l, i) order.  This module alone knows that layout:
+``_digits`` finds a point's digits, ``IndexSet.columns`` alone composes them
+into columns and ``IndexSet.indices`` alone decomposes codes into positions.
+A level vector whose code needs over 61 bits raises ``InvalidLevel`` when
+the design is built.  ``FeatureIndex`` objects are built only on request.
 """
 
 from __future__ import annotations
@@ -41,13 +42,13 @@ class IndexSet:
             raise DimError("feature indices differ in dimension")
         grouped = {}
         for f in features:
-            code = 0
-            for ld, i in zip(f.l, f.i):
-                code = (code << (ld - 1)) + i // 2
-            grouped.setdefault(f.l, []).append(code)
+            grouped.setdefault(f.l, []).append(f.i)
         levels = np.array(list(grouped), dtype=np.int64).reshape(
             len(grouped), features[0].dim if features else 0)
-        self._set(levels, list(grouped.values()))
+        # with every level vector complete, a column less its offset is the code
+        self._set(levels, [None] * len(levels))
+        self._set(levels, [self.columns(k, (np.array(i).T - 1) // 2)[0]
+                           - self.offsets[k] for k, i in enumerate(grouped.values())])
         self._indices = features
 
     @classmethod
@@ -63,12 +64,14 @@ class IndexSet:
             l = tuple(levels[bits > 61][0].tolist())
             raise InvalidLevel(f"level vector {l} is too deep for 64-bit keys")
         self.levels, self.dim = levels, levels.shape[1]
-        self.codes = tuple(None if c is None or len(c) == 2 ** b
+        self._radix = 2 ** (levels - 1)
+        size = self._radix.prod(axis=1).tolist()
+        self.codes = tuple(None if c is None or len(c) == n
                            else np.asarray(c, dtype=np.int64)
-                           for b, c in zip(bits.tolist(), codes))
+                           for n, c in zip(size, codes))
         # offsets[k] is the first column of level vector k, offsets[-1] the size
-        self.offsets = np.cumsum([0] + [2 ** b if c is None else len(c) for b, c
-                                        in zip(bits.tolist(), self.codes)],
+        self.offsets = np.cumsum([0] + [n if c is None else len(c)
+                                        for n, c in zip(size, self.codes)],
                                  dtype=np.int64)
         self._indices = None
 
@@ -77,9 +80,9 @@ class IndexSet:
         int64 array of (i_d - 1) / 2 per dimension, and the mask of rows whose
         position the design does not keep (``None`` if ``k`` is complete)."""
         code = np.zeros(len(digits[0]), dtype=np.int64)
-        for ld, digit in zip(self.levels[k].tolist(), digits):
-            if ld > 1:      # level 1 has the single code 0
-                code *= 2 ** (ld - 1)
+        for radix, digit in zip(self._radix[k].tolist(), digits):
+            if radix > 1:   # level 1 has the single code 0
+                code *= radix
                 code += digit
         kept = self.codes[k]
         if kept is None:
@@ -99,14 +102,30 @@ class IndexSet:
         """The columns as ``FeatureIndex`` objects, built on first use."""
         if self._indices is None:
             out = []
-            for l, kept, size in zip(self.levels.tolist(), self.codes,
-                                     np.diff(self.offsets).tolist()):
+            for l, radix, kept, size in zip(self.levels.tolist(), self._radix,
+                                            self.codes, np.diff(self.offsets).tolist()):
                 digits = np.unravel_index(np.arange(size) if kept is None else kept,
-                                          [2 ** (ld - 1) for ld in l])
-                i = 2 * np.stack(digits, axis=1) + 1
+                                          radix)
+                i = _position(np.stack(digits, axis=1))
                 out.extend(FeatureIndex(l, row) for row in i.tolist())
             self._indices = tuple(out)
         return self._indices
+
+
+def _digits(level: int, x: np.ndarray) -> np.ndarray:
+    """Per coordinate, the digit (i - 1) / 2 of the odd position i at ``level``
+    whose support's interior holds x: floor(x 2^(level-1)).  A coordinate on
+    an even node, where x 2^(level-1) is an integer and no support's interior
+    holds it, gets digit 0: position 1, whose centre it is at least h from."""
+    half = x * 2.0 ** (level - 1)
+    digit = np.floor(half)
+    digit[digit == half] = 0.0
+    return digit.astype(np.int64)
+
+
+def _position(digits):
+    """The odd position i = 2 d + 1 of each digit d."""
+    return 2 * digits + 1
 
 
 def sparse_grid_size(D: int, n: int) -> int:

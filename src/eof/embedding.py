@@ -1,22 +1,20 @@
 """Sparse feature embedding and truncated kernel reconstruction.
 
 For each level vector in the design, at most one position index can be
-nonzero at a given point (supports within a level have disjoint interiors),
-and it is found directly from the dyadic coordinates of the point: per
-dimension, (i - 1) / 2 of the odd position i is floor(x 2^(l-1)), and the
-point lies on an even node, in no feature's interior, when x 2^(l-1) is an
-integer.  ``embed_batch`` finds that position and the 1-D feature value
-there once per (dimension, level) pair, for all rows at once, and fills an
+nonzero at a given point (supports within a level have disjoint interiors);
+``design.py`` alone knows the rule that finds it and the column layout.
+``embed_batch`` evaluates the 1-D feature at the position the design hands
+it once per (dimension, level) pair, for all rows at once, and fills an
 (N, L) table of columns and values, a block of level vectors at a time, in
-the design's canonical order.  The design alone knows its column layout:
-``IndexSet.columns`` turns the positions (i_d - 1) / 2 into columns and, for
-a level vector that truncation left partial, flags the rows whose position
-the design does not keep.  Each row's columns are then sorted, so the two
-tables are the CSR's indices and data as they stand; dropping the zeros in
-place finishes the matrix, with no mask or compressed copy beside it.
-A point thus costs O(#levels) array steps.  The scale factor of every level
-vector comes from one ``expansion_coeff`` call over the design's (L, D)
-level array.  ``embed`` is the one-row case and returns a 1 x M CSR row.
+the design's canonical order.  ``IndexSet.columns`` turns the positions'
+digits into columns and, for a level vector that truncation left partial,
+flags the rows whose position the design does not keep.  Each row's columns
+are then sorted, so the two tables are the CSR's indices and data as they
+stand; dropping the zeros in place finishes the matrix, with no mask or
+compressed copy beside it.  A point thus costs O(#levels) array steps.  The
+scale factor of every level vector comes from one ``expansion_coeff`` call
+over the design's (L, D) level array.  ``embed`` is the one-row case and
+returns a 1 x M CSR row.
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .design import IndexSet
+from .design import IndexSet, _digits, _position
 from .errors import DimError, InvalidLevel
 from .kernels import (KernelSpec, _finite_point, _prepare_point, _profile_1d,
                       expansion_coeff)
@@ -42,23 +40,6 @@ def embed(spec: KernelSpec, S: IndexSet, x, scale: str = SCALE_SQRT) -> sp.csr_m
     return embed_batch(spec, S, np.atleast_1d(x)[None], scale=scale)
 
 
-def _dyadic_profile(spec: KernelSpec, level: int, x: np.ndarray):
-    """Per row: (i - 1) // 2 of the odd position i at ``level``, which is
-    floor(x 2^(level-1)), and the 1-D feature value there.  A row on an even
-    node, where x 2^(level-1) is an integer and no feature of the level is
-    nonzero, gets code 0 and value exactly 0, so it drops out of every
-    product; every other row is strictly inside its position's support, and
-    NaN where that position's step Wronskian is bad (a custom (p, q) at a
-    deep level, see ``_profile_1d``)."""
-    half = x * 2.0 ** (level - 1)
-    code = np.floor(half)
-    # rows on even nodes are evaluated at i = 1, so that the (p, q) form
-    # never sees a point outside [0, 1]; they lie at least h from its centre
-    # h, off its support, so their value is 0
-    code[code == half] = 0.0
-    return code.astype(np.int64), _profile_1d(spec, level, 2.0 * code + 1.0, x)
-
-
 def embed_batch(spec: KernelSpec, S: IndexSet, X,
                 scale: str = SCALE_SQRT) -> sp.csr_matrix:
     """Embed N points into an N x M CSR matrix with sorted column indices
@@ -67,9 +48,10 @@ def embed_batch(spec: KernelSpec, S: IndexSet, X,
     data, with row pointers 0, L, 2L, ..., and the zeros are then dropped
     in place.
 
-    A row whose product of 1-D values is NaN (see ``_dyadic_profile``) embeds
-    as 0 if the design drops its position or another factor is exactly 0,
-    which puts it off the feature's open support, and raises
+    A 1-D value is exactly 0 on an even node, and NaN inside a support whose
+    step Wronskian is bad (see ``_profile_1d``).  A row whose product is NaN
+    embeds as 0 if the design drops its position or another factor is
+    exactly 0, which puts it off the feature's open support, and raises
     ``InvalidLevel`` naming the level vector otherwise."""
     if scale not in (SCALE_SQRT, SCALE_PLAIN):
         raise ValueError(f"unknown scale {scale!r}")
@@ -92,7 +74,9 @@ def embed_batch(spec: KernelSpec, S: IndexSet, X,
         j = k % _LEVEL_BLOCK
         for d, ld in enumerate(l):
             if (d, ld) not in profiles:
-                profiles[d, ld] = _dyadic_profile(spec, ld, X[:, d])
+                digit = _digits(ld, X[:, d])
+                profiles[d, ld] = (digit, _profile_1d(spec, ld, _position(digit),
+                                                      X[:, d]))
                 any_nan |= bool(np.isnan(profiles[d, ld][1]).any())
         block_cols[j], dropped = S.columns(k, [profiles[d, ld][0]
                                                for d, ld in enumerate(l)])
@@ -114,7 +98,7 @@ def embed_batch(spec: KernelSpec, S: IndexSet, X,
             vals[:, k - j:k + 1] = block_vals[:j + 1].T
     # freed first: eliminate_zeros copies the tables if it drops most entries;
     # v is a view that would keep block_vals alive (v is unbound when L = 0)
-    profiles = block_cols = block_vals = v = None
+    profiles = block_cols = block_vals = v = digit = None
     out = sp.csr_matrix((vals.reshape(-1), cols.reshape(-1),
                          np.arange(N + 1) * L), shape=(N, len(S)))
     out.eliminate_zeros()   # drops -0.0 too

@@ -92,8 +92,8 @@ def hierarchical_surplus(spec: KernelSpec, f: Callable, idx: FeatureIndex) -> fl
     weights (-beta, alpha, -beta) built from the kernel's (p, q) pair.  For
     the Brownian bridge this is 2^l times the dyadic second difference per
     dimension.  Applied to phi_idx itself it returns ||phi_idx||_k^2.  A
-    stencil weight that is not finite (the Laplace weights grow like 1/omega,
-    so their product overflows at a tiny omega) raises ``InvalidData``.
+    stencil weight that is not finite (Laplace and Sobolev weights grow like
+    1/(omega h), so a tiny omega overflows them) raises ``InvalidData``.
     """
     coeffs = []
     nodes = []

@@ -188,12 +188,11 @@ def _profile_1d(spec: KernelSpec, l: int, i, x: np.ndarray) -> np.ndarray:
     r = np.asarray(x - z)
     np.abs(r, out=r)
     np.minimum(r, h, out=r)
-    if spec.kind in (BROWNIAN_BRIDGE, SOBOLEV):
+    # the hat; also the Laplace profile's limit as omega h underflows
+    b = spec.omega * h if spec.kind == LAPLACE else 0.0
+    if b < np.finfo(float).tiny:
         np.divide(r, h, out=r)
         return np.subtract(1.0, r, out=r)
-    b = spec.omega * h
-    if b == 0.0:    # omega h underflowed: sinh(a) / sinh(b) is 1 on the support
-        return (r < h).astype(float)
     np.subtract(h, r, out=r)
     np.multiply(spec.omega, r, out=r)
     return _sinh_ratio(r, b)
@@ -256,12 +255,13 @@ def surplus_alpha_1d(spec: KernelSpec, level, i):
     """
     level, i = np.broadcast_arrays(_check_levels(level), i)
     h = 2.0 ** -level
-    if spec.kind == LAPLACE:
-        return _float_or_array(1.0 / np.tanh(spec.omega * h))
-    if spec.kind == BROWNIAN_BRIDGE:
-        return _float_or_array(2.0 / h)
-    if spec.kind == SOBOLEV:
-        return _float_or_array(2.0 / (spec.omega * h))
+    with np.errstate(divide="ignore", over="ignore"):   # inf at a tiny (omega) h
+        if spec.kind == LAPLACE:
+            return _float_or_array(1.0 / np.tanh(spec.omega * h))
+        if spec.kind == BROWNIAN_BRIDGE:
+            return _float_or_array(2.0 / h)
+        if spec.kind == SOBOLEV:
+            return _float_or_array(2.0 / (spec.omega * h))
     zm, zc, zp = (i - 1) * h, i * h, (i + 1) * h
     return _float_or_array(_check_depth(
         _wronskian(spec, zm, zp)
@@ -273,11 +273,12 @@ def surplus_beta_1d(spec: KernelSpec, level, i):
     elementwise like ``surplus_alpha_1d``."""
     level, i = np.broadcast_arrays(_check_levels(level), i)
     h = 2.0 ** -level
-    if spec.kind == LAPLACE:
-        return _float_or_array(1.0 / (2.0 * np.sinh(spec.omega * h)))
-    if spec.kind == BROWNIAN_BRIDGE:
-        return _float_or_array(1.0 / h)
-    if spec.kind == SOBOLEV:
-        return _float_or_array(1.0 / (spec.omega * h))
+    with np.errstate(divide="ignore", over="ignore"):   # inf at a tiny (omega) h
+        if spec.kind == LAPLACE:
+            return _float_or_array(1.0 / (2.0 * np.sinh(spec.omega * h)))
+        if spec.kind == BROWNIAN_BRIDGE:
+            return _float_or_array(1.0 / h)
+        if spec.kind == SOBOLEV:
+            return _float_or_array(1.0 / (spec.omega * h))
     return _float_or_array(
         _check_depth(1.0 / _step_wronskian(spec, i * h, (i + 1) * h), level))

@@ -85,6 +85,7 @@ class TestIndexSet:
         S = design()
         T = IndexSet(S.indices)
         assert T.levels.tolist() == S.levels.tolist()
+        assert T._radix.tolist() == S._radix.tolist() == (2 ** (S.levels - 1)).tolist()
         assert T.offsets.tolist() == S.offsets.tolist()
         assert len(T.codes) == len(S.codes)
         for a, b in zip(T.codes, S.codes):

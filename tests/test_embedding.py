@@ -333,6 +333,8 @@ def _shuffled(S, seed):
 
 _FULL_D2_N9 = enumerate_sparse_grid(2, 9)
 ASSEMBLY_CASES = {
+    "full-d1-n6": (KernelSpec("laplace", omega=2.0, dim=1),
+                   lambda: enumerate_sparse_grid(1, 6), 6, 300),
     "full-d8-n4": (KernelSpec("laplace", omega=2.0, dim=8),
                    lambda: enumerate_sparse_grid(8, 4), 4, 300),
     "full-d2-n9": (KernelSpec("laplace", omega=2.0, dim=2),

@@ -1,11 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eof.errors import DimError, InvalidIndex, InvalidLevel
+from eof.design import enumerate_sparse_grid
+from eof.embedding import SCALE_PLAIN, embed_batch
+from eof.errors import DimError, InvalidData, InvalidIndex, InvalidLevel
 from eof.features import (FeatureIndex, hierarchical_surplus, phi_1d, phi_nd,
                           support_box)
 from eof.kernels import KernelSpec, surplus_alpha_1d
@@ -93,6 +96,25 @@ class TestPhi1d:
         v = phi_1d(spec, 1, 1, 0.4999)
         assert 0.0 < v <= 1.0 and np.isfinite(v)
         assert v == pytest.approx(math.exp(-5e4 * 0.0001), rel=1e-9)
+
+    @pytest.mark.parametrize("omega", [5e-324, 2e-323, 1e-310])
+    def test_laplace_tends_to_the_hat_where_omega_h_underflows(self, omega):
+        # omega 2^-l is 0 (5e-324) or subnormal at every level: sinh(omega
+        # (h - r)) / sinh(omega h) tends to (h - r) / h, the Brownian-bridge hat
+        tiny = KernelSpec("laplace", omega=omega, dim=1)
+        x = np.array([0.0, 0.01, 0.3, 0.5, 0.6, 0.8, 0.9, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for l, i in ((1, 1), (2, 1), (2, 3), (3, 5), (4, 1)):
+                got, want = phi_1d(tiny, l, i, x), phi_1d(BB1, l, i, x)
+                assert got.tobytes() == want.tobytes()
+            S = enumerate_sparse_grid(2, 4)
+            X = np.random.default_rng(0).uniform(size=(50, 2))
+            got = embed_batch(KernelSpec("laplace", omega=omega, dim=2), S, X,
+                              scale=SCALE_PLAIN)
+            want = embed_batch(BB2, S, X, scale=SCALE_PLAIN)
+            for name in ("indptr", "indices", "data"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
 class TestPhiNd:
@@ -188,6 +210,17 @@ class TestHierarchicalSurplus:
                     assert abs(got) > 0.1
                 else:
                     assert got == pytest.approx(0.0, abs=1e-8)
+
+    @pytest.mark.parametrize("kind", ["laplace", "sobolev"])
+    @pytest.mark.parametrize("omega", [5e-324, 1e-310])
+    def test_underflowed_weight_raises_without_warning(self, kind, omega):
+        # alpha and beta grow like 1 / (omega h), which is inf here
+        tiny = KernelSpec(kind, omega=omega, dim=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert surplus_alpha_1d(tiny, 3, 1) == math.inf
+            with pytest.raises(InvalidData, match=f"omega={omega!r}"):
+                hierarchical_surplus(tiny, np.cos, FeatureIndex((3,), (5,)))
 
     def test_tensorized_2d_bb(self):
         # separable f: surplus factors into the product of 1-D surpluses

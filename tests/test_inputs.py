@@ -202,6 +202,8 @@ MALFORMED = [
     ("hierarchical_surplus", lambda t: hierarchical_surplus(
         KernelSpec("laplace", omega=1e-300, dim=2), lambda x: np.cos(x).sum(),
         FeatureIndex((1, 1), (1, 1))), InvalidData),
+    # a batch of points with no coordinates
+    ("estimate_sigma", lambda t: bench.estimate_sigma(np.zeros((5, 0))), DimError),
 ]
 
 
