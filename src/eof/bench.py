@@ -170,6 +170,8 @@ def load_csv(path, target_column: str, task: str) -> RawData:
     header, data = read_table(path)
     if target_column not in header:
         raise ParseError(f"target column {target_column!r} not in header")
+    if len(header) == 1:
+        raise ParseError(f"no feature column besides the target {target_column!r}")
     t_idx = header.index(target_column)
     mask = np.arange(data.shape[1]) != t_idx
     name = os.path.splitext(os.path.basename(str(path)))[0]

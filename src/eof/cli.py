@@ -10,7 +10,7 @@ from functools import partial
 from . import bench, kernels, learn
 from .design import enumerate_sparse_grid, level_for_feature_count, select_design
 from .embedding import embed_batch
-from .errors import EofError
+from .errors import EofError, ParseError
 from .kernels import KernelSpec
 
 
@@ -170,8 +170,17 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except EofError as exc:
+        # a library error exits 2, as a usage error does, naming the input
+        # file and, for a parse error, the row and column in it
+        where = [args.input if args.command == "embed" else args.data]
+        if isinstance(exc, ParseError) and exc.row is not None:
+            where.append(f"row {exc.row}" + (f", column {exc.col}" if exc.col else ""))
+        parser.exit(2, f"eof: error: {': '.join(map(str, where))}: {exc}\n")
 
 
 if __name__ == "__main__":

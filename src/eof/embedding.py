@@ -3,18 +3,20 @@
 For each level vector in the design, at most one position index can be
 nonzero at a given point (supports within a level have disjoint interiors);
 ``design.py`` alone knows the rule that finds it and the column layout.
-``embed_batch`` evaluates the 1-D feature at the position the design hands
-it once per (dimension, level) pair, for all rows at once, and fills an
-(N, L) table of columns and values, a block of level vectors at a time, in
-the design's canonical order.  ``IndexSet.columns`` turns the positions'
-digits into columns and, for a level vector that truncation left partial,
-flags the rows whose position the design does not keep.  Each row's columns
-are then sorted, so the two tables are the CSR's indices and data as they
-stand; dropping the zeros in place finishes the matrix, with no mask or
-compressed copy beside it.  A point thus costs O(#levels) array steps.  The
-scale factor of every level vector comes from one ``expansion_coeff`` call
-over the design's (L, D) level array.  ``embed`` is the one-row case and
-returns a 1 x M CSR row.
+``embed_batch`` goes through the rows in equal blocks of at most
+``_ROW_BLOCK``.  For one block it evaluates the 1-D feature at the position
+the design hands it once per (dimension, level) pair, for all the block's
+rows at once, and fills those rows of an (N, L) table of columns and
+values, a group of level vectors at a time, in the design's canonical
+order; so the profiles and scratch are sized by the block, not by N.
+``IndexSet.columns`` turns the positions' digits into columns and, for a
+level vector that truncation left partial, flags the rows whose position
+the design does not keep.  Each row's columns are then sorted, so the two
+tables are the CSR's indices and data as they stand; dropping the zeros in
+place finishes the matrix, with no mask or compressed copy beside it.  A
+point thus costs O(#levels) array steps.  The scale factor of every level
+vector comes from one ``expansion_coeff`` call over the design's (L, D)
+level array.  ``embed`` is the one-row case and returns a 1 x M CSR row.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ SCALE_SQRT = "sqrt"
 SCALE_PLAIN = "plain"  # value = phi alone; learned weights absorb the constants
 
 _LEVEL_BLOCK = 16   # level vectors per transposed store: one cache line of int32
+_ROW_BLOCK = 4096   # rows per pass over the design: bounds the 1-D profiles' scratch
 
 
 def embed(spec: KernelSpec, S: IndexSet, x, scale: str = SCALE_SQRT) -> sp.csr_matrix:
@@ -46,56 +49,70 @@ def embed_batch(spec: KernelSpec, S: IndexSet, X,
     and no stored zeros.  Row i of an (N, L) table holds its column and
     value in each level vector; the tables become the CSR's indices and
     data, with row pointers 0, L, 2L, ..., and the zeros are then dropped
-    in place.
+    in place.  The rows are filled in equal blocks of at most
+    ``_ROW_BLOCK``, each with its own 1-D profiles and scratch; every entry
+    is the same product for any block size.
 
     A 1-D value is exactly 0 on an even node, and NaN inside a support whose
     step Wronskian is bad (see ``_profile_1d``).  A row whose product is NaN
     embeds as 0 if the design drops its position or another factor is
     exactly 0, which puts it off the feature's open support, and raises
-    ``InvalidLevel`` naming the level vector otherwise."""
+    ``InvalidLevel`` otherwise, naming the first such level vector in design
+    order over all blocks."""
     if scale not in (SCALE_SQRT, SCALE_PLAIN):
         raise ValueError(f"unknown scale {scale!r}")
     if S.dim and S.dim != spec.dim:
         raise DimError(f"design dimension {S.dim} != kernel dimension {spec.dim}")
     X = _prepare_point(spec, X, spec.dim, 2)
     N, L = X.shape[0], len(S.levels)
+    levels = list(map(tuple, S.levels.tolist()))
     # level vectors come in design order, so each row's columns are sorted
     cols = np.empty((N, L), dtype=np.int32 if len(S) < 2 ** 31 else np.int64)
     vals = np.empty((N, L))
-    # level vectors are built _LEVEL_BLOCK at a time, level-major, and each
-    # block is then stored transposed: a strided (N, L) column per level
-    # vector is slower to fill
-    block_cols = np.empty((min(_LEVEL_BLOCK, L), N), dtype=cols.dtype)
-    block_vals = np.empty((min(_LEVEL_BLOCK, L), N))
+    # rows go in equal blocks of at most _ROW_BLOCK; within one, level vectors
+    # are built _LEVEL_BLOCK at a time, level-major, and each such group is
+    # then stored transposed: a strided (N, L) column per level vector is
+    # slower to fill
+    n_blocks = max(1, -(-N // _ROW_BLOCK))
+    edges = [N * b // n_blocks for b in range(n_blocks + 1)]
+    shape = (min(_LEVEL_BLOCK, L), -(-N // n_blocks))
+    block_cols = np.empty(shape, dtype=cols.dtype)
+    block_vals = np.empty(shape)
     factor = (np.sqrt(expansion_coeff(spec, S.levels)) if scale == SCALE_SQRT
               else np.ones(L))
-    profiles, any_nan = {}, False
-    for k, l in enumerate(map(tuple, S.levels.tolist())):
-        j = k % _LEVEL_BLOCK
-        for d, ld in enumerate(l):
-            if (d, ld) not in profiles:
-                digit = _digits(ld, X[:, d])
-                profiles[d, ld] = (digit, _profile_1d(spec, ld, _position(digit),
-                                                      X[:, d]))
-                any_nan |= bool(np.isnan(profiles[d, ld][1]).any())
-        block_cols[j], dropped = S.columns(k, [profiles[d, ld][0]
-                                               for d, ld in enumerate(l)])
-        v = block_vals[j]
-        np.multiply(profiles[0, l[0]][1], factor[k], out=v)
-        for d, ld in enumerate(l[1:], start=1):
-            v *= profiles[d, ld][1]
-        if dropped is not None:
-            v[dropped] = 0.0
-        if any_nan:     # dropped rows are 0 already
-            rows = np.flatnonzero(np.isnan(v))
-            if not np.all(np.logical_or.reduce(
-                    [profiles[d, ld][1][rows] == 0.0 for d, ld in enumerate(l)])):
-                raise InvalidLevel(
-                    f"level vector {l} is too deep for the kernel's (p, q)")
-            v[rows] = 0.0
-        if j == _LEVEL_BLOCK - 1 or k == L - 1:
-            cols[:, k - j:k + 1] = block_cols[:j + 1].T
-            vals[:, k - j:k + 1] = block_vals[:j + 1].T
+    bad = L     # the first level vector in design order too deep for a kept row
+    for r0, r1 in zip(edges, edges[1:]):
+        Xb, n = X[r0:r1], r1 - r0
+        profiles, any_nan = {}, False
+        for k, l in enumerate(levels[:bad]):
+            j = k % _LEVEL_BLOCK
+            for d, ld in enumerate(l):
+                if (d, ld) not in profiles:
+                    digit = _digits(ld, Xb[:, d])
+                    profiles[d, ld] = (digit, _profile_1d(spec, ld, _position(digit),
+                                                          Xb[:, d]))
+                    any_nan |= bool(np.isnan(profiles[d, ld][1]).any())
+            block_cols[j, :n], dropped = S.columns(k, [profiles[d, ld][0]
+                                                       for d, ld in enumerate(l)])
+            v = block_vals[j, :n]
+            np.multiply(profiles[0, l[0]][1], factor[k], out=v)
+            for d, ld in enumerate(l[1:], start=1):
+                v *= profiles[d, ld][1]
+            if dropped is not None:
+                v[dropped] = 0.0
+            if any_nan:     # dropped rows are 0 already
+                rows = np.flatnonzero(np.isnan(v))
+                if not np.all(np.logical_or.reduce(
+                        [profiles[d, ld][1][rows] == 0.0 for d, ld in enumerate(l)])):
+                    bad = k     # later blocks need only the level vectors before k
+                    break
+                v[rows] = 0.0
+            if j == _LEVEL_BLOCK - 1 or k == L - 1:
+                cols[r0:r1, k - j:k + 1] = block_cols[:j + 1, :n].T
+                vals[r0:r1, k - j:k + 1] = block_vals[:j + 1, :n].T
+    if bad < L:
+        raise InvalidLevel(
+            f"level vector {levels[bad]} is too deep for the kernel's (p, q)")
     # freed first: eliminate_zeros copies the tables if it drops most entries;
     # v is a view that would keep block_vals alive (v is unbound when L = 0)
     profiles = block_cols = block_vals = v = digit = None

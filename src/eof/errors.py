@@ -12,7 +12,7 @@ class InvalidPoint(EofError):
 
 
 class InvalidLevel(EofError):
-    """A level index is not an integer >= 1, or too deep for the kernel's (p, q)."""
+    """A level index is not an integer in 1..1022, or too deep for the kernel's (p, q)."""
 
 
 class InvalidIndex(EofError):

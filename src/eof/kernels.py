@@ -35,6 +35,8 @@ CUSTOM = "custom"
 
 _KINDS = (LAPLACE, SOBOLEV, BROWNIAN_BRIDGE, CUSTOM)
 
+MAX_LEVEL = 1022    # the deepest level whose step 2^-l is a normal float
+
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -94,11 +96,14 @@ def _finite_point(x, dim=None, ndim=None) -> np.ndarray:
 
 
 def _prepare_point(spec: KernelSpec, x, dim=None, ndim=None) -> np.ndarray:
-    """``_finite_point`` clipped to [0,1]^D; strict mode raises outside it."""
+    """``_finite_point`` clipped to [0,1]^D, not copied when it lies inside;
+    strict mode raises outside it."""
     x = _finite_point(x, dim, ndim)
-    if spec.strict and (np.any(x < 0.0) or np.any(x > 1.0)):
+    if x.size == 0 or (x.min() >= 0.0 and x.max() <= 1.0):
+        return x
+    if spec.strict:
         raise InvalidPoint("point outside [0,1]^D in strict mode")
-    return x if spec.strict else np.clip(x, 0.0, 1.0)
+    return np.clip(x, 0.0, 1.0)
 
 
 def kernel_eval(spec: KernelSpec, x, xp) -> float:
@@ -147,15 +152,20 @@ def _check_depth(value, level):
 
 
 def _check_levels(l) -> np.ndarray:
-    """The level rule: ``l`` as ints; ``InvalidLevel`` unless each is an integer >= 1."""
-    # an int array passes whole; a sequence may hide a bool in numpy's ints
-    if not (isinstance(l, np.ndarray) and l.dtype.kind in "iu") and not all(
-            map(is_integer, np.asarray(l, dtype=object).flat)):
+    """The level rule: ``l`` as ints; ``InvalidLevel`` unless each is an
+    integer in 1..``MAX_LEVEL``."""
+    # an int array passes whole; a sequence may hide a bool in numpy's ints,
+    # and is compared as Python ints, which do not overflow
+    a = (l if isinstance(l, np.ndarray) and l.dtype.kind in "iu"
+         else np.asarray(l, dtype=object))
+    if a.dtype == object and not all(map(is_integer, a.flat)):
         raise InvalidLevel(f"levels must be integers, got {l!r}")
-    l = np.asarray(l, dtype=int)
-    if np.any(l < 1):
+    if np.any(a < 1):
         raise InvalidLevel("all levels must be >= 1")
-    return l
+    if np.any(a > MAX_LEVEL):
+        raise InvalidLevel(f"all levels must be <= {MAX_LEVEL}, where the step "
+                           "2^-l is still a normal float")
+    return np.asarray(a, dtype=int)
 
 
 def _float_or_array(a):

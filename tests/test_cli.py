@@ -10,7 +10,6 @@ from eof import bench, learn
 from eof.cli import main
 from eof.design import enumerate_sparse_grid, select_design
 from eof.embedding import embed_batch
-from eof.errors import ParseError
 from eof.kernels import KernelSpec
 
 
@@ -77,13 +76,16 @@ class TestEmbedCommand:
             F = embed_batch(spec, select_design(spec, 11, seed), X)
             np.testing.assert_array_equal(dense, F.toarray())
 
-    def test_non_numeric_cell_reports_position(self, tmp_path):
+    def test_non_numeric_cell_reports_position(self, tmp_path, capsys):
         inp = tmp_path / "points.csv"
         inp.write_text("x0,x1\n0.1,0.2\n0.3,abc\n")
-        with pytest.raises(ParseError) as info:
+        with pytest.raises(SystemExit) as info:
             main(["embed", "--level", "2", "--input", str(inp),
                   "--output", str(tmp_path / "f.txt")])
-        assert (info.value.row, info.value.col) == (3, 2)
+        assert info.value.code == 2
+        assert capsys.readouterr().err == (
+            f"eof: error: {inp}: row 3, column 2: cell 'abc' is not a finite number\n")
+        assert not (tmp_path / "f.txt").exists()
 
     def test_negative_seed_exits_with_usage(self, tmp_path, capsys):
         inp = tmp_path / "points.csv"
@@ -248,6 +250,26 @@ class TestBenchCommand:
         err = capsys.readouterr().err
         assert "usage:" in err and flag in err
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, out_flag", [
+    (["bench", "--task", "reg", "--m", "5", "--runs", "1"], "--out"),
+    (["train", "--task", "reg", "--level", "2"], "--model-out")],
+    ids=["bench", "train"])
+def test_library_error_exits_2_naming_the_input(tmp_path, capsys, command,
+                                                 out_flag):
+    # a CSV with only the target column: a one-line error, no traceback
+    data = tmp_path / "target_only.csv"
+    data.write_text("target\n0.1\n0.5\n0.9\n0.3\n")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as info:
+        main([*command, "--data", str(data), out_flag, str(out)])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"eof: error: {data}: no feature column besides "
+                            "the target 'target'\n")
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_every_public_name_resolves():

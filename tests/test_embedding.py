@@ -20,12 +20,15 @@ BB1 = KernelSpec("bb", dim=1)
 SCALES = [SCALE_SQRT, SCALE_PLAIN]
 
 
-def dense_oracle(spec, S, x, scale=SCALE_SQRT):
-    out = np.zeros(len(S))
+def dense_oracle(spec, S, X, scale=SCALE_SQRT):
+    """The dense embedding of the rows of ``X`` (one point gives one row),
+    one ``phi_nd`` call per feature over all rows."""
+    X = np.atleast_2d(X)
+    out = np.zeros((len(X), len(S)))
     for col, idx in enumerate(S):
         c = expansion_coeff(spec, idx.l)
         factor = np.sqrt(c) if scale == SCALE_SQRT else 1.0
-        out[col] = factor * phi_nd(spec, idx, x)
+        out[:, col] = factor * phi_nd(spec, idx, X)
     return out
 
 
@@ -63,16 +66,15 @@ class TestEmbed:
         S = enumerate_sparse_grid(D, n)
         x = rng.uniform(0.0, 1.0, D)
         got = embed(spec, S, x, scale=scale).toarray()[0]
-        want = dense_oracle(spec, S, x, scale=scale)
+        want = dense_oracle(spec, S, x, scale=scale)[0]
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_at_most_one_nonzero_per_level(self):
         rng = np.random.default_rng(3)
         spec = KernelSpec("bb", dim=2)
         S = enumerate_sparse_grid(2, 4)
-        for _ in range(50):
-            x = rng.uniform(0.0, 1.0, 2)
-            dense = dense_oracle(spec, S, x)
+        X = np.array([rng.uniform(0.0, 1.0, 2) for _ in range(50)])
+        for dense in dense_oracle(spec, S, X):
             per_level = {}
             for col, idx in enumerate(S):
                 if dense[col] != 0.0:
@@ -85,7 +87,7 @@ class TestEmbed:
         spec = KernelSpec("laplace", omega=1.0, dim=2)
         x = [0.312, 0.718]
         np.testing.assert_allclose(embed(spec, sub, x).toarray()[0],
-                                   dense_oracle(spec, sub, x), atol=1e-12)
+                                   dense_oracle(spec, sub, x)[0], atol=1e-12)
 
 
 class TestEmbedBatch:
@@ -117,8 +119,7 @@ class TestEmbedBatch:
         X = rng.uniform(0.0, 1.0, (100, 2))
         F = embed_batch(spec, S, X)
         assert F.nnz <= 100 * comb(5, 2)
-        dense = np.array([dense_oracle(spec, S, x) for x in X])
-        np.testing.assert_allclose(F.toarray(), dense, atol=1e-12)
+        np.testing.assert_allclose(F.toarray(), dense_oracle(spec, S, X), atol=1e-12)
 
     def test_ragged_input_rejected(self):
         spec = KernelSpec("bb", dim=2)
@@ -143,8 +144,8 @@ class TestEmbedBatch:
                        np.zeros(D), np.ones(D)])
         got = embed_batch(spec, S, X, scale=scale)
         assert got.has_sorted_indices
-        dense = np.array([dense_oracle(spec, S, x, scale=scale) for x in X])
-        np.testing.assert_allclose(got.toarray(), dense, atol=1e-12)
+        np.testing.assert_allclose(got.toarray(), dense_oracle(spec, S, X, scale=scale),
+                                   atol=1e-12)
 
     def test_deep_single_feature_level(self):
         # the lookup holds one key, not a table of 2^29 positions
@@ -432,6 +433,25 @@ def test_embed_batch_memory_tied_to_output():
     assert peak <= 1.6 * out_bytes, peak / out_bytes
 
 
+def test_embed_batch_scratch_does_not_grow_with_rows(monkeypatch):
+    # the 1-D profiles and the level-vector scratch cover one row block, so
+    # the peak less the output is the same for 2 blocks of rows as for 6
+    monkeypatch.setattr("eof.embedding._ROW_BLOCK", 1000)
+    spec = KernelSpec("laplace", omega=2.0, dim=8)
+    S = enumerate_sparse_grid(8, 4)
+    extra = []
+    for blocks in (2, 6):
+        X = np.random.default_rng(0).uniform(0.0, 1.0, (blocks * 1000, 8))
+        tracemalloc.start()
+        try:
+            F = embed_batch(spec, S, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        extra.append(peak - (F.data.nbytes + F.indices.nbytes + F.indptr.nbytes))
+    assert extra[1] <= 1.05 * extra[0], extra
+
+
 def test_embed_batch_frees_scratch_before_dropping_zeros():
     # rows at 1/2 lie on every even node past level 1, so most entries are 0
     # and eliminate_zeros copies the kept ones; the block scratch (16
@@ -487,6 +507,44 @@ def test_embed_batch_is_canonical_csr(case):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype, name
             assert a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("rows", [3, 7])
+@pytest.mark.parametrize("case", sorted(CSR_CASES))
+def test_row_blocks_byte_identical_to_one_block(monkeypatch, case, rows):
+    # equal blocks of at most 3 or 7 rows (sizes differ by one where the rows
+    # do not divide evenly) against one block of all rows, truncated-d2-n6's
+    # partial level vectors included
+    spec, design, X = CSR_CASES[case]
+    S = design()
+    for scale in SCALES:
+        monkeypatch.setattr("eof.embedding._ROW_BLOCK", len(X) + 1)
+        want = embed_batch(spec, S, X, scale=scale)
+        monkeypatch.setattr("eof.embedding._ROW_BLOCK", rows)
+        got = embed_batch(spec, S, X, scale=scale)
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype, name
+            assert a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("rows", [3, 10 ** 9])
+def test_invalid_level_names_first_level_vector_over_all_blocks(monkeypatch, rows):
+    # (1, 54) comes before (54, 1) in design order.  The first row is too deep
+    # only for (54, 1), the last only for (1, 54): with blocks of at most 3
+    # rows the first block fails at (54, 1), yet the error names (1, 54), as
+    # with one block
+    monkeypatch.setattr("eof.embedding._ROW_BLOCK", rows)
+    custom2 = KernelSpec("custom", dim=2, **_PQ)
+    S = IndexSet((FeatureIndex((54, 1), (2 ** 52 + 1, 1)),
+                  FeatureIndex((1, 54), (1, 2 ** 52 + 1))))
+    z = 0.25 + 2.0 ** -54   # the centre of position 2^52 + 1, one ulp above 1/4
+    X = [[z, 0.5], [0.5, 0.5], [0.5, 0.5], [0.5, 0.5], [0.5, z]]
+    with pytest.raises(InvalidLevel, match=r"level vector \(1, 54\) is too deep"):
+        embed_batch(custom2, S, X, scale=SCALE_PLAIN)
+    with pytest.raises(InvalidLevel, match=r"level vector \(54, 1\) is too deep"):
+        embed_batch(custom2, S, X[:4], scale=SCALE_PLAIN)
+    assert embed_batch(custom2, S, X[1:4], scale=SCALE_PLAIN).nnz == 0
 
 
 @pytest.mark.parametrize("embed_fn", [

@@ -9,7 +9,7 @@ the dimension D (``errors.check_dim``), the feature count M
 feature index with no component or with level and position vectors of
 different lengths raises ``DimError``, a non-finite point ``InvalidPoint``,
 a bad target, feature, lambda, omega or model file ``InvalidData``, a bad M
-``InvalidM``, a level that is not an integer >= 1 or is too deep for a
+``InvalidM``, a level that is not an integer in 1..1022 or is too deep for a
 custom kernel's (p, q) ``InvalidLevel``, and a position that is not an odd
 integer in 1..2^l - 1 ``InvalidIndex``.
 """

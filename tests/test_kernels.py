@@ -1,4 +1,5 @@
 import math
+import warnings
 from itertools import product
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from eof.design import enumerate_sparse_grid
 from eof.errors import DimError, InvalidLevel, InvalidPoint
+from eof.features import FeatureIndex, phi_1d, phi_nd
 from eof.kernels import (KernelSpec, expansion_coeff, kernel_eval, norm_const,
                          surplus_alpha_1d, surplus_beta_1d)
 
@@ -197,3 +199,23 @@ class TestSurplusCoefficients:
                     surplus_alpha_1d(closed, l, i), rel=1e-12)
                 assert surplus_beta_1d(custom, l, i) == pytest.approx(
                     surplus_beta_1d(closed, l, i), rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["bb", "sobolev", "laplace"])
+def test_level_past_a_normal_step_rejected(kind):
+    # at level 1100 the step 2^-l underflows to 0, and the profile was 0 / 0:
+    # NaN with an "invalid value" warning.  1022 is the deepest level whose
+    # step is a normal float; Python ints past int64 are rejected the same way
+    spec = KernelSpec(kind, omega=2.0)
+    calls = [lambda l: phi_1d(spec, l, 1, 0.3),
+             lambda l: phi_nd(spec, FeatureIndex((l,), (1,)), [0.3]),
+             lambda l: surplus_alpha_1d(spec, l, 1),
+             lambda l: surplus_beta_1d(spec, l, 1),
+             lambda l: expansion_coeff(spec, np.array([[2, l]]))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            for level in (1023, 1100, 2 ** 70):
+                with pytest.raises(InvalidLevel, match="<= 1022"):
+                    call(level)
+        assert phi_1d(spec, 1022, 1, 2.0 ** -1023) > 0.0
