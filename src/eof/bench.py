@@ -109,14 +109,15 @@ def _mean(values, empty=math.nan) -> float:
 def read_table(path) -> Tuple[List[str], np.ndarray]:
     """Parse a rectangular numeric CSV with a header row into (header, cells).
     A non-numeric or non-finite cell or a ragged row raises ``ParseError``
-    with its position.
+    with its position, and bytes that do not decode as text raise it too; a
+    file that cannot be opened raises the ``OSError`` of ``open``.
 
     The body is first read by numpy's C parser; its result is kept only when
     it has at least one row, the header's column count and finite cells.
     Anything else, an exception included, reruns ``_read_table_checked``, so
-    every error comes from the checking parser."""
-    try:
-        with open(path, newline="") as fh:
+    every error from the file's contents comes from the checking parser."""
+    with open(path, newline="") as fh:
+        try:
             header = [h.strip() for h in next(csv.reader(fh))]
             with warnings.catch_warnings():
                 # an empty body gives zero rows, which the check below sends
@@ -124,11 +125,11 @@ def read_table(path) -> Tuple[List[str], np.ndarray]:
                 warnings.filterwarnings("ignore", message=".*no data",
                                         category=UserWarning)
                 cells = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
-        if (cells.shape[0] >= 1 and cells.shape[1] == len(header)
-                and np.isfinite(cells).all()):
-            return header, cells
-    except Exception:   # whatever failed, the checking parser names it
-        pass
+            if (cells.shape[0] >= 1 and cells.shape[1] == len(header)
+                    and np.isfinite(cells).all()):
+                return header, cells
+        except Exception:   # whatever failed, the checking parser names it
+            pass
     return _read_table_checked(path)
 
 
@@ -136,7 +137,7 @@ def _read_table_checked(path) -> Tuple[List[str], np.ndarray]:
     """``read_table`` in Python, one cell at a time, naming the row and column
     of the first bad cell."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(fh)
         try:
             header = next(reader)
         except StopIteration:
@@ -163,6 +164,18 @@ def _read_table_checked(path) -> Tuple[List[str], np.ndarray]:
     if not rows:
         raise ParseError("no data rows")
     return header, np.asarray(rows)
+
+
+def _csv_rows(fh):
+    """The rows of a CSV text file; bytes that do not decode or a line the
+    csv module rejects (a field over its size limit) raise ``ParseError``."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"does not decode as {exc.encoding} text") from None
+    except csv.Error as exc:
+        raise ParseError(str(exc), row=reader.line_num) from None
 
 
 def load_csv(path, target_column: str, task: str) -> RawData:

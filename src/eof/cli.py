@@ -55,6 +55,23 @@ def _counts(text):
             f"expected comma-separated integers >= 1, got {text!r}")
 
 
+def _methods(text):
+    """``--methods``: a comma-separated list of ``bench.ALL_METHODS`` names."""
+    names = text.split(",")
+    if not set(names) <= set(bench.ALL_METHODS):
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated names from {','.join(bench.ALL_METHODS)}"
+            f", got {text!r}")
+    return names
+
+
+def _add_data_flags(p):
+    p.add_argument("--task", choices=["reg", "clf"], required=True)
+    p.add_argument("--data", required=True)
+    p.add_argument("--target", default="target")
+    p.add_argument("--split", type=_split, default=0.7)
+
+
 def _add_kernel_flags(p):
     p.add_argument("--kernel", choices=["laplace", "sobolev", "bb"],
                    default="laplace")
@@ -114,11 +131,7 @@ def cmd_train(args):
 
 def cmd_bench(args):
     ds = _dataset(args)
-    try:
-        results = bench.run_benchmark(ds, args.methods.split(","), args.m,
-                                      args.runs, args.seed)
-    except ValueError as exc:   # an unknown method name
-        raise SystemExit(str(exc))
+    results = bench.run_benchmark(ds, args.methods, args.m, args.runs, args.seed)
     table = bench.report(results, fmt="text")
     os.makedirs(args.out, exist_ok=True)
     for name, text in (("results.csv", bench.report(results, fmt="csv")),
@@ -145,25 +158,20 @@ def build_parser():
     p_train = sub.add_parser("train", help="train a model on sparse features")
     _add_kernel_flags(p_train)
     _add_design_flags(p_train)
-    p_train.add_argument("--task", choices=["reg", "clf"], required=True)
+    _add_data_flags(p_train)
     p_train.add_argument("--lambda", dest="lam", type=_lambda, default="auto",
                          help="regularization strength or 'auto' (N^-1/2)")
-    p_train.add_argument("--data", required=True)
-    p_train.add_argument("--target", default="target")
-    p_train.add_argument("--split", type=_split, default=0.7)
     p_train.add_argument("--model-out", default="model.txt")
     p_train.set_defaults(func=cmd_train)
 
     p_bench = sub.add_parser("bench", help="compare methods on a dataset")
-    p_bench.add_argument("--data", required=True)
-    p_bench.add_argument("--target", default="target")
-    p_bench.add_argument("--task", choices=["reg", "clf"], required=True)
-    p_bench.add_argument("--methods", default="eof,rks,orf,lkrf,eerf")
+    _add_data_flags(p_bench)
+    p_bench.add_argument("--methods", type=_methods, default=bench.ALL_METHODS,
+                         help="comma-separated method names (default: all)")
     p_bench.add_argument("--m", type=_counts, required=True,
                          help="comma-separated feature counts")
     p_bench.add_argument("--runs", type=_count, default=50)
     p_bench.add_argument("--seed", type=partial(_count, least=0), default=7)
-    p_bench.add_argument("--split", type=_split, default=0.7)
     p_bench.add_argument("--out", default="results")
     p_bench.set_defaults(func=cmd_bench)
     return parser
@@ -174,13 +182,16 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except EofError as exc:
-        # a library error exits 2, as a usage error does, naming the input
-        # file and, for a parse error, the row and column in it
-        where = [args.input if args.command == "embed" else args.data]
-        if isinstance(exc, ParseError) and exc.row is not None:
+    except (EofError, OSError) as exc:
+        # a library or file error exits 2, as a usage error does, with one
+        # line naming the file: a file error's own, else the input file and,
+        # for a parse error, the row and column in it
+        where, message = [args.input if args.command == "embed" else args.data], exc
+        if isinstance(exc, OSError):
+            where, message = [exc.filename or where[0]], exc.strerror or exc
+        elif isinstance(exc, ParseError) and exc.row is not None:
             where.append(f"row {exc.row}" + (f", column {exc.col}" if exc.col else ""))
-        parser.exit(2, f"eof: error: {': '.join(map(str, where))}: {exc}\n")
+        parser.exit(2, f"eof: error: {': '.join(map(str, where))}: {message}\n")
 
 
 if __name__ == "__main__":

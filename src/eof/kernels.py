@@ -232,7 +232,8 @@ def norm_const(spec: KernelSpec, l):
     """
     if spec.kind == LAPLACE:
         h = 2.0 ** -np.atleast_1d(_check_levels(l))
-        return _float_or_array(np.prod(np.sinh(spec.omega * h), axis=-1))
+        with np.errstate(over="ignore"):   # inf at a large omega h
+            return _float_or_array(np.prod(np.sinh(spec.omega * h), axis=-1))
     return expansion_coeff(spec, l)
 
 

@@ -93,9 +93,10 @@ class TestReadTable:
         ("a,b\n1e400,2\n", 2, 1),
         ("a,b\n1,2\n3,\n", 3, 2),
         ("a,b\n1,2\n3\n", 3, None),
-        ("a,b\n1,2,\n", 2, None)],
+        ("a,b\n1,2,\n", 2, None),
+        ("a,b\n1,2\n" + "1" * 200_000 + ",2\n", 3, None)],
         ids=["nan", "inf", "overflow", "empty-cell", "ragged",
-             "trailing-comma"])
+             "trailing-comma", "field-over-csv-limit"])
     def test_errors_keep_row_and_column(self, tmp_path, text, row, col):
         path = tmp_path / "t.csv"
         _write_text(path, text)
@@ -106,6 +107,24 @@ class TestReadTable:
         assert (fast.value.row, fast.value.col) == (row, col)
         assert (checked.value.row, checked.value.col) == (row, col)
         assert str(fast.value) == str(checked.value)
+
+    def test_undecodable_bytes_raise_parse_error(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"a,b\n1,2\n\x89PNG\r\n\x1a\n\x00\xff")
+        with pytest.raises(ParseError) as fast:
+            bench.read_table(path)
+        with pytest.raises(ParseError) as checked:
+            bench._read_table_checked(path)
+        assert fast.value.row is None and "text" in str(fast.value)
+        assert str(fast.value) == str(checked.value)
+
+    @pytest.mark.parametrize("name, error", [
+        ("missing.csv", FileNotFoundError), (".", IsADirectoryError)])
+    def test_open_error_leaves_from_first_open(self, tmp_path, monkeypatch,
+                                               name, error):
+        monkeypatch.setattr(bench, "_read_table_checked", None)
+        with pytest.raises(error):
+            bench.read_table(tmp_path / name)
 
     def test_savetxt_csv_takes_fast_path(self, tmp_path, monkeypatch):
         # the form the benchmark writes: np.savetxt with %.17g

@@ -7,7 +7,7 @@ import pytest
 
 import eof
 from eof import bench, learn
-from eof.cli import main
+from eof.cli import build_parser, main
 from eof.design import enumerate_sparse_grid, select_design
 from eof.embedding import embed_batch
 from eof.kernels import KernelSpec
@@ -210,16 +210,21 @@ class TestBenchCommand:
             ["method", "M", "M0", "T_train", "nnz_F", "mean_error", "std_error"]
         assert "results written" in capsys.readouterr().out
 
-    def test_unknown_method_rejected(self, tmp_path):
-        ds = bench.synthetic_rkhs_dataset(N_train=40, N_test=2, seed=0)
-        data = tmp_path / "b.csv"
-        write_labeled_csv(data, ds.X_train, ds.y_train)
+    def test_unknown_method_rejected(self, tmp_path, capsys):
+        # a usage error: the --data file, which does not exist, is never read
         with pytest.raises(SystemExit) as info:
-            main(["bench", "--data", str(data), "--task", "reg",
-                  "--methods", "nystrom", "--m", "4",
+            main(["bench", "--data", str(tmp_path / "missing.csv"), "--task",
+                  "reg", "--methods", "eof,nystrom", "--m", "4",
                   "--out", str(tmp_path / "out")])
-        assert "nystrom" in str(info.value.code)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "nystrom" in err
         assert not (tmp_path / "out").exists()
+
+    def test_default_methods_are_all_methods(self):
+        args = build_parser().parse_args(["bench", "--data", "b.csv", "--task",
+                                          "reg", "--m", "4"])
+        assert tuple(args.methods) == bench.ALL_METHODS
 
     def test_split_outside_unit_interval_exits_with_usage(self, tmp_path,
                                                            capsys):
@@ -270,6 +275,46 @@ def test_library_error_exits_2_naming_the_input(tmp_path, capsys, command,
                             "the target 'target'\n")
     assert captured.out == ""
     assert not out.exists()
+
+
+EMBED = ["embed", "--level", "2"]
+TRAIN = ["train", "--task", "reg", "--level", "2"]
+BENCH = ["bench", "--task", "reg", "--m", "5", "--runs", "1"]
+
+
+@pytest.mark.parametrize("command, files, bad", [
+    (EMBED, {"--input": "missing.csv", "--output": "f.txt"}, "missing.csv"),
+    (TRAIN, {"--data": "missing.csv", "--model-out": "m.txt"}, "missing.csv"),
+    (BENCH, {"--data": "missing.csv", "--out": "out"}, "missing.csv"),
+    (TRAIN, {"--data": "a_dir", "--model-out": "m.txt"}, "a_dir"),
+    (BENCH, {"--data": "a_dir", "--out": "out"}, "a_dir"),
+    (EMBED, {"--input": "data.csv", "--output": "no_dir/f.txt"}, "no_dir/f.txt"),
+    (TRAIN, {"--data": "data.csv", "--model-out": "no_dir/m.txt"},
+     "no_dir/m.txt"),
+    (BENCH, {"--data": "data.csv", "--out": "a_file"}, "a_file"),
+    (EMBED, {"--input": "binary.csv", "--output": "f.txt"}, "binary.csv"),
+    (TRAIN, {"--data": "binary.csv", "--model-out": "m.txt"}, "binary.csv")],
+    ids=["embed-missing-input", "train-missing-data", "bench-missing-data",
+         "train-dir-data", "bench-dir-data", "embed-output-no-dir",
+         "train-model-out-no-dir", "bench-out-is-file", "embed-binary-input",
+         "train-binary-data"])
+def test_file_error_exits_2_with_one_line(tmp_path, capsys, command, files,
+                                          bad):
+    ds = bench.synthetic_rkhs_dataset(N_train=40, N_test=2, seed=0)
+    write_labeled_csv(tmp_path / "data.csv", ds.X_train, ds.y_train)
+    (tmp_path / "a_dir").mkdir()
+    (tmp_path / "a_file").write_text("")
+    (tmp_path / "binary.csv").write_bytes(b"x0,target\n\x89PNG\r\n\x1a\n\x00\xff")
+    before = sorted(tmp_path.rglob("*"))
+    with pytest.raises(SystemExit) as info:
+        main([*command, *[v for flag, name in files.items()
+                          for v in (flag, str(tmp_path / name))]])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"eof: error: {tmp_path / bad}: ")
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_every_public_name_resolves():

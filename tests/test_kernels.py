@@ -107,6 +107,14 @@ class TestNormConst:
         spec = KernelSpec("laplace", omega=2.0, dim=2)
         assert norm_const(spec, (1, 3)) == pytest.approx(norm_const(spec, (3, 1)))
 
+    def test_laplace_overflow_is_silent_inf(self):
+        # sinh overflows at omega 2^-l > ~710 and the product over dimensions
+        # overflows sooner; pyproject.toml makes a leaked warning an error
+        assert norm_const(KernelSpec("laplace", omega=2000.0), 1) == math.inf
+        spec = KernelSpec("laplace", omega=400.0, dim=8)
+        got = norm_const(spec, enumerate_sparse_grid(8, 4).levels)
+        assert got.shape == (165,) and np.isposinf(got).all()
+
 
 class TestExpansionCoeff:
     def test_laplace_is_reciprocal_surplus_alpha(self):
