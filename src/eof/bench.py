@@ -22,9 +22,10 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import baselines, learn
-from .design import level_for_feature_count, select_design, sparse_grid_size
+from .design import select_design, sparse_grid_size
 from .embedding import SCALE_PLAIN, embed_batch
-from .errors import DegenerateData, EofError, InvalidData, ParseError, check_dim
+from .errors import (DegenerateData, EofError, InvalidData, ParseError, check_dim,
+                     check_M, is_integer)
 from .kernels import KernelSpec, _finite_point, _kernel_rows
 
 EOF_METHOD = "eof"
@@ -326,7 +327,7 @@ def _one_run(dataset: Dataset, method: str, M: int, run_seed: int,
         S = select_design(spec, M, run_seed)
         # unnormalized basis columns: ridge weights absorb the level constants
         featurize = partial(embed_batch, spec, S, scale=SCALE_PLAIN)
-        M0 = sparse_grid_size(D, level_for_feature_count(D, M))
+        M0 = sparse_grid_size(D, S.level)
     else:
         M0 = 0
         if method == baselines.RKS:
@@ -347,12 +348,18 @@ def _one_run(dataset: Dataset, method: str, M: int, run_seed: int,
 def run_benchmark(dataset: Dataset, methods: Sequence[str], M_grid: Sequence[int],
                   runs: int, seed: int,
                   lam: Optional[float] = None) -> List[BenchResult]:
-    """Repeated seeded runs of every (method, M) pair on one dataset."""
+    """Repeated seeded runs of every (method, M) pair on one dataset.
+
+    An unknown method (``ValueError``), an M that ``check_M`` rejects
+    (``InvalidM``) or ``runs`` that is not an integer >= 1 (``InvalidData``)
+    stops before any run."""
     for m in methods:
         if m not in ALL_METHODS:
             raise ValueError(f"unknown method {m!r}")
-    if runs < 1:
-        raise InvalidData("runs must be >= 1")
+    for M in M_grid:
+        check_M(M)
+    if not (is_integer(runs) and runs >= 1):
+        raise InvalidData(f"runs must be an integer >= 1, got {runs!r}")
     sigma = estimate_sigma(dataset.X_train)
     lam = learn.default_lambda(dataset.N_train) if lam is None else learn._lambda(lam)
     results = []

@@ -8,7 +8,7 @@ import sys
 from functools import partial
 
 from . import bench, kernels, learn
-from .design import enumerate_sparse_grid, level_for_feature_count, select_design
+from .design import enumerate_sparse_grid, select_design
 from .embedding import embed_batch
 from .errors import EofError, ParseError
 from .kernels import KernelSpec
@@ -117,11 +117,10 @@ def cmd_train(args):
     S = _design(spec, args)
     lam = learn.default_lambda(ds.N_train) if args.lam == "auto" else args.lam
     model, err = bench.fit_and_score(ds, partial(embed_batch, spec, S), lam)
-    # --num-features: the full design that select_design truncates, and the seed
-    level = args.level or level_for_feature_count(ds.D, args.num_features)
+    # the level of the full design S is cut from, and the --num-features seed
     seed = None if args.level else args.seed
     meta = {"kernel": args.kernel, "omega": repr(args.omega),
-            "design": f"level={level} M={len(S)} seed={seed}",
+            "design": f"level={S.level} M={len(S)} seed={seed}",
             "dataset": ds.name}
     learn.save_model(model, args.model_out, meta)
     kind = "mse" if ds.task == learn.REGRESSION else "error rate"

@@ -13,6 +13,9 @@ all 2^(|l|-D) features, else the sorted int64 mixed-radix codes of the digits
 are in canonical (|l|, l, i) order.  This module alone knows that layout:
 ``_digits`` finds a point's digits, ``IndexSet.columns`` alone composes them
 into columns and ``IndexSet.indices`` alone decomposes codes into positions.
+It also alone knows which full design a design comes from: ``IndexSet.level``
+reads it off the level vectors, so the rule that picks the full design behind
+an M-feature design (``select_design``) is not worked out again elsewhere.
 A level vector whose code needs over 61 bits raises ``InvalidLevel`` when
 the design is built.  ``FeatureIndex`` objects are built only on request.
 """
@@ -93,6 +96,16 @@ class IndexSet:
 
     def __len__(self) -> int:
         return int(self.offsets[-1])
+
+    @property
+    def level(self) -> int:
+        """The level n of the smallest full design that holds every column:
+        max |l| - D + 1 (0 for an empty design).  For ``select_design(spec,
+        M, seed)`` it is ``level_for_feature_count(D, M)``, as the M > |S_{n-1}|
+        kept columns cannot all miss the top layer |l| = n + D - 1."""
+        if not len(self.levels):
+            return 0
+        return int(self.levels.sum(axis=1).max()) - self.dim + 1
 
     def __iter__(self):
         return iter(self.indices)

@@ -158,13 +158,12 @@ def ridge_fit(F, y, lam: float) -> Model:
     return _model(F, _solve(F, b, lam * F.shape[0]), lam, REGRESSION)
 
 
-def logistic_fit(F, y, lam: float, max_iter: int = NEWTON_MAX_ITER,
-                 tol: float = NEWTON_TOL) -> Model:
+def logistic_fit(F, y, lam: float, tol: float = NEWTON_TOL) -> Model:
     """L2-regularized logistic regression on labels in {-1, +1}.
 
     Minimizes (1/N) sum log(1 + exp(-y_i F_i w)) + lam ||w||^2 by damped
     Newton; raises ``ConvergenceError`` (with the last gradient norm) if the
-    gradient norm is still above ``tol`` after ``max_iter`` iterations.
+    gradient norm is still above ``tol`` after ``NEWTON_MAX_ITER`` iterations.
     """
     _lambda(lam)
     F = _features(F)
@@ -173,7 +172,7 @@ def logistic_fit(F, y, lam: float, max_iter: int = NEWTON_MAX_ITER,
     w = np.zeros(M)
     m = np.zeros(N)                            # the margins y * (F w)
     obj = float(np.mean(np.logaddexp(0.0, -m)))
-    for it in range(max_iter + 1):
+    for it in range(NEWTON_MAX_ITER + 1):
         # sigma(-y F w); e^m overflows to inf past m = 709.78, where s is 0
         with np.errstate(over="ignore"):
             s = 1.0 / (1.0 + np.exp(m))
@@ -181,7 +180,7 @@ def logistic_fit(F, y, lam: float, max_iter: int = NEWTON_MAX_ITER,
         gnorm = float(np.linalg.norm(grad))
         if gnorm < tol:
             return _model(F, w, lam, CLASSIFICATION)
-        if it == max_iter:
+        if it == NEWTON_MAX_ITER:
             break
         step = _solve(F, grad, 2.0 * lam, s * (1.0 - s) / N)
         # backtracking keeps the objective monotone
@@ -213,11 +212,16 @@ MODEL_FORMAT = "eof-model-v1"
 
 
 def save_model(model: Model, path, metadata: Optional[dict] = None) -> None:
-    """Write a model as version-tagged flat text: header lines, then weights."""
+    """Write a model as version-tagged flat text: header lines, then weights.
+    A metadata key or value holding a line break raises ``InvalidData`` before
+    the file is opened, as it would end its header line early."""
     meta = dict(metadata or {})
     meta.setdefault("task", model.task)
     meta.setdefault("lambda", repr(float(model.lam)))
     meta.setdefault("nnz_F", model.nnz_F)
+    for key, value in meta.items():
+        if any(c in f"{key}={value}" for c in "\n\r"):
+            raise InvalidData(f"model metadata {key!r} holds a line break")
     with open(path, "w") as fh:
         fh.write(f"# {MODEL_FORMAT}\n")
         for key in sorted(meta):

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from eof import baselines, bench, learn
-from eof.errors import (DegenerateData, EofError, InvalidData, InvalidPoint,
-                        ParseError)
+from eof.errors import (DegenerateData, EofError, InvalidData, InvalidM,
+                        InvalidPoint, ParseError)
 from eof.kernels import KernelSpec, kernel_eval
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -310,6 +310,9 @@ class TestRunBenchmark:
         ds = toy_dataset()
         res = bench.run_benchmark(ds, ["eerf"], [6], runs=1, seed=0)
         assert res[0].M0 == 60  # 10 M rule
+        # eof at a truncated M: the smallest full design at D = 2 that holds M
+        res = bench.run_benchmark(ds, ["eof"], [6, 51], runs=1, seed=0)
+        assert [r.M0 for r in res] == [17, 129]
 
     def test_failed_runs_excluded_with_count(self, monkeypatch):
         ds = toy_dataset()
@@ -361,6 +364,23 @@ class TestRunBenchmark:
         monkeypatch.setattr(bench, "_one_run", no_run)
         with pytest.raises(ValueError, match="nystrom"):
             bench.run_benchmark(toy_dataset(), ["rks", "nystrom"], [4], runs=1,
+                                seed=0)
+
+    @pytest.mark.parametrize("method", ["eof", "rks"])
+    @pytest.mark.parametrize("M_grid, runs, error", [
+        ([0], 1, InvalidM), ([2.5], 1, InvalidM), ([True], 1, InvalidM),
+        ([-3], 1, InvalidM), ([4, 0], 1, InvalidM), ([4], 2.5, InvalidData),
+        ([4], True, InvalidData)],
+        ids=["M-0", "M-2.5", "M-True", "M-neg", "M-4,0", "runs-2.5", "runs-True"])
+    def test_bad_m_or_runs_rejected_before_any_run(self, monkeypatch, method,
+                                                   M_grid, runs, error):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(bench, "_one_run", no_run)
+        monkeypatch.setattr(bench, "estimate_sigma", no_run)
+        with pytest.raises(error):
+            bench.run_benchmark(toy_dataset(), [method], M_grid, runs=runs,
                                 seed=0)
 
     def test_invalid_runs(self):

@@ -173,6 +173,21 @@ class TestTrainCommand:
         main(args + ["auto"])
         assert learn.load_model(model_path).lam == learn.default_lambda(42)
 
+    def test_line_break_in_data_name_writes_no_model(self, tmp_path, capsys):
+        # the data file's name is the model file's dataset line
+        ds = bench.synthetic_rkhs_dataset(N_train=40, N_test=2, seed=0)
+        data = tmp_path / "a\n1.csv"
+        write_labeled_csv(data, ds.X_train, ds.y_train)
+        model_path = tmp_path / "model.txt"
+        with pytest.raises(SystemExit) as info:
+            main(["train", "--task", "reg", "--level", "2", "--data", str(data),
+                  "--model-out", str(model_path)])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"eof: error: {data}: ")
+        assert "'dataset'" in captured.err
+        assert not model_path.exists()
 
     @pytest.mark.parametrize("flag, bad", [
         ("--omega", "-1"), ("--omega", "0"), ("--omega", "nan"),

@@ -96,6 +96,22 @@ class TestIndexSet:
         S = IndexSet(())
         assert len(S) == 0
         assert S.indices == ()
+        assert S.level == 0
+
+    @pytest.mark.parametrize("D", [1, 2, 3, 8])
+    def test_level_is_the_full_design_behind_the_design(self, D):
+        for n in range(1, 6):
+            assert enumerate_sparse_grid(D, n).level == n
+        spec = KernelSpec("laplace", omega=1.0, dim=D)
+        for M in (*range(1, 40), 129, 161, 162, 1121):
+            for seed in range(3):
+                assert (select_design(spec, M, seed).level
+                        == level_for_feature_count(D, M))
+
+    def test_level_of_a_built_design(self):
+        # one index at |l| = 5 in D = 2 needs the level-4 full design
+        S = IndexSet([FeatureIndex((1, 1), (1, 1)), FeatureIndex((2, 3), (1, 5))])
+        assert S.level == 4
 
     def test_design_path_builds_no_feature_objects(self, monkeypatch):
         def refuse(self):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -144,13 +145,19 @@ class TestLogisticFit:
         with pytest.raises(InvalidData):
             logistic_fit(np.eye(3), np.array([0.0, 1.0, -1.0]), 0.1)
 
-    def test_nonconvergence_raises_with_grad_norm(self):
+    def test_nonconvergence_raises_with_grad_norm(self, monkeypatch):
         rng = np.random.default_rng(5)
         F = rng.standard_normal((60, 5))
         y = np.sign(rng.standard_normal(60))
+        monkeypatch.setattr(learn, "NEWTON_MAX_ITER", 1)
         with pytest.raises(ConvergenceError) as err:
-            logistic_fit(F, y, 0.01, max_iter=1, tol=1e-14)
+            logistic_fit(F, y, 0.01, tol=1e-14)
         assert err.value.grad_norm > 0.0
+
+    def test_iteration_cap_is_not_an_option(self):
+        # the cap is the module constant NEWTON_MAX_ITER, not an argument
+        with pytest.raises(TypeError, match="max_iter"):
+            logistic_fit(np.eye(2), [1.0, -1.0], 0.1, max_iter=-1)
 
     def test_sparse_and_dense_paths_agree(self):
         rng = np.random.default_rng(6)
@@ -341,6 +348,14 @@ class TestModelSerialization:
         path.write_text("# some-other-format\n1.0\n")
         with pytest.raises(InvalidData):
             load_model(path)
+
+    @pytest.mark.parametrize("meta", [
+        {"dataset": "a\n1"}, {"dataset": "a\r1"}, {"key\nx": "v"}])
+    def test_line_break_in_metadata_rejected(self, tmp_path, meta):
+        path = tmp_path / "model.txt"
+        with pytest.raises(InvalidData, match=re.escape(repr(next(iter(meta))))):
+            save_model(Model(np.array([1.0])), path, meta)
+        assert not path.exists()
 
     def test_header_carries_format_name(self, tmp_path):
         path = tmp_path / "model.txt"
