@@ -24,8 +24,8 @@ import numpy as np
 from . import baselines, learn
 from .design import select_design, sparse_grid_size
 from .embedding import SCALE_PLAIN, embed_batch
-from .errors import (DegenerateData, EofError, InvalidData, ParseError, check_dim,
-                     check_M, is_integer)
+from .errors import (DegenerateData, EofError, InvalidData, ParseError,
+                     check_choice, check_dim, check_M, is_integer)
 from .kernels import KernelSpec, _finite_point, _kernel_rows
 
 EOF_METHOD = "eof"
@@ -180,10 +180,12 @@ def _csv_rows(fh):
 
 
 def load_csv(path, target_column: str, task: str) -> RawData:
-    """Parse a rectangular numeric CSV with a header row."""
+    """Parse a rectangular numeric CSV with a header row naming the target once."""
     header, data = read_table(path)
     if target_column not in header:
         raise ParseError(f"target column {target_column!r} not in header")
+    if header.count(target_column) > 1:
+        raise ParseError(f"target column {target_column!r} repeats in header")
     if len(header) == 1:
         raise ParseError(f"no feature column besides the target {target_column!r}")
     t_idx = header.index(target_column)
@@ -193,10 +195,9 @@ def load_csv(path, target_column: str, task: str) -> RawData:
 
 
 def _split_ratio(ratio):
-    """``ratio`` itself; ``InvalidData`` unless it lies in (0, 1)."""
+    """``InvalidData`` unless ``ratio`` lies in (0, 1)."""
     if not 0.0 < ratio < 1.0:
         raise InvalidData(f"split_ratio must lie in (0, 1), got {ratio!r}")
-    return ratio
 
 
 def standardize(raw: RawData, split_ratio: float = 0.7, seed: int = 0) -> Dataset:
@@ -207,6 +208,7 @@ def standardize(raw: RawData, split_ratio: float = 0.7, seed: int = 0) -> Datase
     Regression targets are scaled into [-1, 1] by the training min/max;
     classification targets are mapped to {-1, +1}.
     """
+    check_choice(raw.task, learn.TASKS, "task")
     N = raw.X.shape[0]
     if N < 2:
         raise InvalidData("need at least 2 rows to split")
@@ -350,12 +352,11 @@ def run_benchmark(dataset: Dataset, methods: Sequence[str], M_grid: Sequence[int
                   lam: Optional[float] = None) -> List[BenchResult]:
     """Repeated seeded runs of every (method, M) pair on one dataset.
 
-    An unknown method (``ValueError``), an M that ``check_M`` rejects
-    (``InvalidM``) or ``runs`` that is not an integer >= 1 (``InvalidData``)
-    stops before any run."""
+    A method not in ``ALL_METHODS`` (``InvalidChoice``), an M that
+    ``check_M`` rejects (``InvalidM``) or ``runs`` that is not an integer
+    >= 1 (``InvalidData``) stops before any run."""
     for m in methods:
-        if m not in ALL_METHODS:
-            raise ValueError(f"unknown method {m!r}")
+        check_choice(m, ALL_METHODS, "method")
     for M in M_grid:
         check_M(M)
     if not (is_integer(runs) and runs >= 1):
@@ -386,7 +387,8 @@ _COLUMNS = ("method", "M", "M0", "T_train", "nnz_F", "mean_error", "std_error")
 
 def report(results: Sequence[BenchResult], fmt: str = "text",
            include_timing: bool = True) -> str:
-    """Render results as CSV or an aligned text table."""
+    """Render results as ``"csv"`` or as an aligned ``"text"`` table."""
+    check_choice(fmt, ("csv", "text"), "report format")
     table = [list(_COLUMNS)] + [
         [r.method, str(r.M), str(r.M0) if r.M0 else "",
          f"{r.t_train:.4f}" if include_timing else "",
@@ -396,8 +398,6 @@ def report(results: Sequence[BenchResult], fmt: str = "text",
         buf = io.StringIO()
         csv.writer(buf).writerows(table)
         return buf.getvalue()
-    if fmt != "text":
-        raise ValueError(f"unknown report format {fmt!r}")
     widths = [max(map(len, column)) for column in zip(*table)]
     return "".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
                    + "\n" for row in table)

@@ -7,62 +7,42 @@ import os
 import sys
 from functools import partial
 
+import numpy as np
+
 from . import bench, kernels, learn
 from .design import enumerate_sparse_grid, select_design
 from .embedding import embed_batch
-from .errors import EofError, ParseError
+from .errors import EofError, ParseError, check_M, check_choice
 from .kernels import KernelSpec
 
 
-def _rule(check, expected, keep=()):
-    """An argparse type: ``check(float(text))`` for a library input rule, or
-    ``text`` itself when it is in ``keep``; what ``check`` rejects exits 2."""
-    def parse(text):
+def _rule(check, expected, parse=float, keep=(), many=False):
+    """The one argparse type: ``parse(text)`` (a list over its comma-separated
+    parts if ``many``) once the library rule ``check`` passes it; ``keep`` as is."""
+    def rule(text):
         if text in keep:
             return text
         try:
-            return check(float(text))
+            values = [parse(part) for part in (text.split(",") if many else [text])]
+            for value in values:
+                check(value)
         except (ValueError, EofError):
-            raise argparse.ArgumentTypeError(
-                f"expected {expected}, got {text!r}")
-    return parse
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return values if many else values[0]
+    return rule
 
 
 _lambda = _rule(learn._lambda, "'auto' or a positive number", keep=("auto",))
 _omega = _rule(kernels._omega, "a positive finite number")
 _split = _rule(bench._split_ratio, "a number between 0 and 1")
-
-
-def _count(text, least=1):
-    """An integer >= ``least``: 1 for ``--level``, ``--num-features`` and
-    ``--runs``, 0 for ``--seed``."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = least - 1
-    if value < least:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer >= {least}, got {text!r}")
-    return value
-
-
-def _counts(text):
-    """``--m``: a comma-separated list of integers >= 1."""
-    try:
-        return [_count(part) for part in text.split(",")]
-    except argparse.ArgumentTypeError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers >= 1, got {text!r}")
-
-
-def _methods(text):
-    """``--methods``: a comma-separated list of ``bench.ALL_METHODS`` names."""
-    names = text.split(",")
-    if not set(names) <= set(bench.ALL_METHODS):
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated names from {','.join(bench.ALL_METHODS)}"
-            f", got {text!r}")
-    return names
+_level = _rule(kernels._check_levels, f"an integer in 1..{kernels.MAX_LEVEL}", int)
+_seed = _rule(np.random.SeedSequence, "an integer >= 0", int)
+_positive = _rule(check_M, "an integer >= 1", int)     # --num-features, --runs
+_positive_list = _rule(check_M, "comma-separated integers >= 1", int, many=True)
+_method_list = _rule(partial(check_choice, choices=bench.ALL_METHODS, what="method"),
+                     f"comma-separated names from {','.join(bench.ALL_METHODS)}",
+                     str, many=True)
+_ESCAPES = {c: repr(chr(c))[1:-1] for c in range(32)}   # C0 controls, escaped
 
 
 def _add_data_flags(p):
@@ -80,11 +60,11 @@ def _add_kernel_flags(p):
 
 def _add_design_flags(p):
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--level", type=_count, help="full design at level n")
-    group.add_argument("--num-features", type=_count,
+    group.add_argument("--level", type=_level, help="full design at level n")
+    group.add_argument("--num-features", type=_positive,
                        help="M features via random truncation of the smallest "
                             "full design that holds them")
-    p.add_argument("--seed", type=partial(_count, least=0), default=0)
+    p.add_argument("--seed", type=_seed, default=0)
 
 
 def _design(spec, args):
@@ -165,12 +145,12 @@ def build_parser():
 
     p_bench = sub.add_parser("bench", help="compare methods on a dataset")
     _add_data_flags(p_bench)
-    p_bench.add_argument("--methods", type=_methods, default=bench.ALL_METHODS,
+    p_bench.add_argument("--methods", type=_method_list, default=bench.ALL_METHODS,
                          help="comma-separated method names (default: all)")
-    p_bench.add_argument("--m", type=_counts, required=True,
+    p_bench.add_argument("--m", type=_positive_list, required=True,
                          help="comma-separated feature counts")
-    p_bench.add_argument("--runs", type=_count, default=50)
-    p_bench.add_argument("--seed", type=partial(_count, least=0), default=7)
+    p_bench.add_argument("--runs", type=_positive, default=50)
+    p_bench.add_argument("--seed", type=_seed, default=7)
     p_bench.add_argument("--out", default="results")
     p_bench.set_defaults(func=cmd_bench)
     return parser
@@ -184,13 +164,15 @@ def main(argv=None):
     except (EofError, OSError) as exc:
         # a library or file error exits 2, as a usage error does, with one
         # line naming the file: a file error's own, else the input file and,
-        # for a parse error, the row and column in it
+        # for a parse error, the row and column in it; C0 control characters
+        # (a line break in a file name) print as escapes, keeping one line
         where, message = [args.input if args.command == "embed" else args.data], exc
         if isinstance(exc, OSError):
             where, message = [exc.filename or where[0]], exc.strerror or exc
         elif isinstance(exc, ParseError) and exc.row is not None:
             where.append(f"row {exc.row}" + (f", column {exc.col}" if exc.col else ""))
-        parser.exit(2, f"eof: error: {': '.join(map(str, where))}: {message}\n")
+        line = f"eof: error: {': '.join(map(str, where))}: {message}"
+        parser.exit(2, line.translate(_ESCAPES) + "\n")
 
 
 if __name__ == "__main__":

@@ -16,8 +16,8 @@ into columns and ``IndexSet.indices`` alone decomposes codes into positions.
 It also alone knows which full design a design comes from: ``IndexSet.level``
 reads it off the level vectors, so the rule that picks the full design behind
 an M-feature design (``select_design``) is not worked out again elsewhere.
-A level vector whose code needs over 61 bits raises ``InvalidLevel`` when
-the design is built.  ``FeatureIndex`` objects are built only on request.
+A code of over 61 bits raises ``InvalidLevel`` (in ``enumerate_sparse_grid``
+before any level vector is listed).  ``FeatureIndex`` objects are built on request.
 """
 
 from __future__ import annotations
@@ -62,10 +62,7 @@ class IndexSet:
         return S
 
     def _set(self, levels, codes):
-        bits = levels.sum(axis=1) - levels.shape[1]
-        if (bits > 61).any():   # x 2^l_d must fit an int64 as well as the code
-            l = tuple(levels[bits > 61][0].tolist())
-            raise InvalidLevel(f"level vector {l} is too deep for 64-bit keys")
+        _check_keys(levels)
         self.levels, self.dim = levels, levels.shape[1]
         self._radix = 2 ** (levels - 1)
         size = self._radix.prod(axis=1).tolist()
@@ -125,6 +122,15 @@ class IndexSet:
         return self._indices
 
 
+def _check_keys(levels):
+    """``InvalidLevel`` naming the first row of the (L, D) level array whose
+    code needs over 61 bits: x 2^l_d must fit an int64 as well as the code."""
+    bits = levels.sum(axis=1) - levels.shape[1]
+    if (bits > 61).any():
+        l = tuple(levels[bits > 61][0].tolist())
+        raise InvalidLevel(f"level vector {l} is too deep for 64-bit keys")
+
+
 def _digits(level: int, x: np.ndarray) -> np.ndarray:
     """Per coordinate, the digit (i - 1) / 2 of the odd position i at ``level``
     whose support's interior holds x: floor(x 2^(level-1)).  A coordinate on
@@ -152,6 +158,8 @@ def enumerate_sparse_grid(D: int, n: int) -> IndexSet:
     """All indices with |l| <= n + D - 1, sorted by the canonical key."""
     check_dim(D)
     _check_levels(n)
+    # every code of a layer needs |l| - D bits: check each layer's first up front
+    _check_keys(np.array([(1,) * (D - 1) + (k,) for k in range(1, n + 1)]))
     # a level vector is the gaps between D - 1 cuts of 1..|l| - 1, and cuts in
     # lexicographic order give level vectors in lexicographic order
     bounds = np.array([(0, *cuts, total) for total in range(D, n + D)

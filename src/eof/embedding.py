@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .design import IndexSet, _digits, _position
-from .errors import DimError, InvalidLevel
+from .errors import DimError, InvalidLevel, check_choice
 from .kernels import (KernelSpec, _finite_point, _prepare_point, _profile_1d,
                       expansion_coeff)
 
@@ -59,8 +59,7 @@ def embed_batch(spec: KernelSpec, S: IndexSet, X,
     exactly 0, which puts it off the feature's open support, and raises
     ``InvalidLevel`` otherwise, naming the first such level vector in design
     order over all blocks."""
-    if scale not in (SCALE_SQRT, SCALE_PLAIN):
-        raise ValueError(f"unknown scale {scale!r}")
+    check_choice(scale, (SCALE_SQRT, SCALE_PLAIN), "scale")
     if S.dim and S.dim != spec.dim:
         raise DimError(f"design dimension {S.dim} != kernel dimension {spec.dim}")
     X = _prepare_point(spec, X, spec.dim, 2)

@@ -1,4 +1,4 @@
-"""Exception types shared across the library, and the range rules for D and M."""
+"""Exception types shared across the library, and the rules for D, M and names."""
 
 import numbers
 
@@ -46,6 +46,16 @@ def check_M(M, limit=float("inf")):
         raise InvalidM(f"M={M!r} is not an integer")
     if not 1 <= M <= limit:
         raise InvalidM(f"M={M} outside 1..{limit}")
+
+
+class InvalidChoice(EofError, ValueError):
+    """A kernel kind, scale, task, method or report format that is unknown."""
+
+
+def check_choice(value, choices, what):
+    """``InvalidChoice``, ``unknown {what} {value!r}``, for a value not in choices."""
+    if value not in choices:
+        raise InvalidChoice(f"unknown {what} {value!r}")
 
 
 class InvalidData(EofError):

@@ -25,8 +25,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (DimError, InvalidData, InvalidLevel, InvalidPoint, check_dim,
-                     is_integer)
+from .errors import (DimError, InvalidData, InvalidLevel, InvalidPoint,
+                     check_choice, check_dim, is_integer)
 
 LAPLACE = "laplace"
 SOBOLEV = "sobolev"
@@ -65,8 +65,7 @@ class KernelSpec:
     q: Optional[Callable] = field(default=None, compare=False)
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown kernel kind {self.kind!r}")
+        check_choice(self.kind, _KINDS, "kernel kind")
         if self.kind in (LAPLACE, SOBOLEV):
             _omega(self.omega)
         check_dim(self.dim)
@@ -75,10 +74,9 @@ class KernelSpec:
 
 
 def _omega(omega):
-    """``omega`` itself; ``InvalidData`` unless it is positive and finite."""
+    """``InvalidData`` unless ``omega`` is positive and finite."""
     if not 0.0 < omega < np.inf:
         raise InvalidData(f"omega must be positive and finite, got {omega!r}")
-    return omega
 
 
 def _finite_point(x, dim=None, ndim=None) -> np.ndarray:

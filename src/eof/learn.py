@@ -23,10 +23,11 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConvergenceError, DimError, InvalidData
+from .errors import ConvergenceError, DimError, InvalidData, check_choice
 
 REGRESSION = "regression"
 CLASSIFICATION = "classification"
+TASKS = (REGRESSION, CLASSIFICATION)
 
 
 @dataclass
@@ -202,7 +203,8 @@ def logistic_fit(F, y, lam: float, tol: float = NEWTON_TOL) -> Model:
 
 
 def fit(task: str, F, y, lam: float) -> Model:
-    """The solver for ``task``: ridge for regression, logistic otherwise."""
+    """The solver for ``task`` (``TASKS``): ridge or logistic regression."""
+    check_choice(task, TASKS, "task")
     if task == REGRESSION:
         return ridge_fit(F, y, lam)
     return logistic_fit(F, y, lam)
@@ -230,7 +232,7 @@ def save_model(model: Model, path, metadata: Optional[dict] = None) -> None:
                          np.asarray(model.weights, dtype=float).tolist()))
 
 
-_FIELDS = {"lambda": float, "nnz_F": int, "task": (REGRESSION, CLASSIFICATION).index}
+_FIELDS = {"lambda": float, "nnz_F": int, "task": TASKS.index}
 
 
 def load_model(path) -> Model:
@@ -264,6 +266,7 @@ def predict(model: Model, Z) -> np.ndarray:
 
 def test_error(model: Model, Z, y) -> float:
     """MSE for regression; misclassification rate (sign(0) -> +1) otherwise."""
+    check_choice(model.task, TASKS, "task")
     pred = predict(model, Z)
     y = _targets(y, len(pred), model.task)
     if model.task == REGRESSION:

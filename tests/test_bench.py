@@ -33,6 +33,13 @@ class TestLoadCsv:
         with pytest.raises(ParseError):
             bench.load_csv(path, "target", learn.REGRESSION)
 
+    def test_repeated_target_column(self, tmp_path):
+        # the second target column would otherwise be a feature
+        path = tmp_path / "toy.csv"
+        path.write_text("a,target,target\n0.1,5,5\n0.2,6,6\n")
+        with pytest.raises(ParseError, match="'target' repeats in header"):
+            bench.load_csv(path, "target", learn.REGRESSION)
+
     def test_ragged_row_reports_row_number(self, tmp_path):
         path = tmp_path / "toy.csv"
         path.write_text("a,target\n1,2\n3\n")

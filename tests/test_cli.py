@@ -185,14 +185,17 @@ class TestTrainCommand:
         assert info.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"eof: error: {data}: ")
+        # the line break in the name prints as an escape: one stderr line
+        assert len(captured.err.splitlines()) == 1
+        escaped = str(data).replace("\n", "\\n")
+        assert captured.err.startswith(f"eof: error: {escaped}: ")
         assert "'dataset'" in captured.err
         assert not model_path.exists()
 
     @pytest.mark.parametrize("flag, bad", [
         ("--omega", "-1"), ("--omega", "0"), ("--omega", "nan"),
         ("--omega", "abc"), ("--level", "0"), ("--level", "-2"),
-        ("--level", "2.5"), ("--num-features", "0"),
+        ("--level", "2.5"), ("--level", "1023"), ("--num-features", "0"),
         ("--num-features", "x"), ("--split", "1.5"), ("--split", "0"),
         ("--split", "1"), ("--split", "-0.2"), ("--seed", "-1")])
     def test_out_of_range_flags_exit_with_usage(self, tmp_path, capsys, flag,
@@ -207,6 +210,20 @@ class TestTrainCommand:
         assert info.value.code == 2
         err = capsys.readouterr().err
         assert "usage:" in err and flag in err
+
+
+@pytest.mark.parametrize("command", [
+    ["embed", "--output", "f.txt", "--input"],
+    ["train", "--task", "reg", "--data"]], ids=["embed", "train"])
+def test_too_deep_level_is_a_usage_error_before_any_read(tmp_path, capsys,
+                                                         command):
+    # the input does not exist: only a check before the read exits with usage
+    with pytest.raises(SystemExit) as info:
+        main([*command, str(tmp_path / "missing.csv"), "--level", "1023"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "--level" in err and "1..1022" in err
+    assert "missing.csv" not in err
 
 
 class TestBenchCommand:
@@ -253,7 +270,8 @@ class TestBenchCommand:
         assert "usage:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag, bad", [
-        ("--m", "0"), ("--m", "abc"), ("--m", "5,,7"), ("--runs", "0"),
+        ("--m", "0"), ("--m", "abc"), ("--m", "5,,7"), ("--m", "5,0"),
+        ("--methods", "eof,"), ("--runs", "0"),
         ("--pool-factor", "0"), ("--omega", "2"), ("--kernel", "bb"),
         ("--split", "nan"), ("--seed", "-1")])
     def test_out_of_range_flags_exit_with_usage(self, tmp_path, capsys, flag,

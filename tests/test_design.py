@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,6 +46,29 @@ class TestEnumerateSparseGrid:
     def test_invalid_level(self):
         with pytest.raises(InvalidLevel):
             enumerate_sparse_grid(2, 0)
+
+    @pytest.mark.parametrize("D, n, first", [
+        (4, 63, (1, 1, 1, 63)), (2, 100, (1, 63)), (1, 1022, (63,))])
+    def test_too_deep_level_raises_before_listing(self, D, n, first):
+        # codes of the layer |l| = n + D - 1 need n - 1 > 61 bits; the error
+        # names the first such level vector in canonical order, and comes
+        # before the level vectors are listed (at D = 4, n = 63 listing them
+        # took seconds and over 100 MB)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidLevel,
+                               match=rf"level vector \({', '.join(map(str, first))}"
+                                     r",?\) is too deep for 64-bit keys"):
+                enumerate_sparse_grid(D, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    def test_deepest_listable_level(self):
+        # n = 62: the top layer's codes need 61 bits, which still fit
+        S = enumerate_sparse_grid(1, 62)
+        assert len(S) == 2 ** 62 - 1 == sparse_grid_size(1, 62)
 
     def test_matches_brute_force(self):
         for D in (1, 2, 3, 4):

@@ -4,14 +4,16 @@ Each kind of input has one checking function: points
 (``kernels._finite_point``), targets (``learn._targets``), features
 (``learn._features``), lambda (``learn._lambda``), omega (``kernels._omega``),
 the dimension D (``errors.check_dim``), the feature count M
-(``errors.check_M``), levels (``kernels._check_levels``) and positions
-(``FeatureIndex``).  A wrong shape, a D that is not an integer >= 1, or a
-feature index with no component or with level and position vectors of
-different lengths raises ``DimError``, a non-finite point ``InvalidPoint``,
+(``errors.check_M``), levels (``kernels._check_levels``), positions
+(``FeatureIndex``) and names (``errors.check_choice``).  A wrong shape, a D
+that is not an integer >= 1, or a feature index with no component or with
+level and position vectors of different lengths raises ``DimError``, a non-finite point ``InvalidPoint``,
 a bad target, feature, lambda, omega or model file ``InvalidData``, a bad M
 ``InvalidM``, a level that is not an integer in 1..1022 or is too deep for a
-custom kernel's (p, q) ``InvalidLevel``, and a position that is not an odd
-integer in 1..2^l - 1 ``InvalidIndex``.
+custom kernel's (p, q) ``InvalidLevel``, a position that is not an odd
+integer in 1..2^l - 1 ``InvalidIndex``, and an unknown kernel kind, scale,
+task, method or report format ``InvalidChoice``, which is a ``ValueError``
+as well.
 """
 
 import numpy as np
@@ -25,12 +27,12 @@ from eof.design import (IndexSet, enumerate_sparse_grid, entropic_select,
                         level_for_feature_count, select_design, sparse_grid_size,
                         truncate_random)
 from eof.embedding import embed, embed_batch, kernel_approx
-from eof.errors import (DimError, EofError, InvalidData, InvalidIndex,
-                        InvalidLevel, InvalidM, InvalidPoint)
+from eof.errors import (DimError, EofError, InvalidChoice, InvalidData,
+                        InvalidIndex, InvalidLevel, InvalidM, InvalidPoint)
 from eof.features import FeatureIndex, hierarchical_surplus, phi_1d, phi_nd
 from eof.kernels import (KernelSpec, expansion_coeff, kernel_eval, norm_const,
                          surplus_beta_1d)
-from eof.learn import (CLASSIFICATION, MODEL_FORMAT, Model, load_model,
+from eof.learn import (CLASSIFICATION, MODEL_FORMAT, Model, fit, load_model,
                        logistic_fit, predict, ridge_fit)
 from eof.learn import test_error as error_of
 
@@ -204,6 +206,19 @@ MALFORMED = [
         FeatureIndex((1, 1), (1, 1))), InvalidData),
     # a batch of points with no coordinates
     ("estimate_sigma", lambda t: bench.estimate_sigma(np.zeros((5, 0))), DimError),
+    # unknown names: kernel kind, scale, method, report format and task
+    ("KernelSpec", lambda t: KernelSpec("gauss"), InvalidChoice),
+    ("embed_batch", lambda t: embed_batch(LAP2, S2, X10, scale="log"), InvalidChoice),
+    ("run_benchmark", lambda t: bench.run_benchmark(
+        bench.synthetic_rkhs_dataset(N_train=20, N_test=5), ["eof", "nystrom"], [5],
+        1, 0), InvalidChoice),
+    ("report", lambda t: bench.report([], fmt="json"), InvalidChoice),
+    # ±1 targets: a misspelt task would otherwise fit logistic regression
+    ("fit", lambda t: fit("regresion", F10, Y10, 0.1), InvalidChoice),
+    ("test_error", lambda t: error_of(Model(np.ones(4), task="foo"), F10, Y10),
+     InvalidChoice),
+    ("standardize", lambda t: bench.standardize(
+        bench.RawData(X10, np.arange(10.0), "r", "reg")), InvalidChoice),
 ]
 
 
@@ -213,6 +228,14 @@ def test_malformed_input_raises_its_error(entry, call, error, tmp_path):
     assert issubclass(error, EofError)
     with pytest.raises(error):
         call(tmp_path)
+
+
+def test_unknown_name_is_a_value_error():
+    assert issubclass(InvalidChoice, ValueError)
+    with pytest.raises(ValueError, match=r"^unknown task 'regresion'$"):
+        fit("regresion", F10, Y10, 0.1)
+    with pytest.raises(ValueError, match=r"^unknown kernel kind 'gauss'$"):
+        KernelSpec("gauss")
 
 
 def test_numpy_integer_M_passes_the_M_rule():
