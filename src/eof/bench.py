@@ -25,7 +25,7 @@ from . import baselines, learn
 from .design import select_design, sparse_grid_size
 from .embedding import SCALE_PLAIN, embed_batch
 from .errors import (DegenerateData, EofError, InvalidData, ParseError,
-                     check_choice, check_dim, check_M, is_integer)
+                     all_finite, check_choice, check_dim, check_M, is_integer)
 from .kernels import KernelSpec, _finite_point, _kernel_rows
 
 EOF_METHOD = "eof"
@@ -127,7 +127,7 @@ def read_table(path) -> Tuple[List[str], np.ndarray]:
                                         category=UserWarning)
                 cells = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
             if (cells.shape[0] >= 1 and cells.shape[1] == len(header)
-                    and np.isfinite(cells).all()):
+                    and all_finite(cells)):
                 return header, cells
         except Exception:   # whatever failed, the checking parser names it
             pass
@@ -180,7 +180,8 @@ def _csv_rows(fh):
 
 
 def load_csv(path, target_column: str, task: str) -> RawData:
-    """Parse a rectangular numeric CSV with a header row naming the target once."""
+    """Parse a rectangular numeric CSV with a header row naming the target once.
+    ``X`` and ``y`` are owned copies, so the parsed table is freed on return."""
     header, data = read_table(path)
     if target_column not in header:
         raise ParseError(f"target column {target_column!r} not in header")
@@ -191,7 +192,7 @@ def load_csv(path, target_column: str, task: str) -> RawData:
     t_idx = header.index(target_column)
     mask = np.arange(data.shape[1]) != t_idx
     name = os.path.splitext(os.path.basename(str(path)))[0]
-    return RawData(data[:, mask], data[:, t_idx], name, task)
+    return RawData(data[:, mask], data[:, t_idx].copy(), name, task)
 
 
 def _split_ratio(ratio):
@@ -206,7 +207,8 @@ def standardize(raw: RawData, split_ratio: float = 0.7, seed: int = 0) -> Datase
     ``split_ratio``, the training share, must lie in (0, 1); each part keeps
     at least one row.  Constant training features map to 0.5 everywhere.
     Regression targets are scaled into [-1, 1] by the training min/max;
-    classification targets are mapped to {-1, +1}.
+    classification targets are mapped to {-1, +1}.  Every output is an owned
+    float copy; each feature split is gathered once and scaled in place.
     """
     check_choice(raw.task, learn.TASKS, "task")
     N = raw.X.shape[0]
@@ -217,17 +219,18 @@ def standardize(raw: RawData, split_ratio: float = 0.7, seed: int = 0) -> Datase
     perm = rng.permutation(N)
     n_train = max(1, min(N - 1, int(round(split_ratio * N))))
     tr, te = perm[:n_train], perm[n_train:]
-    X_train, X_test = raw.X[tr], raw.X[te]
+    # the gathers are the copies; integer inputs become floats here
+    X_train = raw.X[tr].astype(float, copy=False)
+    X_test = raw.X[te].astype(float, copy=False)
     lo = X_train.min(axis=0)
-    hi = X_train.max(axis=0)
-    span = hi - lo
+    span = X_train.max(axis=0) - lo
     flat = span == 0.0
-
-    def scale(X):
-        out = np.empty_like(X, dtype=float)
-        out[:, ~flat] = (X[:, ~flat] - lo[~flat]) / span[~flat]
-        out[:, flat] = 0.5
-        return np.clip(out, 0.0, 1.0)
+    span[flat] = 1.0
+    for X in (X_train, X_test):
+        X -= lo
+        X /= span
+        X[:, flat] = 0.5
+        np.clip(X, 0.0, 1.0, out=X)
 
     # every row's target is mapped at once; the clip acts on test rows only
     y = raw.y.astype(float)
@@ -240,8 +243,7 @@ def standardize(raw: RawData, split_ratio: float = 0.7, seed: int = 0) -> Datase
         if len(uniq) != 2:
             raise InvalidData(f"classification needs 2 label values, got {len(uniq)}")
         y = np.where(y == uniq[1], 1.0, -1.0)
-    return Dataset(scale(X_train), scale(X_test), y[tr], y[te],
-                   raw.name, raw.task)
+    return Dataset(X_train, X_test, y[tr], y[te], raw.name, raw.task)
 
 
 def estimate_sigma(X_train) -> float:

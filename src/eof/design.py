@@ -28,19 +28,20 @@ from typing import Mapping, Tuple
 
 import numpy as np
 
-from .errors import DimError, InvalidLevel, check_M, check_dim
+from .errors import DimError, InvalidIndex, InvalidLevel, check_M, check_dim
 from .features import FeatureIndex
 from .kernels import KernelSpec, _check_levels
 
 
 class IndexSet:
     """A design in the canonical (|l|, l, i) column order.  ``IndexSet(features)``
-    takes ``FeatureIndex`` objects in any order and rejects duplicates."""
+    takes ``FeatureIndex`` objects in any order and rejects duplicates
+    (``InvalidIndex``)."""
 
     def __init__(self, features=()):
         features = tuple(sorted(features, key=FeatureIndex.sort_key))
         if any(a == b for a, b in zip(features, features[1:])):
-            raise ValueError("duplicate feature indices")
+            raise InvalidIndex("duplicate feature indices")
         if len({f.dim for f in features}) > 1:
             raise DimError("feature indices differ in dimension")
         grouped = {}

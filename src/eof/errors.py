@@ -1,6 +1,9 @@
-"""Exception types shared across the library, and the rules for D, M and names."""
+"""Exception types shared across the library, the rules for D, M and names,
+and the one finiteness test."""
 
 import numbers
+
+import numpy as np
 
 
 class EofError(Exception):
@@ -21,6 +24,16 @@ class InvalidIndex(EofError):
 
 class DimError(EofError):
     """Dimension mismatch between a point/matrix and the expected D or M."""
+
+
+def all_finite(a) -> bool:
+    """Whether every element of the float array ``a`` is finite (true when it is
+    empty), with no mask: NaN propagates through ``min``, and an infinity
+    shows in ``min`` or ``max``."""
+    if a.size == 0:
+        return True
+    with np.errstate(invalid="ignore"):
+        return bool(np.isfinite(a.min()) and np.isfinite(a.max()))
 
 
 def is_integer(v) -> bool:

@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import (DimError, InvalidData, InvalidLevel, InvalidPoint,
-                     check_choice, check_dim, is_integer)
+                     all_finite, check_choice, check_dim, is_integer)
 
 LAPLACE = "laplace"
 SOBOLEV = "sobolev"
@@ -54,7 +54,8 @@ class KernelSpec:
         If True, points outside [0,1]^D raise ``InvalidPoint`` instead of
         being clamped.
     p, q : callable, optional
-        Scalar solutions for a custom kernel (vectorized over numpy arrays).
+        Scalar solutions for a custom kernel (vectorized over numpy arrays);
+        a custom kernel without both raises ``InvalidData``.
     """
 
     kind: str
@@ -69,8 +70,8 @@ class KernelSpec:
         if self.kind in (LAPLACE, SOBOLEV):
             _omega(self.omega)
         check_dim(self.dim)
-        if self.kind == CUSTOM and (self.p is None or self.q is None):
-            raise ValueError("custom kernels need p and q callables")
+        if self.kind == CUSTOM and not (callable(self.p) and callable(self.q)):
+            raise InvalidData("custom kernels need p and q callables")
 
 
 def _omega(omega):
@@ -88,7 +89,7 @@ def _finite_point(x, dim=None, ndim=None) -> np.ndarray:
         raise DimError(f"expected a {ndim}-D array of points, got {x.ndim}-D")
     if dim is not None and x.shape[-1] != dim:
         raise DimError(f"point dimension {x.shape[-1]} != {dim}")
-    if not np.all(np.isfinite(x)):
+    if not all_finite(x):
         raise InvalidPoint("point contains NaN or Inf")
     return x
 

@@ -23,7 +23,8 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConvergenceError, DimError, InvalidData, check_choice
+from .errors import (ConvergenceError, DimError, InvalidData, all_finite,
+                     check_choice)
 
 REGRESSION = "regression"
 CLASSIFICATION = "classification"
@@ -59,7 +60,7 @@ def _features(F, cols=None):
         raise DimError(f"features must be 2-D, got {F.ndim}-D")
     if cols is not None and F.shape[1] != cols:
         raise DimError(f"{F.shape[1]} feature columns but {cols} weights")
-    if not np.all(np.isfinite(F.data if sp.issparse(F) else F)):
+    if not all_finite(F.data if sp.issparse(F) else F):
         raise InvalidData("features contain non-finite values")
     return F
 
@@ -70,7 +71,7 @@ def _targets(y, n, task=REGRESSION) -> np.ndarray:
     y = np.asarray(y, dtype=float).ravel()
     if len(y) != n:
         raise DimError(f"{n} rows but {len(y)} targets")
-    if not np.all(np.isfinite(y)):
+    if not all_finite(y):
         raise InvalidData("targets contain non-finite values")
     if task == CLASSIFICATION and not np.all(np.isin(y, (-1.0, 1.0))):
         raise InvalidData("labels must be -1 or +1")

@@ -280,6 +280,33 @@ class TestSelection:
             self._assert_full_matrix_choice(pool, y, X, 3)
         assert len(kept) == 2   # the float64 choice moves with the nudge
 
+    def test_screen_bound_is_infinite_past_its_row_limit(self):
+        # (N + D + 4) u > 1/2 at N = 2^23 rows; a broadcast view holds them
+        pool = self._pool(M0=6)
+        y = np.broadcast_to(1.0, (2 ** 23,))
+        err = baselines._screen_error(pool.frequencies, pool.phases,
+                                      np.zeros((1, 2)), y)
+        assert err.tolist() == [np.inf] * 6
+
+    def test_unbounded_screen_rescores_every_candidate(self, monkeypatch):
+        # an infinite bound (here from a large u) decides no candidate, so
+        # all are scored in float64 and float64 chooses
+        monkeypatch.setattr(baselines, "U32", 0.5)
+        columns = []
+        cosines = baselines._cosines
+
+        def counted(X, G, b):
+            if G.dtype == np.float64:
+                columns.append(len(G))
+            return cosines(X, G, b)
+
+        monkeypatch.setattr(baselines, "_cosines", counted)
+        pool = self._pool(M0=40)
+        rng = np.random.default_rng(4)
+        X, y = rng.uniform(0, 1, (50, 2)), rng.standard_normal(50)
+        self._assert_full_matrix_choice(pool, y, X, 7)
+        assert sum(columns) == 2 * 40   # all of the pool, for each selector
+
     def test_only_the_near_candidates_are_rescored(self, monkeypatch):
         # in the near-tie setup only candidates 4 and 25 straddle the cut, so
         # two float64 columns are scored, not their two blocks of M = 3

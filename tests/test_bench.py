@@ -55,6 +55,21 @@ class TestLoadCsv:
                 bench.load_csv(path, "target", learn.REGRESSION)
             assert err.value.row == 3 and err.value.col == 1
 
+    def test_keeps_only_what_it_returns(self, tmp_path):
+        # the target is a copy, so the parsed table is freed on return
+        path = tmp_path / "t.csv"
+        np.savetxt(path, np.random.default_rng(5).uniform(size=(5000, 9)),
+                   delimiter=",", fmt="%.17g", header="a,b,c,d,e,f,g,h,target",
+                   comments="")
+        bench.load_csv(path, "target", learn.REGRESSION)   # outside the trace
+        tracemalloc.start()
+        try:
+            raw = bench.load_csv(path, "target", learn.REGRESSION)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept < 1.05 * (raw.X.nbytes + raw.y.nbytes)
+
     def test_round_trip_identity(self, tmp_path):
         rng = np.random.default_rng(2)
         raw = bench.RawData(rng.uniform(-5, 5, (20, 3)),
@@ -114,6 +129,18 @@ class TestReadTable:
         assert (fast.value.row, fast.value.col) == (row, col)
         assert (checked.value.row, checked.value.col) == (row, col)
         assert str(fast.value) == str(checked.value)
+
+    @pytest.mark.parametrize("text, message, row", [
+        ("", "empty file", 1), ("a,b\n", "no data rows", None),
+        ("a,b\n\n\n", "no data rows", None)],
+        ids=["empty-file", "header-only", "blank-rows-only"])
+    def test_file_without_data_rows(self, tmp_path, text, message, row):
+        path = tmp_path / "t.csv"
+        _write_text(path, text)
+        for parse in (bench.read_table, bench._read_table_checked):
+            with pytest.raises(ParseError) as err:
+                parse(path)
+            assert (str(err.value), err.value.row) == (message, row)
 
     def test_undecodable_bytes_raise_parse_error(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -194,6 +221,41 @@ class TestStandardize:
         ds = bench.standardize(raw, seed=0)
         assert np.all(ds.X_train[:, 0] == 0.5)
 
+    def test_three_class_labels_rejected(self):
+        raw = bench.RawData(np.arange(12, dtype=float)[:, None],
+                            np.arange(12) % 3, "t", learn.CLASSIFICATION)
+        with pytest.raises(InvalidData, match="2 label values, got 3"):
+            bench.standardize(raw)
+
+    def test_peak_is_about_the_returned_splits(self):
+        # each split is gathered once and scaled in place; the D = 8 shape
+        # of the train-reg-d8 benchmark
+        rng = np.random.default_rng(6)
+        raw = bench.RawData(rng.uniform(-3.0, 5.0, (14_286, 8)),
+                            rng.standard_normal(14_286), "t", learn.REGRESSION)
+        tracemalloc.start()
+        try:
+            ds = bench.standardize(raw, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        returned = sum(a.nbytes for a in (ds.X_train, ds.X_test, ds.y_train,
+                                          ds.y_test))
+        assert peak <= 1.5 * returned, peak / returned
+
+    @pytest.mark.parametrize("dtype", [float, np.int64])
+    def test_outputs_are_owned_floats(self, dtype):
+        X = (np.arange(60).reshape(20, 3) % 7).astype(dtype)
+        raw = bench.RawData(X, np.arange(20.0), "t", learn.REGRESSION)
+        ds = bench.standardize(raw, seed=2)
+        for a in (ds.X_train, ds.X_test, ds.y_train, ds.y_test):
+            assert a.dtype == np.float64
+            assert not np.shares_memory(a, raw.X) and not np.shares_memory(a, raw.y)
+        want = bench.standardize(bench.RawData(X.astype(float), raw.y, "t",
+                                               learn.REGRESSION), seed=2)
+        assert ds.X_train.tobytes() == want.X_train.tobytes()
+        assert ds.X_test.tobytes() == want.X_test.tobytes()
+
     def test_too_few_rows(self):
         raw = bench.RawData(np.zeros((1, 1)), np.zeros(1), "t", learn.REGRESSION)
         with pytest.raises(InvalidData):
@@ -253,6 +315,10 @@ class TestEstimateSigma:
                              ids=[name for name, _ in SIGMA_CASES])
     def test_equals_all_pairs_oracle(self, X):
         assert bench.estimate_sigma(X) == _all_pairs_sigma(X)
+
+    def test_one_row_degenerate(self):
+        with pytest.raises(DegenerateData, match="at least 2 points"):
+            bench.estimate_sigma(np.zeros((1, 3)))
 
     def test_duplicates_degenerate(self):
         with pytest.raises(DegenerateData):

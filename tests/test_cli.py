@@ -310,6 +310,23 @@ def test_library_error_exits_2_naming_the_input(tmp_path, capsys, command,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", "row 1: empty file"), ("x0,target\n", "no data rows")],
+    ids=["empty-file", "header-only"])
+def test_train_on_a_file_without_data_rows_exits_2(tmp_path, capsys, text,
+                                                   message):
+    data = tmp_path / "data.csv"
+    data.write_text(text)
+    with pytest.raises(SystemExit) as info:
+        main(["train", "--task", "reg", "--level", "2", "--data", str(data),
+              "--model-out", str(tmp_path / "m.txt")])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"eof: error: {data}: {message}\n"
+    assert not (tmp_path / "m.txt").exists()
+
+
 EMBED = ["embed", "--level", "2"]
 TRAIN = ["train", "--task", "reg", "--level", "2"]
 BENCH = ["bench", "--task", "reg", "--m", "5", "--runs", "1"]

@@ -10,7 +10,7 @@ from eof.design import (IndexSet, enumerate_sparse_grid, entropic_select,
                         level_for_feature_count, select_design,
                         sparse_grid_size, truncate_random)
 from eof.embedding import embed_batch
-from eof.errors import DimError, InvalidLevel, InvalidM
+from eof.errors import DimError, InvalidIndex, InvalidLevel, InvalidM
 from eof.features import FeatureIndex
 from eof.kernels import KernelSpec, norm_const
 
@@ -94,7 +94,7 @@ class TestEnumerateSparseGrid:
 class TestIndexSet:
     def test_duplicate_features_rejected(self):
         f = FeatureIndex((1, 2), (1, 3))
-        with pytest.raises(ValueError, match="duplicate"):
+        with pytest.raises(InvalidIndex, match="duplicate"):
             IndexSet((f, FeatureIndex((1, 1), (1, 1)), f))
 
     def test_mixed_dimensions_rejected(self):

@@ -8,10 +8,11 @@ the dimension D (``errors.check_dim``), the feature count M
 (``FeatureIndex``) and names (``errors.check_choice``).  A wrong shape, a D
 that is not an integer >= 1, or a feature index with no component or with
 level and position vectors of different lengths raises ``DimError``, a non-finite point ``InvalidPoint``,
-a bad target, feature, lambda, omega or model file ``InvalidData``, a bad M
-``InvalidM``, a level that is not an integer in 1..1022 or is too deep for a
-custom kernel's (p, q) ``InvalidLevel``, a position that is not an odd
-integer in 1..2^l - 1 ``InvalidIndex``, and an unknown kernel kind, scale,
+a bad target, feature, lambda, omega or model file or a custom kernel
+without callable p and q ``InvalidData``, a bad M ``InvalidM``, a level that
+is not an integer in 1..1022 or is too deep for a custom kernel's (p, q)
+``InvalidLevel``, a position that is not an odd integer in 1..2^l - 1 or a
+feature listed twice in a design ``InvalidIndex``, and an unknown kernel kind, scale,
 task, method or report format ``InvalidChoice``, which is a ``ValueError``
 as well.
 """
@@ -28,7 +29,8 @@ from eof.design import (IndexSet, enumerate_sparse_grid, entropic_select,
                         truncate_random)
 from eof.embedding import embed, embed_batch, kernel_approx
 from eof.errors import (DimError, EofError, InvalidChoice, InvalidData,
-                        InvalidIndex, InvalidLevel, InvalidM, InvalidPoint)
+                        InvalidIndex, InvalidLevel, InvalidM, InvalidPoint,
+                        all_finite)
 from eof.features import FeatureIndex, hierarchical_surplus, phi_1d, phi_nd
 from eof.kernels import (KernelSpec, expansion_coeff, kernel_eval, norm_const,
                          surplus_beta_1d)
@@ -219,6 +221,10 @@ MALFORMED = [
      InvalidChoice),
     ("standardize", lambda t: bench.standardize(
         bench.RawData(X10, np.arange(10.0), "r", "reg")), InvalidChoice),
+    # a custom kernel without callable p and q, a design listing a feature twice
+    ("KernelSpec", lambda t: KernelSpec("custom"), InvalidData),
+    ("KernelSpec", lambda t: KernelSpec("custom", p=np.exp, q=2.0), InvalidData),
+    ("IndexSet", lambda t: IndexSet([FeatureIndex((1,), (1,))] * 2), InvalidIndex),
 ]
 
 
@@ -236,6 +242,16 @@ def test_unknown_name_is_a_value_error():
         fit("regresion", F10, Y10, 0.1)
     with pytest.raises(ValueError, match=r"^unknown kernel kind 'gauss'$"):
         KernelSpec("gauss")
+
+
+@pytest.mark.parametrize("a, finite", [
+    (np.zeros(0), True), (np.zeros((3, 0)), True),
+    (np.array([-1e308, 1e308, 0.0]), True),
+    (np.array([0.5, np.nan, 0.2]), False), (np.array([np.nan, np.inf]), False),
+    (np.array([[0.1, np.inf]]), False), (np.array([-np.inf, 0.3]), False),
+    (np.array([np.inf, -np.inf]), False)])
+def test_all_finite_is_the_elementwise_test(a, finite):
+    assert all_finite(a) is finite is bool(np.isfinite(a).all())
 
 
 def test_numpy_integer_M_passes_the_M_rule():

@@ -33,6 +33,18 @@ class TestKernelEval:
         got = kernel_eval(spec, [0.0, 0.0], [0.5, 0.5])
         assert got == pytest.approx(0.1353352832366127, rel=1e-14)  # e^{-2}
 
+    def test_custom_pair_matches_its_closed_form(self):
+        # the Laplace pair (omega 2) given as p and q: p(min) q(max) per
+        # dimension, e^{2 min - 2 max}, which differs from e^{-2 |x - x'|}
+        # by rounding only
+        custom = KernelSpec("custom", omega=2.0, dim=2,
+                            p=lambda x: np.exp(2.0 * x),
+                            q=lambda x: np.exp(-2.0 * x))
+        closed = KernelSpec("laplace", omega=2.0, dim=2)
+        for x, xp in (([0.25, 0.9], [0.5, 0.1]), ([0.0, 1.0], [1.0, 0.3])):
+            assert kernel_eval(custom, x, xp) == pytest.approx(
+                kernel_eval(closed, x, xp), rel=1e-15)
+
     def test_sobolev_product_form(self):
         spec = KernelSpec("sobolev", omega=3.0, dim=2)
         got = kernel_eval(spec, [0.2, 0.9], [0.6, 0.4])

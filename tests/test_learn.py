@@ -154,6 +154,46 @@ class TestLogisticFit:
             logistic_fit(F, y, 0.01, tol=1e-14)
         assert err.value.grad_norm > 0.0
 
+    def test_overshooting_step_is_halved(self, monkeypatch):
+        # four times the Newton step overshoots from w = 0; backtracking
+        # halves it until the objective drops, and the fit still converges
+        rng = np.random.default_rng(3)
+        F = rng.standard_normal((100, 6))
+        y = np.sign(rng.standard_normal(100))
+        lam = 0.05
+        want = logistic_fit(F, y, lam).weights
+        solve = learn._solve
+        monkeypatch.setattr(learn, "_solve", lambda *a: 4.0 * solve(*a))
+
+        def obj(w):
+            return np.mean(np.logaddexp(0.0, -y * (F @ w))) + lam * w @ w
+
+        grad = -F.T @ (0.5 * y) / 100
+        assert obj(-learn._solve(F, grad, 2.0 * lam, np.full(100, 0.25 / 100))) \
+            > obj(np.zeros(6))
+        np.testing.assert_allclose(logistic_fit(F, y, lam).weights, want,
+                                   atol=1e-6)
+
+    def test_exhausted_line_search_raises(self, monkeypatch):
+        # an ascent direction: no step down to 1e-12 lowers the objective,
+        # so the first line search ends the fit
+        rng = np.random.default_rng(3)
+        F = rng.standard_normal((100, 6))
+        y = np.sign(rng.standard_normal(100))
+        steps = []
+        solve = learn._solve
+
+        def ascent(*args):
+            steps.append(args)
+            return -solve(*args)
+
+        monkeypatch.setattr(learn, "_solve", ascent)
+        with pytest.raises(ConvergenceError) as err:
+            logistic_fit(F, y, 0.05)
+        assert len(steps) == 1
+        assert err.value.grad_norm == pytest.approx(
+            np.linalg.norm(F.T @ y) / 200, rel=1e-12)
+
     def test_iteration_cap_is_not_an_option(self):
         # the cap is the module constant NEWTON_MAX_ITER, not an argument
         with pytest.raises(TypeError, match="max_iter"):
@@ -267,6 +307,20 @@ class TestFeatureTypes:
         for fit, target in ((ridge_fit, y), (logistic_fit, labels)):
             with pytest.raises(InvalidData, match="features"):
                 fit(as_input(F), target, 0.1)
+
+    def test_finiteness_check_allocates_no_mask(self):
+        # a mask would be one byte per nonzero of F
+        X = np.random.default_rng(1).uniform(0.0, 1.0, (2000, 8))
+        F = embed_batch(KernelSpec("laplace", omega=2.0, dim=8),
+                        enumerate_sparse_grid(8, 4), X)
+        for features in (F, F.toarray()[:200]):
+            tracemalloc.start()
+            try:
+                _features(features)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < F.nnz / 8, peak
 
     def test_float64_features_are_not_copied(self):
         F = np.random.default_rng(0).uniform(size=(5, 3))
