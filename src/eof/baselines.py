@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import check_M, check_dim
+from .errors import check_M, check_dim, check_positive, check_seed
 from .kernels import _finite_point
 from .learn import _targets
 
@@ -58,16 +58,17 @@ class RandomFeatureMap:
         return self.frequencies.shape[1]
 
 
-def _rng(D: int, M: int, seed: int) -> np.random.Generator:
-    """The generator of a new map, once D >= 1 (``DimError``) and M >= 1."""
+def _rng(D: int, M: int, sigma: float, seed: int) -> np.random.Generator:
+    """The generator of a new map, once D, M, sigma and the seed pass their rules."""
     check_dim(D)
     check_M(M)
-    return np.random.default_rng(seed)
+    check_positive(sigma, "sigma")
+    return np.random.default_rng(check_seed(seed))
 
 
 def rks_map(D: int, M: int, sigma: float, seed: int) -> RandomFeatureMap:
     """Cauchy-frequency map approximating exp(-sigma * ||x - x'||_1)."""
-    rng = _rng(D, M, seed)
+    rng = _rng(D, M, sigma, seed)
     freqs = rng.standard_cauchy((M, D)) * sigma
     phases = rng.uniform(0.0, 2.0 * np.pi, M)
     return RandomFeatureMap(freqs, phases)
@@ -81,7 +82,7 @@ def orf_map(D: int, M: int, sigma: float, seed: int) -> RandomFeatureMap:
     are stacked and truncated to M rows.  All blocks are factorized by one
     stacked QR.
     """
-    rng = _rng(D, M, seed)
+    rng = _rng(D, M, sigma, seed)
     n_blocks = -(-M // D)
     G = np.empty((n_blocks, D, D))
     chi2 = np.empty((n_blocks, D))

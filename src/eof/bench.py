@@ -25,7 +25,8 @@ from . import baselines, learn
 from .design import select_design, sparse_grid_size
 from .embedding import SCALE_PLAIN, embed_batch
 from .errors import (DegenerateData, EofError, InvalidData, ParseError,
-                     all_finite, check_choice, check_dim, check_M, is_integer)
+                     all_finite, check_choice, check_dim, check_M, check_positive,
+                     check_seed, is_integer)
 from .kernels import KernelSpec, _finite_point, _kernel_rows
 
 EOF_METHOD = "eof"
@@ -117,7 +118,7 @@ def read_table(path) -> Tuple[List[str], np.ndarray]:
     it has at least one row, the header's column count and finite cells.
     Anything else, an exception included, reruns ``_read_table_checked``, so
     every error from the file's contents comes from the checking parser."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
             header = [h.strip() for h in next(csv.reader(fh))]
             with warnings.catch_warnings():
@@ -137,7 +138,7 @@ def read_table(path) -> Tuple[List[str], np.ndarray]:
 def _read_table_checked(path) -> Tuple[List[str], np.ndarray]:
     """``read_table`` in Python, one cell at a time, naming the row and column
     of the first bad cell."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = _csv_rows(fh)
         try:
             header = next(reader)
@@ -195,12 +196,6 @@ def load_csv(path, target_column: str, task: str) -> RawData:
     return RawData(data[:, mask], data[:, t_idx].copy(), name, task)
 
 
-def _split_ratio(ratio):
-    """``InvalidData`` unless ``ratio`` lies in (0, 1)."""
-    if not 0.0 < ratio < 1.0:
-        raise InvalidData(f"split_ratio must lie in (0, 1), got {ratio!r}")
-
-
 def standardize(raw: RawData, split_ratio: float = 0.7, seed: int = 0) -> Dataset:
     """Random split plus min-max scaling fit on the training part.
 
@@ -214,9 +209,8 @@ def standardize(raw: RawData, split_ratio: float = 0.7, seed: int = 0) -> Datase
     N = raw.X.shape[0]
     if N < 2:
         raise InvalidData("need at least 2 rows to split")
-    _split_ratio(split_ratio)
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(N)
+    check_positive(split_ratio, "split_ratio", below=1)
+    perm = np.random.default_rng(check_seed(seed)).permutation(N)
     n_train = max(1, min(N - 1, int(round(split_ratio * N))))
     tr, te = perm[:n_train], perm[n_train:]
     # the gathers are the copies; integer inputs become floats here
@@ -309,7 +303,7 @@ def _kth_sq_distance(X: np.ndarray, k: int) -> np.ndarray:
 
 def _run_seed(master: int, method_idx: int, m_idx: int, run: int) -> int:
     # fixed counter scheme: a run's seed depends only on its cell and index
-    ss = np.random.SeedSequence([int(master), method_idx, m_idx, run])
+    ss = np.random.SeedSequence([master, method_idx, m_idx, run])
     return int(ss.generate_state(1)[0])
 
 
@@ -354,17 +348,19 @@ def run_benchmark(dataset: Dataset, methods: Sequence[str], M_grid: Sequence[int
                   lam: Optional[float] = None) -> List[BenchResult]:
     """Repeated seeded runs of every (method, M) pair on one dataset.
 
-    A method not in ``ALL_METHODS`` (``InvalidChoice``), an M that
-    ``check_M`` rejects (``InvalidM``) or ``runs`` that is not an integer
-    >= 1 (``InvalidData``) stops before any run."""
+    A method not in ``ALL_METHODS`` (``InvalidChoice``), a bad M (``InvalidM``),
+    or ``runs`` that is not an integer >= 1, a bad seed or a bad lambda
+    (``InvalidData``) stops before any work."""
     for m in methods:
         check_choice(m, ALL_METHODS, "method")
     for M in M_grid:
         check_M(M)
     if not (is_integer(runs) and runs >= 1):
         raise InvalidData(f"runs must be an integer >= 1, got {runs!r}")
+    check_seed(seed)
+    lam = (learn.default_lambda(dataset.N_train) if lam is None
+           else check_positive(lam, "lambda"))
     sigma = estimate_sigma(dataset.X_train)
-    lam = learn.default_lambda(dataset.N_train) if lam is None else learn._lambda(lam)
     results = []
     for mi, method in enumerate(methods):
         for Mi, M in enumerate(M_grid):
@@ -410,7 +406,7 @@ def synthetic_rkhs_dataset(N_train: int = 2000, N_test: int = 500, D: int = 2,
                            noise: float = 0.05, seed: int = 0,
                            kernel: str = "laplace") -> Dataset:
     """Noisy samples of a small kernel expansion f* = sum_j c_j k(., x_j)."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     spec = KernelSpec(kernel, omega=omega, dim=D)
     centers = rng.uniform(0.0, 1.0, (n_centers, D))
     coefs = rng.uniform(-1.0, 1.0, n_centers)

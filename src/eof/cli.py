@@ -7,12 +7,11 @@ import os
 import sys
 from functools import partial
 
-import numpy as np
-
 from . import bench, kernels, learn
 from .design import enumerate_sparse_grid, select_design
 from .embedding import embed_batch
-from .errors import EofError, ParseError, check_M, check_choice
+from .errors import (EofError, ParseError, check_M, check_choice, check_positive,
+                     check_seed)
 from .kernels import KernelSpec
 
 
@@ -32,11 +31,12 @@ def _rule(check, expected, parse=float, keep=(), many=False):
     return rule
 
 
-_lambda = _rule(learn._lambda, "'auto' or a positive number", keep=("auto",))
-_omega = _rule(kernels._omega, "a positive finite number")
-_split = _rule(bench._split_ratio, "a number between 0 and 1")
+_lambda = _rule(partial(check_positive, what="lambda"),
+                "'auto' or a positive number", keep=("auto",))
+_omega = _rule(partial(check_positive, what="omega"), "a positive finite number")
+_split = _rule(partial(check_positive, what="split", below=1), "a number between 0 and 1")
 _level = _rule(kernels._check_levels, f"an integer in 1..{kernels.MAX_LEVEL}", int)
-_seed = _rule(np.random.SeedSequence, "an integer >= 0", int)
+_seed = _rule(check_seed, "an integer >= 0", int)
 _positive = _rule(check_M, "an integer >= 1", int)     # --num-features, --runs
 _positive_list = _rule(check_M, "comma-separated integers >= 1", int, many=True)
 _method_list = _rule(partial(check_choice, choices=bench.ALL_METHODS, what="method"),

@@ -28,7 +28,7 @@ from typing import Mapping, Tuple
 
 import numpy as np
 
-from .errors import DimError, InvalidIndex, InvalidLevel, check_M, check_dim
+from .errors import DimError, InvalidIndex, InvalidLevel, check_M, check_dim, check_seed
 from .features import FeatureIndex
 from .kernels import KernelSpec, _check_levels
 
@@ -184,7 +184,7 @@ def entropic_select(candidates: IndexSet, C: Mapping[FeatureIndex, float],
 def truncate_random(full: IndexSet, M: int, seed: int) -> IndexSet:
     """Uniformly random M-subset of ``full``, canonical order preserved."""
     check_M(M, len(full))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     keep = np.sort(rng.choice(len(full), size=M, replace=False))
     level = np.searchsorted(full.offsets, keep, side="right") - 1
     present, first = np.unique(level, return_index=True)

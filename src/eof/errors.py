@@ -1,5 +1,5 @@
-"""Exception types shared across the library, the rules for D, M and names,
-and the one finiteness test."""
+"""Exception types shared across the library, the rules for D, M, names,
+positive reals and seeds, and the one finiteness test."""
 
 import numbers
 
@@ -72,7 +72,22 @@ def check_choice(value, choices, what):
 
 
 class InvalidData(EofError):
-    """Training data contains non-finite values or unusable labels."""
+    """Non-finite or unusable data, or a number or seed outside its rule."""
+
+
+def check_positive(value, what, below=float("inf")):
+    """``value``; ``InvalidData`` unless a real number, not a bool, in (0, below)."""
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and 0 < value < below):
+        raise InvalidData(f"{what} must be a number in (0, {below}), got {value!r}")
+    return value
+
+
+def check_seed(seed):
+    """``seed``; ``InvalidData`` unless an integer (``is_integer``) >= 0, as numpy's."""
+    if not (is_integer(seed) and seed >= 0):
+        raise InvalidData(f"seed must be an integer >= 0, got {seed!r}")
+    return seed
 
 
 class ConvergenceError(EofError):

@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import (DimError, InvalidData, InvalidLevel, InvalidPoint,
-                     all_finite, check_choice, check_dim, is_integer)
+                     all_finite, check_choice, check_dim, check_positive, is_integer)
 
 LAPLACE = "laplace"
 SOBOLEV = "sobolev"
@@ -68,16 +68,10 @@ class KernelSpec:
     def __post_init__(self):
         check_choice(self.kind, _KINDS, "kernel kind")
         if self.kind in (LAPLACE, SOBOLEV):
-            _omega(self.omega)
+            check_positive(self.omega, "omega")
         check_dim(self.dim)
         if self.kind == CUSTOM and not (callable(self.p) and callable(self.q)):
             raise InvalidData("custom kernels need p and q callables")
-
-
-def _omega(omega):
-    """``InvalidData`` unless ``omega`` is positive and finite."""
-    if not 0.0 < omega < np.inf:
-        raise InvalidData(f"omega must be positive and finite, got {omega!r}")
 
 
 def _finite_point(x, dim=None, ndim=None) -> np.ndarray:

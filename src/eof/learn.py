@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import (ConvergenceError, DimError, InvalidData, all_finite,
-                     check_choice)
+                     check_choice, check_positive)
 
 REGRESSION = "regression"
 CLASSIFICATION = "classification"
@@ -42,13 +42,6 @@ class Model:
 def default_lambda(N: int) -> float:
     """The N^{-1/2} regularization schedule."""
     return float(N) ** -0.5
-
-
-def _lambda(lam):
-    """``lam`` itself; ``InvalidData`` unless it is positive and finite."""
-    if not 0.0 < lam < np.inf:
-        raise InvalidData(f"lambda must be positive and finite, got {lam!r}")
-    return lam
 
 
 def _features(F, cols=None):
@@ -153,7 +146,7 @@ def _model(F, w, lam, task) -> Model:
 
 def ridge_fit(F, y, lam: float) -> Model:
     """Solve (F^T F + lam N I) w = F^T y."""
-    _lambda(lam)
+    check_positive(lam, "lambda")
     F = _features(F)
     y = _targets(y, F.shape[0])
     b = np.asarray(F.T @ y).ravel()
@@ -167,7 +160,8 @@ def logistic_fit(F, y, lam: float, tol: float = NEWTON_TOL) -> Model:
     Newton; raises ``ConvergenceError`` (with the last gradient norm) if the
     gradient norm is still above ``tol`` after ``NEWTON_MAX_ITER`` iterations.
     """
-    _lambda(lam)
+    check_positive(lam, "lambda")
+    check_positive(tol, "tol")
     F = _features(F)
     y = _targets(y, F.shape[0], CLASSIFICATION)
     N, M = F.shape
@@ -239,22 +233,25 @@ _FIELDS = {"lambda": float, "nnz_F": int, "task": TASKS.index}
 def load_model(path) -> Model:
     """Read a model written by ``save_model``.  A weight, ``lambda`` or
     ``nnz_F`` that is not a number, or a ``task`` other than regression or
-    classification, raises ``InvalidData`` naming the line."""
+    classification, raises ``InvalidData`` naming the line; bytes that do not
+    decode as text raise it naming the file."""
     meta, weights = {}, []
     with open(path) as fh:
-        if fh.readline().strip() != f"# {MODEL_FORMAT}":
-            raise InvalidData(f"not an {MODEL_FORMAT} file: {path}")
-        for lnum, line in enumerate(fh, start=2):
-            line = line.strip()
-            try:
+        try:
+            if fh.readline().strip() != f"# {MODEL_FORMAT}":
+                raise InvalidData(f"not an {MODEL_FORMAT} file: {path}")
+            for lnum, line in enumerate(fh, start=2):
+                line = line.strip()
                 if line.startswith("#"):
                     key, _, value = line[1:].strip().partition("=")
                     meta[key] = value
                     _FIELDS.get(key, str)(value)
                 elif line:
                     weights.append(float(line))
-            except ValueError:
-                raise InvalidData(f"{path}, line {lnum}: bad value {line!r}") from None
+        except UnicodeDecodeError as exc:   # a ValueError too, so it comes first
+            raise InvalidData(f"{path}: does not decode as {exc.encoding} text") from None
+        except ValueError:
+            raise InvalidData(f"{path}, line {lnum}: bad value {line!r}") from None
     return Model(np.asarray(weights), lam=float(meta.get("lambda", 0.0)),
                  task=meta.get("task", REGRESSION), nnz_F=int(meta.get("nnz_F", 0)))
 

@@ -152,6 +152,17 @@ class TestReadTable:
         assert fast.value.row is None and "text" in str(fast.value)
         assert str(fast.value) == str(checked.value)
 
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        # Excel's "CSV UTF-8": a UTF-8 byte-order mark and CRLF line ends
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"\xef\xbb\xbftarget,x0\r\n1,0.5\r\n2,0.25\r\n")
+        for parse in (bench.read_table, bench._read_table_checked):
+            header, cells = parse(path)
+            assert header == ["target", "x0"]
+            assert cells.tolist() == [[1, 0.5], [2, 0.25]]
+        raw = bench.load_csv(path, "target", learn.REGRESSION)
+        assert raw.y.tolist() == [1.0, 2.0] and raw.X.tolist() == [[0.5], [0.25]]
+
     @pytest.mark.parametrize("name, error", [
         ("missing.csv", FileNotFoundError), (".", IsADirectoryError)])
     def test_open_error_leaves_from_first_open(self, tmp_path, monkeypatch,
@@ -455,6 +466,20 @@ class TestRunBenchmark:
         with pytest.raises(error):
             bench.run_benchmark(toy_dataset(), [method], M_grid, runs=runs,
                                 seed=0)
+
+    @pytest.mark.parametrize("seed", [1.5, True, -1])
+    def test_bad_seed_rejected_before_estimate_sigma(self, monkeypatch, seed):
+        def no_run(*args, **kwargs):
+            raise AssertionError("estimate_sigma ran")
+
+        monkeypatch.setattr(bench, "estimate_sigma", no_run)
+        with pytest.raises(InvalidData, match="seed"):
+            bench.run_benchmark(toy_dataset(), ["eof"], [4], runs=1, seed=seed)
+
+    def test_numpy_integer_seed_runs_as_its_value(self):
+        results = [bench.run_benchmark(toy_dataset(), ["eof", "rks"], [4], runs=2,
+                                       seed=seed) for seed in (np.int64(3), 3)]
+        assert len({bench.report(r, include_timing=False) for r in results}) == 1
 
     def test_invalid_runs(self):
         with pytest.raises(InvalidData):

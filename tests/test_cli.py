@@ -117,6 +117,19 @@ class TestTrainCommand:
         assert model.task == learn.REGRESSION
         assert "test mse" in capsys.readouterr().out
 
+    def test_byte_order_mark_csv_trains(self, tmp_path, capsys):
+        # a target-first CSV as Excel saves it: byte-order mark, CRLF
+        ds = bench.synthetic_rkhs_dataset(N_train=60, N_test=2, seed=0)
+        rows = "".join(f"{t!r},{x0!r},{x1!r}\r\n"
+                       for t, (x0, x1) in zip(ds.y_train.tolist(), ds.X_train.tolist()))
+        data = tmp_path / "bom.csv"
+        data.write_bytes(b"\xef\xbb\xbf" + f"target,x0,x1\r\n{rows}".encode())
+        model_path = tmp_path / "model.txt"
+        main(["train", "--task", "reg", "--level", "2", "--data", str(data),
+              "--model-out", str(model_path)])
+        assert model_path.read_text().startswith(f"# {learn.MODEL_FORMAT}\n")
+        assert len(learn.load_model(model_path).weights) == 5
+
     @pytest.mark.parametrize("args, line", [
         (["--level", "3"], "level=3 M=31 seed=None"),
         (["--num-features", "20", "--seed", "4"], "level=3 M=20 seed=4"),

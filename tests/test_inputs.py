@@ -2,19 +2,20 @@
 
 Each kind of input has one checking function: points
 (``kernels._finite_point``), targets (``learn._targets``), features
-(``learn._features``), lambda (``learn._lambda``), omega (``kernels._omega``),
-the dimension D (``errors.check_dim``), the feature count M
-(``errors.check_M``), levels (``kernels._check_levels``), positions
-(``FeatureIndex``) and names (``errors.check_choice``).  A wrong shape, a D
-that is not an integer >= 1, or a feature index with no component or with
-level and position vectors of different lengths raises ``DimError``, a non-finite point ``InvalidPoint``,
-a bad target, feature, lambda, omega or model file or a custom kernel
+(``learn._features``), positive reals (``errors.check_positive``: omega,
+sigma, lambda, tol and the split ratio), seeds (``errors.check_seed``), the
+dimension D (``errors.check_dim``), the feature count M (``errors.check_M``),
+levels (``kernels._check_levels``), positions (``FeatureIndex``) and names
+(``errors.check_choice``).  A wrong shape, a D that is not an integer >= 1,
+or a feature index with no component or with level and position vectors of
+different lengths raises ``DimError``, a non-finite point ``InvalidPoint``,
+a bad target, feature, positive real, seed or model file or a custom kernel
 without callable p and q ``InvalidData``, a bad M ``InvalidM``, a level that
 is not an integer in 1..1022 or is too deep for a custom kernel's (p, q)
 ``InvalidLevel``, a position that is not an odd integer in 1..2^l - 1 or a
-feature listed twice in a design ``InvalidIndex``, and an unknown kernel kind, scale,
-task, method or report format ``InvalidChoice``, which is a ``ValueError``
-as well.
+feature listed twice in a design ``InvalidIndex``, and an unknown kernel
+kind, scale, task, method or report format ``InvalidChoice``, which is a
+``ValueError`` as well.
 """
 
 import numpy as np
@@ -49,6 +50,12 @@ F10 = np.random.default_rng(1).uniform(size=(10, 4))
 # the Laplace pair (omega 2) given as a custom kernel
 LAP_PQ = KernelSpec("custom", omega=2.0, p=lambda x: np.exp(2.0 * x),
                     q=lambda x: np.exp(-2.0 * x))
+
+
+def _bytes_file(tmp, data):
+    path = tmp / "model.txt"
+    path.write_bytes(data)
+    return path
 
 
 def _model_file(tmp, weights=("1.0",), **header):
@@ -225,7 +232,49 @@ MALFORMED = [
     ("KernelSpec", lambda t: KernelSpec("custom"), InvalidData),
     ("KernelSpec", lambda t: KernelSpec("custom", p=np.exp, q=2.0), InvalidData),
     ("IndexSet", lambda t: IndexSet([FeatureIndex((1,), (1,))] * 2), InvalidIndex),
+    # model files that do not decode as text
+    ("load_model", lambda t: load_model(
+        _bytes_file(t, np.random.default_rng(0).bytes(200))), InvalidData),
+    ("load_model", lambda t: load_model(
+        _bytes_file(t, f"# {MODEL_FORMAT}\n".encode() + b"\xff\xfe\n")), InvalidData),
 ]
+
+SMALL = bench.synthetic_rkhs_dataset(N_train=20, N_test=5)
+RAW10 = bench.RawData(X10, np.arange(10.0), "r", "regression")
+# each reader of a positive real (``check_positive``) and of a seed (``check_seed``)
+POSITIVE_READERS = [
+    ("KernelSpec", lambda v: KernelSpec("laplace", omega=v)),
+    ("KernelSpec", lambda v: KernelSpec("sobolev", omega=v)),
+    ("ridge_fit", lambda v: ridge_fit(F10, np.ones(10), v)),
+    ("logistic_fit", lambda v: logistic_fit(F10, Y10, v)),
+    ("logistic_fit", lambda v: logistic_fit(F10, Y10, 0.1, tol=v)),
+    ("run_benchmark", lambda v: bench.run_benchmark(SMALL, ["eof"], [5], 1, 0, lam=v)),
+    ("rks_map", lambda v: rks_map(2, 4, v, 0)),
+    ("orf_map", lambda v: orf_map(2, 4, v, 0)),
+    ("standardize", lambda v: bench.standardize(RAW10, split_ratio=v)),
+]
+SEED_READERS = [
+    ("truncate_random", lambda s: truncate_random(S2, 5, s)),
+    ("select_design", lambda s: select_design(LAP2, 5, s)),
+    ("rks_map", lambda s: rks_map(2, 4, 1.0, s)),
+    ("orf_map", lambda s: orf_map(2, 4, 1.0, s)),
+    ("standardize", lambda s: bench.standardize(RAW10, seed=s)),
+    ("synthetic_rkhs_dataset", lambda s: bench.synthetic_rkhs_dataset(
+        N_train=20, N_test=5, seed=s)),
+    ("run_benchmark", lambda s: bench.run_benchmark(SMALL, ["eof"], [5], 1, s)),
+]
+# not a real number: a string, None (but run_benchmark's lambda=None is its
+# default), a bool, an array; then sigma 0 and infinity, for which every
+# frequency is 0 or infinite; then seeds outside numpy's range
+MALFORMED += [(entry, lambda t, read=read, v=v: read(v), InvalidData)
+              for entry, read in POSITIVE_READERS
+              for v in ("2", None, True, np.array([1.0, 2.0]))
+              if not (entry == "run_benchmark" and v is None)]
+MALFORMED += [(entry, lambda t, read=read, v=v: read(v), InvalidData)
+              for entry, read in POSITIVE_READERS if entry in ("rks_map", "orf_map")
+              for v in (0.0, np.inf)]
+MALFORMED += [(entry, lambda t, read=read, s=s: read(s), InvalidData)
+              for entry, read in SEED_READERS for s in (-1, 1.5, True, "a")]
 
 
 @pytest.mark.parametrize("entry, call, error", MALFORMED,
@@ -259,6 +308,14 @@ def test_numpy_integer_M_passes_the_M_rule():
     assert len(select_design(LAP2, M, 0)) == 5
     assert rks_map(2, M, 1.0, 0).M == 5
     assert eerf_select(POOL, Y10, X10, M).M == 5
+
+
+def test_numpy_scalars_pass_the_number_and_seed_rules():
+    assert KernelSpec("laplace", omega=np.float32(2.0), dim=2) == LAP2
+    want, got = rks_map(2, 4, 1.0, 3), rks_map(2, 4, np.float64(1.0), np.int64(3))
+    np.testing.assert_array_equal(got.frequencies, want.frequencies)
+    assert list(truncate_random(S2, 5, np.uint8(1))) == list(truncate_random(S2, 5, 1))
+    assert ridge_fit(F10, np.ones(10), np.float64(0.1)).lam == 0.1
 
 
 def test_numpy_integer_levels_and_positions_pass_the_index_rule():
