@@ -160,6 +160,50 @@ class TestRfEmbed:
         assert peak <= 1.1 * Z.nbytes, (peak, Z.nbytes)
 
 
+# the float64 tangent-formula cosine against np.cos, absolutely: 6 u64 by
+# _cosines' derivation, 3 u64 measured
+COS_ATOL = 2.0 ** -50
+
+
+def _cos_of(t):
+    """``_cosines`` of the arguments t, as one column (t + -0 is t)."""
+    t = np.asarray(t)
+    one = np.ones((1, 1), t.dtype)
+    return baselines._cosines(t[:, None], one, -np.zeros(1, t.dtype))[:, 0]
+
+
+class TestCosines:
+    @pytest.mark.parametrize("lo, hi", [(0.0, 10.0), (10.0, 1e5),
+                                        (1e5, 1e15), (1e15, 1e300)])
+    def test_float64_within_atol_of_np_cos(self, lo, hi):
+        rng = np.random.default_rng(int(np.log10(hi)))
+        if lo == 0.0:
+            t = rng.uniform(lo, hi, 100_000)
+        else:   # log-uniform, so every decade is sampled
+            t = np.exp(rng.uniform(np.log(lo), np.log(hi), 100_000))
+        t *= rng.choice([-1.0, 1.0], t.size)
+        np.testing.assert_allclose(_cos_of(t), np.cos(t), rtol=0, atol=COS_ATOL)
+
+    def test_special_values_match_np_cos(self):
+        t = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+        with np.errstate(invalid="ignore"):
+            np.testing.assert_array_equal(_cos_of(t), np.cos(t))
+
+    def test_finite_arguments_raise_no_warning(self):
+        t = np.array([0.0, 5e-324, 1e-300, np.pi / 2, np.pi, 2 * np.pi,
+                      1e20, 1e300, np.finfo(float).max, -np.finfo(float).max])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z = _cos_of(t)
+        np.testing.assert_allclose(z, np.cos(t), rtol=0, atol=COS_ATOL)
+
+    def test_float32_is_np_cos(self):
+        t = np.random.default_rng(5).uniform(-1e4, 1e4, 10_000).astype(np.float32)
+        z = _cos_of(t)
+        assert z.dtype == np.float32
+        np.testing.assert_array_equal(z, np.cos(t))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_points_raise_invalid_point(bad):
     fmap = rks_map(2, 8, 1.0, seed=0)

@@ -486,13 +486,15 @@ class TestRunBenchmark:
             bench.run_benchmark(toy_dataset(), ["rks"], [8], runs=0, seed=0)
 
     def test_timing_monotone_in_m_for_dense_baseline(self):
+        # the fastest of 7 paired repetitions: a load spike slows some
+        # repetitions many times over, but not the fastest of each M
         ds = bench.synthetic_rkhs_dataset(N_train=3000, N_test=10, seed=1)
         lo, hi = [], []
-        for rep in range(5):
+        for rep in range(7):
             res = bench.run_benchmark(ds, ["rks"], [40, 320], runs=1, seed=rep)
             lo.append(res[0].t_train)
             hi.append(res[1].t_train)
-        assert np.median(hi) >= np.median(lo)
+        assert min(hi) >= 2 * min(lo), (lo, hi)
 
     def test_t_train_times_the_whole_run(self, monkeypatch):
         def slow(*args, **kwargs):
