@@ -25,8 +25,8 @@ from . import baselines, learn
 from .design import select_design, sparse_grid_size
 from .embedding import SCALE_PLAIN, embed_batch
 from .errors import (DegenerateData, EofError, InvalidData, ParseError,
-                     all_finite, check_choice, check_dim, check_M, check_positive,
-                     check_seed, is_integer)
+                     all_finite, check_choice, check_dim, check_int, check_M,
+                     check_positive, check_seed)
 from .kernels import KernelSpec, _finite_point, _kernel_rows
 
 EOF_METHOD = "eof"
@@ -355,8 +355,7 @@ def run_benchmark(dataset: Dataset, methods: Sequence[str], M_grid: Sequence[int
         check_choice(m, ALL_METHODS, "method")
     for M in M_grid:
         check_M(M)
-    if not (is_integer(runs) and runs >= 1):
-        raise InvalidData(f"runs must be an integer >= 1, got {runs!r}")
+    check_int(runs, "runs", InvalidData)
     check_seed(seed)
     lam = (learn.default_lambda(dataset.N_train) if lam is None
            else check_positive(lam, "lambda"))
@@ -405,7 +404,13 @@ def synthetic_rkhs_dataset(N_train: int = 2000, N_test: int = 500, D: int = 2,
                            omega: float = 2.0, n_centers: int = 5,
                            noise: float = 0.05, seed: int = 0,
                            kernel: str = "laplace") -> Dataset:
-    """Noisy samples of a small kernel expansion f* = sum_j c_j k(., x_j)."""
+    """Noisy samples of a small kernel expansion f* = sum_j c_j k(., x_j).
+
+    ``N_train``, ``N_test`` and ``n_centers`` that are not integers >= 1 raise
+    ``InvalidData``, a bad seed too."""
+    check_int(N_train, "N_train", InvalidData)
+    check_int(N_test, "N_test", InvalidData)
+    check_int(n_centers, "n_centers", InvalidData)
     rng = np.random.default_rng(check_seed(seed))
     spec = KernelSpec(kernel, omega=omega, dim=D)
     centers = rng.uniform(0.0, 1.0, (n_centers, D))

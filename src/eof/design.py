@@ -16,8 +16,10 @@ into columns and ``IndexSet.indices`` alone decomposes codes into positions.
 It also alone knows which full design a design comes from: ``IndexSet.level``
 reads it off the level vectors, so the rule that picks the full design behind
 an M-feature design (``select_design``) is not worked out again elsewhere.
-A code of over 61 bits raises ``InvalidLevel`` (in ``enumerate_sparse_grid``
-before any level vector is listed).  ``FeatureIndex`` objects are built on request.
+A code of over 61 bits, or a full design of over 2^63 - 1 columns (from
+n = 58 at D = 2, 53 at D = 3, 49 at D = 4 and 39 at D = 8), raises
+``InvalidLevel`` (in ``enumerate_sparse_grid`` before any level vector is
+listed).  ``FeatureIndex`` objects are built on request.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from typing import Mapping, Tuple
 
 import numpy as np
 
-from .errors import DimError, InvalidIndex, InvalidLevel, check_M, check_dim, check_seed
+from .errors import (DimError, InvalidIndex, InvalidLevel, check_dim, check_int,
+                     check_M, check_seed)
 from .features import FeatureIndex
 from .kernels import KernelSpec, _check_levels
 
@@ -161,6 +164,9 @@ def enumerate_sparse_grid(D: int, n: int) -> IndexSet:
     _check_levels(n)
     # every code of a layer needs |l| - D bits: check each layer's first up front
     _check_keys(np.array([(1,) * (D - 1) + (k,) for k in range(1, n + 1)]))
+    # and the column count, the last of the int64 offsets, must fit one too
+    check_int(sparse_grid_size(D, n), f"the column count of the level-{n} design "
+              f"at D={D}", InvalidLevel, high=2 ** 63 - 1)
     # a level vector is the gaps between D - 1 cuts of 1..|l| - 1, and cuts in
     # lexicographic order give level vectors in lexicographic order
     bounds = np.array([(0, *cuts, total) for total in range(D, n + D)

@@ -1,5 +1,6 @@
-"""Exception types shared across the library, the rules for D, M, names,
-positive reals and seeds, and the one finiteness test."""
+"""Exception types shared across the library, the one integer rule (behind
+D, M, seeds and sizes), the rules for names and positive reals, and the one
+finiteness test."""
 
 import numbers
 
@@ -41,12 +42,17 @@ def is_integer(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
+def check_int(value, what, error, low=1, high=float("inf")):
+    """``value``; ``error`` unless an integer (``is_integer``) in ``low..high``:
+    the one integer rule, behind D, M, seeds, counts and sizes."""
+    if not (is_integer(value) and low <= value <= high):
+        raise error(f"{what} must be an integer in {low}..{high}, got {value!r}")
+    return value
+
+
 def check_dim(D):
-    """``DimError`` unless the dimension D is an integer (``is_integer``) >= 1."""
-    if not is_integer(D):
-        raise DimError(f"D={D!r} is not an integer")
-    if not D >= 1:
-        raise DimError(f"D={D} must be >= 1")
+    """``D``; ``DimError`` unless the dimension D is an integer >= 1."""
+    return check_int(D, "D", DimError)
 
 
 class InvalidM(EofError):
@@ -54,11 +60,8 @@ class InvalidM(EofError):
 
 
 def check_M(M, limit=float("inf")):
-    """``InvalidM`` unless M is an integer (``is_integer``) in 1..``limit``."""
-    if not is_integer(M):
-        raise InvalidM(f"M={M!r} is not an integer")
-    if not 1 <= M <= limit:
-        raise InvalidM(f"M={M} outside 1..{limit}")
+    """``M``; ``InvalidM`` unless M is an integer in 1..``limit``."""
+    return check_int(M, "M", InvalidM, high=limit)
 
 
 class InvalidChoice(EofError, ValueError):
@@ -84,10 +87,8 @@ def check_positive(value, what, below=float("inf")):
 
 
 def check_seed(seed):
-    """``seed``; ``InvalidData`` unless an integer (``is_integer``) >= 0, as numpy's."""
-    if not (is_integer(seed) and seed >= 0):
-        raise InvalidData(f"seed must be an integer >= 0, got {seed!r}")
-    return seed
+    """``seed``; ``InvalidData`` unless an integer >= 0, as numpy's."""
+    return check_int(seed, "seed", InvalidData, low=0)
 
 
 class ConvergenceError(EofError):

@@ -20,8 +20,8 @@ from typing import Callable, Tuple
 import numpy as np
 
 from .errors import DimError, InvalidData, InvalidIndex, is_integer
-from .kernels import (KernelSpec, _check_levels, _prepare_point, _profile_1d,
-                      surplus_alpha_1d, surplus_beta_1d)
+from .kernels import (KernelSpec, _check_levels, _float_or_array, _prepare_point,
+                      _profile_1d, surplus_alpha_1d, surplus_beta_1d)
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,7 @@ def phi_nd(spec: KernelSpec, idx: FeatureIndex, x) -> float:
     for d in range(idx.dim):
         surplus_alpha_1d(spec, idx.l[d], idx.i[d])
         val = val * _profile_1d(spec, idx.l[d], idx.i[d], x[..., d])
-    return float(val) if np.ndim(val) == 0 else val
+    return _float_or_array(val)
 
 
 def support_box(idx: FeatureIndex):

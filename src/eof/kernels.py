@@ -250,6 +250,12 @@ def expansion_coeff(spec: KernelSpec, l):
     return _float_or_array(np.prod(1.0 / surplus_alpha_1d(spec, l, 1), axis=-1))
 
 
+def _hat_scale(spec: KernelSpec, h):
+    """The Wronskian over one step h of the two hat kinds: h for bb, omega h
+    for sobolev.  alpha is 2 over it, beta 1 over it."""
+    return h if spec.kind == BROWNIAN_BRIDGE else spec.omega * h
+
+
 def surplus_alpha_1d(spec: KernelSpec, level, i):
     """Diagonal coefficient alpha_{l,i} of the 1-D surplus operator.
 
@@ -262,10 +268,8 @@ def surplus_alpha_1d(spec: KernelSpec, level, i):
     with np.errstate(divide="ignore", over="ignore"):   # inf at a tiny (omega) h
         if spec.kind == LAPLACE:
             return _float_or_array(1.0 / np.tanh(spec.omega * h))
-        if spec.kind == BROWNIAN_BRIDGE:
-            return _float_or_array(2.0 / h)
-        if spec.kind == SOBOLEV:
-            return _float_or_array(2.0 / (spec.omega * h))
+        if spec.kind in (BROWNIAN_BRIDGE, SOBOLEV):
+            return _float_or_array(2.0 / _hat_scale(spec, h))
     zm, zc, zp = (i - 1) * h, i * h, (i + 1) * h
     return _float_or_array(_check_depth(
         _wronskian(spec, zm, zp)
@@ -280,9 +284,7 @@ def surplus_beta_1d(spec: KernelSpec, level, i):
     with np.errstate(divide="ignore", over="ignore"):   # inf at a tiny (omega) h
         if spec.kind == LAPLACE:
             return _float_or_array(1.0 / (2.0 * np.sinh(spec.omega * h)))
-        if spec.kind == BROWNIAN_BRIDGE:
-            return _float_or_array(1.0 / h)
-        if spec.kind == SOBOLEV:
-            return _float_or_array(1.0 / (spec.omega * h))
+        if spec.kind in (BROWNIAN_BRIDGE, SOBOLEV):
+            return _float_or_array(1.0 / _hat_scale(spec, h))
     return _float_or_array(
         _check_depth(1.0 / _step_wronskian(spec, i * h, (i + 1) * h), level))

@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import (ConvergenceError, DimError, InvalidData, all_finite,
-                     check_choice, check_positive)
+                     check_choice, check_int, check_positive)
 
 REGRESSION = "regression"
 CLASSIFICATION = "classification"
@@ -59,8 +59,11 @@ def _features(F, cols=None):
 
 
 def _targets(y, n, task=REGRESSION) -> np.ndarray:
-    """``y`` raveled to floats.  Its length must be ``n`` (``DimError``), its
-    values finite and, for classification, -1 or +1 (``InvalidData``)."""
+    """``y`` raveled to floats.  The row count ``n`` must be at least 1, as a
+    fit or a score on no rows has nothing to average (``InvalidData``); the
+    length of ``y`` must be ``n`` (``DimError``), its values finite and, for
+    classification, -1 or +1 (``InvalidData``)."""
+    check_int(n, "rows", InvalidData)
     y = np.asarray(y, dtype=float).ravel()
     if len(y) != n:
         raise DimError(f"{n} rows but {len(y)} targets")

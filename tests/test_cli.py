@@ -239,6 +239,23 @@ def test_too_deep_level_is_a_usage_error_before_any_read(tmp_path, capsys,
     assert "missing.csv" not in err
 
 
+def test_design_past_the_int64_column_count_exits_2(tmp_path, capsys):
+    # --level 53 passes the level rule, but the full design at D = 3 has over
+    # 2^63 - 1 columns: a library error, one line, before any output
+    data = tmp_path / "small.csv"
+    write_points_csv(data, np.random.default_rng(0).uniform(size=(5, 3)))
+    out = tmp_path / "deep.txt"
+    with pytest.raises(SystemExit) as info:
+        main(["embed", "--input", str(data), "--level", "53", "--output", str(out)])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"eof: error: {data}: the column count of the "
+                                   "level-53 design at D=3 must be an integer")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
 class TestBenchCommand:
     def test_output_files_written(self, tmp_path, capsys):
         ds = bench.synthetic_rkhs_dataset(N_train=120, N_test=2, seed=2)

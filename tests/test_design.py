@@ -65,6 +65,32 @@ class TestEnumerateSparseGrid:
             tracemalloc.stop()
         assert peak < 2 ** 20
 
+    @pytest.mark.parametrize("D, last", [(2, 57), (3, 52)])
+    def test_length_is_the_design_size_up_to_the_int64_limit(self, D, last):
+        # the int64 offsets hold every column count up to 2^63 - 1; one past
+        # it raises instead of wrapping
+        for n in range(1, last + 1):
+            assert len(enumerate_sparse_grid(D, n)) == sparse_grid_size(D, n)
+        assert sparse_grid_size(D, last) < 2 ** 63 <= sparse_grid_size(D, last + 1)
+        with pytest.raises(InvalidLevel, match="column count"):
+            enumerate_sparse_grid(D, last + 1)
+
+    def test_too_many_columns_raise_before_listing(self):
+        # the first level whose full design has over 2^63 - 1 columns, though
+        # each code fits; the cheapest D comes first, and listing D = 8,
+        # n = 39 would take gigabytes
+        for D, n in ((2, 58), (3, 53), (4, 49), (8, 39)):
+            tracemalloc.start()
+            try:
+                with pytest.raises(InvalidLevel,
+                                   match=rf"level-{n} design at D={D} must be an "
+                                         r"integer in 1\.\.9223372036854775807"):
+                    enumerate_sparse_grid(D, n)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 ** 20
+
     def test_deepest_listable_level(self):
         # n = 62: the top layer's codes need 61 bits, which still fit
         S = enumerate_sparse_grid(1, 62)

@@ -1,21 +1,24 @@
 """Malformed input at every entry point raises the library error of its rule.
 
 Each kind of input has one checking function: points
-(``kernels._finite_point``), targets (``learn._targets``), features
-(``learn._features``), positive reals (``errors.check_positive``: omega,
-sigma, lambda, tol and the split ratio), seeds (``errors.check_seed``), the
-dimension D (``errors.check_dim``), the feature count M (``errors.check_M``),
-levels (``kernels._check_levels``), positions (``FeatureIndex``) and names
+(``kernels._finite_point``), targets (``learn._targets``, at least one row),
+features (``learn._features``), positive reals (``errors.check_positive``:
+omega, sigma, lambda, tol and the split ratio), integers (``errors.check_int``:
+seeds through ``errors.check_seed``, the dimension D through
+``errors.check_dim``, the feature count M through ``errors.check_M``, bench
+runs, dataset counts and the column count of a full design), levels
+(``kernels._check_levels``), positions (``FeatureIndex``) and names
 (``errors.check_choice``).  A wrong shape, a D that is not an integer >= 1,
 or a feature index with no component or with level and position vectors of
 different lengths raises ``DimError``, a non-finite point ``InvalidPoint``,
-a bad target, feature, positive real, seed or model file or a custom kernel
-without callable p and q ``InvalidData``, a bad M ``InvalidM``, a level that
-is not an integer in 1..1022 or is too deep for a custom kernel's (p, q)
-``InvalidLevel``, a position that is not an odd integer in 1..2^l - 1 or a
-feature listed twice in a design ``InvalidIndex``, and an unknown kernel
-kind, scale, task, method or report format ``InvalidChoice``, which is a
-``ValueError`` as well.
+a bad target, feature, positive real, seed, run or dataset count or model
+file, no rows to fit or score, or a custom kernel without callable p and q
+``InvalidData``, a bad M ``InvalidM``, a level that is not an integer in
+1..1022 or is too deep for a custom kernel's (p, q), or a full design of over
+2^63 - 1 columns ``InvalidLevel``, a position that is not an odd integer in
+1..2^l - 1 or a feature listed twice in a design ``InvalidIndex``, and an
+unknown kernel kind, scale, task, method or report format ``InvalidChoice``,
+which is a ``ValueError`` as well.
 """
 
 import numpy as np
@@ -275,6 +278,31 @@ MALFORMED += [(entry, lambda t, read=read, v=v: read(v), InvalidData)
               for v in (0.0, np.inf)]
 MALFORMED += [(entry, lambda t, read=read, s=s: read(s), InvalidData)
               for entry, read in SEED_READERS for s in (-1, 1.5, True, "a")]
+# no rows to fit, select on or score (the target rule), dataset counts that
+# are not integers >= 1, and a full design of over 2^63 - 1 columns; appended
+# after the generated rows, so that earlier ids keep their number
+MALFORMED += [
+    ("ridge_fit", lambda t: ridge_fit(np.zeros((0, 4)), np.zeros(0), 0.1), InvalidData),
+    ("ridge_fit", lambda t: ridge_fit(sp.csr_matrix((0, 4)), np.zeros(0), 0.1),
+     InvalidData),
+    ("logistic_fit", lambda t: logistic_fit(np.zeros((0, 4)), np.zeros(0), 0.1),
+     InvalidData),
+    ("test_error", lambda t: error_of(Model(np.ones(4)), np.zeros((0, 4)), np.zeros(0)),
+     InvalidData),
+    ("lkrf_select", lambda t: lkrf_select(POOL, np.zeros(0), np.zeros((0, 2)), 4),
+     InvalidData),
+    ("synthetic_rkhs_dataset", lambda t: bench.synthetic_rkhs_dataset(N_train=-1),
+     InvalidData),
+    ("synthetic_rkhs_dataset", lambda t: bench.synthetic_rkhs_dataset(N_train=2.5),
+     InvalidData),
+    ("synthetic_rkhs_dataset", lambda t: bench.synthetic_rkhs_dataset(N_test=0),
+     InvalidData),
+    ("synthetic_rkhs_dataset", lambda t: bench.synthetic_rkhs_dataset(N_test=True),
+     InvalidData),
+    ("synthetic_rkhs_dataset", lambda t: bench.synthetic_rkhs_dataset(n_centers=0),
+     InvalidData),
+    ("enumerate_sparse_grid", lambda t: enumerate_sparse_grid(3, 53), InvalidLevel),
+]
 
 
 @pytest.mark.parametrize("entry, call, error", MALFORMED,
@@ -283,6 +311,28 @@ def test_malformed_input_raises_its_error(entry, call, error, tmp_path):
     assert issubclass(error, EofError)
     with pytest.raises(error):
         call(tmp_path)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: KernelSpec("laplace", dim=0), "D must be an integer in 1..inf, got 0"),
+    (lambda: rks_map(2, 2.5, 1.0, 0), "M must be an integer in 1..inf, got 2.5"),
+    (lambda: lkrf_select(POOL, Y10, X10, 41), "M must be an integer in 1..40, got 41"),
+    (lambda: rks_map(2, 4, 1.0, -1), "seed must be an integer in 0..inf, got -1"),
+    (lambda: bench.run_benchmark(SMALL, ["eof"], [5], True, 0),
+     "runs must be an integer in 1..inf, got True"),
+    (lambda: bench.synthetic_rkhs_dataset(n_centers=0),
+     "n_centers must be an integer in 1..inf, got 0"),
+    (lambda: ridge_fit(np.zeros((0, 4)), np.zeros(0), 0.1),
+     "rows must be an integer in 1..inf, got 0"),
+    (lambda: enumerate_sparse_grid(2, 58),
+     "the column count of the level-58 design at D=2 must be an integer in "
+     f"1..{2 ** 63 - 1}, got {sparse_grid_size(2, 58)}")],
+    ids=["D", "M", "M-limit", "seed", "runs", "n_centers", "rows", "columns"])
+def test_every_integer_rule_gives_one_message(call, message):
+    # errors.check_int: "{what} must be an integer in {low}..{high}, got {value!r}"
+    with pytest.raises(EofError) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_unknown_name_is_a_value_error():
