@@ -9,12 +9,16 @@ with phases b_m ~ U[0, 2pi).  With single-cosine features and random phases
 E[z(x)^T z(x')] converges to k(x, x') / 2, so ``kernel_estimate`` doubles
 the dot product to obtain the unbiased kernel estimator.
 
-The float64 cosine is cos t = 2 / (1 + u^2) - 1 with u = tan(t / 2)
-(``_cosines``): numpy vectorizes float64 tan where it dispatches to AVX-512
-but leaves float64 cos scalar, so a block takes 4-5x less time there (and
-some 25% more where numpy has no AVX-512 path).  It is within 6.7e-16 of
-cos t absolutely; the features are O(1), so that is the error that reaches
-a fit.
+Every cosine block is one GEMM of X1 = [X | 1] by Gb = [G | b], so the
+phase is inside the cosine argument t = X1 Gb^T (``_cosines``).  In
+float64 the GEMM takes Gb / 2, an exact power-of-two scale, and gives t / 2;
+the block is then s cos t = 2 s / (1 + u^2) - s with u = tan(t / 2), the
+scale s = 1/sqrt(M) of ``rf_embed`` folded into the last two steps.  numpy
+vectorizes float64 tan where it dispatches to AVX-512 but leaves float64 cos
+scalar, so a block takes 4-5x less time there (and some 25% more where
+numpy has no AVX-512 path).  It is within 13/2 s u64 (7.2e-16 s) of s cos t
+absolutely, u64 = 2^-53; the features are O(s), so that is the error that
+reaches a fit.
 
 RKS draws frequencies from a scaled Cauchy (Laplace kernel); ORF builds
 orthogonal blocks approximating a Gaussian kernel; LKRF and EERF draw an
@@ -39,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import check_M, check_dim, check_positive, check_seed
+from .errors import DimError, check_M, check_dim, check_positive, check_seed
 from .kernels import _finite_point
 from .learn import _targets
 
@@ -55,6 +59,12 @@ class RandomFeatureMap:
 
     frequencies: np.ndarray   # (M, D)
     phases: np.ndarray        # (M,)
+
+    def __post_init__(self):
+        shape = np.shape(self.frequencies)
+        if len(shape) != 2 or min(shape) < 1 or np.shape(self.phases) != shape[:1]:
+            raise DimError(f"frequencies must be (M, D) with M, D >= 1 and phases "
+                           f"(M,), got {shape} and {np.shape(self.phases)}")
 
     @property
     def M(self) -> int:
@@ -105,46 +115,58 @@ def orf_map(D: int, M: int, sigma: float, seed: int) -> RandomFeatureMap:
     return RandomFeatureMap(freqs, phases)
 
 
-def _cosines(X, G, b) -> np.ndarray:
-    """cos(X G^T + b), built in one buffer in the inputs' dtype.
+def _augment(A, last) -> np.ndarray:
+    """``A`` with ``last`` appended along its last axis: [X | 1] or [G | b]."""
+    last = np.broadcast_to(last, np.shape(A)[:-1])
+    return np.concatenate([A, last[..., None]], axis=-1)
 
-    float32 (the selection screen) takes ``np.cos``.  float64 takes
-    cos t = 2 / (1 + u^2) - 1 with u = tan(t / 2).  Halving is exact (but
-    for underflow), numpy's float64 tan is within 1 ulp (2 u64 relative,
-    u64 = 2^-53; its own accuracy tests' bound), and the square, the sum,
-    the quotient and the difference round once each.  With
-    p = 2 / (1 + u^2), an error e relative in u^2 moves p by at most
-    p e u^2 / (1 + u^2) <= e / 2, so tan and the square give
-    (2 * 2 + 1) / 2 u64; rounding 1 + u^2 gives at most 2 u64, the quotient
-    u64 and the difference u64 / 2 (none while the quotient is in [1/2, 2],
-    by Sterbenz).  So the result is within 6 u64 (6.7e-16) of cos t
-    absolutely, to first order; 3 u64 (3.3e-16) is the largest difference
-    from ``np.cos`` measured.  +-0, +-inf and NaN give what ``np.cos``
+
+def _cosines(X1, Gb, s=1.0) -> np.ndarray:
+    """s cos t with t = X1 Gb^T, X1 = [X | 1] and Gb = [G | b], built in one
+    buffer in the inputs' dtype from one GEMM.
+
+    float32 (the selection screen, s = 1) takes ``np.cos``.  float64 takes
+    2 s / (1 + u^2) - s with u = tan(t / 2), the GEMM forming t / 2 from
+    Gb / 2: a power-of-two scale commutes with every rounding, so that is
+    t halved, exactly but for underflow.  numpy's float64 tan is within
+    1 ulp (2 u64 relative, u64 = 2^-53; its own accuracy tests' bound), and
+    the square, the sum, the quotient and the difference round once each
+    (2 s is exact).  With p = 2 s / (1 + u^2), an error e relative in u^2
+    moves p by at most p e u^2 / (1 + u^2) <= s e / 2, so tan and the square
+    give (2 * 2 + 1) / 2 s u64, and rounding 1 + u^2 moves p by at most
+    p u64 <= 2 s u64.  While p >= s / 2 the difference is exact (Sterbenz)
+    and the quotient errs by at most half an ulp of p <= 2 s, 2 s u64; below
+    that the quotient errs by at most s u64 / 2 and the difference s u64.
+    So the result is within 13/2 s u64 of s cos t absolutely, to first
+    order; at s = 1 half an ulp of p <= 2 is u64, which gives 6 u64
+    (6.7e-16), and 3 u64 (3.3e-16) is the largest difference from
+    ``np.cos`` measured there.  +-0, +-inf and NaN give what ``np.cos``
     gives.
     """
-    Z = X @ G.T
-    Z += b
-    if Z.dtype != np.float64:
+    if np.result_type(X1, Gb) != np.float64:
+        Z = X1 @ Gb.T
         return np.cos(Z, out=Z)
-    Z *= 0.5
+    Z = X1 @ (0.5 * Gb).T
     np.tan(Z, out=Z)
     Z *= Z
     Z += 1.0
-    np.divide(2.0, Z, out=Z)
-    Z -= 1.0
+    np.divide(2.0 * s, Z, out=Z)
+    Z -= s
     return Z
 
 
 def rf_embed(fmap: RandomFeatureMap, x) -> np.ndarray:
-    """Dense feature vector (1-D input) or matrix (2-D input)."""
+    """Dense feature vector (one point) or matrix (an (N, D) batch)."""
     x = _finite_point(x, fmap.dim)   # cosine features take any real x: no clipping
-    Z = _cosines(x, fmap.frequencies, fmap.phases)
-    Z /= np.sqrt(fmap.M)
-    return Z
+    if x.ndim > 2:
+        raise DimError(f"expected one point or an (N, D) batch, got {x.ndim}-D")
+    Gb = _augment(fmap.frequencies, fmap.phases)
+    return _cosines(_augment(x, 1.0), Gb, 1.0 / np.sqrt(fmap.M))
 
 
 def kernel_estimate(fmap: RandomFeatureMap, x, xp) -> float:
-    """Unbiased Monte Carlo kernel estimate 2 z(x)^T z(x')."""
+    """Unbiased Monte Carlo kernel estimate 2 z(x)^T z(x') of two points."""
+    x, xp = (_finite_point(p, fmap.dim, 1) for p in (x, xp))
     return float(2.0 * rf_embed(fmap, x) @ rf_embed(fmap, xp))
 
 
@@ -157,14 +179,16 @@ TINY32 = float(np.finfo(np.float32).tiny)
 def _screen_error(G, b, X, y) -> np.ndarray:
     """Bound on |a32 - a64| per candidate, a32 and a64 being its label
     alignment ``y^T cos(X g + b)`` as ``_select`` computes it from
-    ``_cosines`` in float32 and in float64.  It bounds ||a32| - |a64|| too,
-    so it brackets |a|, the one key LKRF and EERF both rank by.
+    ``_cosines`` in float32 and in float64, b inside the GEMM.  It bounds
+    ||a32| - |a64|| too, so it brackets |a|, the one key LKRF and EERF both
+    rank by.
 
     With t = x^T g + b and T = sum_d (|g_d| + TINY32) (max|X| + TINY32) +
     |b| + TINY32 >= max |t| (over all points, inside the cube or not):
-    - each product x_d g_d takes three float32 roundings (x, g, x * g) and
-      the D additions forming t at most D more, b two, so the float32
-      argument errs by at most (D + 3) u T, and so does its cosine;
+    - each product x_d g_d takes three float32 roundings (x, g, x * g), b
+      one (its product with 1 is exact), and the D additions of the D + 1
+      terms of t, in whatever order the GEMM takes, at most D more, so the
+      float32 argument errs by at most (D + 3) u T, and so does its cosine;
     - numpy's float32 cosine is accurate to 4 ulp or better, i.e. 4 u on
       [-1, 1] (1.2 u measured with numpy 2.4 on x86-64 over arguments up
       to 3e38), and the products' own underflow, D u TINY32, is far below;
@@ -172,8 +196,8 @@ def _screen_error(G, b, X, y) -> np.ndarray:
       against sum_i |y_i| + N TINY32 =: S.
     So |a32 - a_exact| <= S u ((D + 3) T + 4 + N + 1) to first order.  The
     float64 a64 takes the same roundings at u64 = 2^-29 u, with 6 u64 for
-    ``_cosines``' float64 cosine in place of 4 u, so it errs by at most
-    1.5 * 2^-29 times as much; and the second-order terms stay below the
+    ``_cosines``' float64 cosine (s = 1) in place of 4 u, so it errs by at
+    most 1.5 * 2^-29 times as much; and the second-order terms stay below the
     first-order ones while (N + D + 4) u <= 1/2: doubling the first-order
     bound covers both.  Past that many rows the bound is infinite.
     """
@@ -205,12 +229,13 @@ def _select(pool: RandomFeatureMap, y, X, M: int) -> RandomFeatureMap:
     X = _finite_point(X, pool.dim, 2)
     y = _targets(y, len(X))
     G, b = pool.frequencies, pool.phases
+    X1, Gb = _augment(X, 1.0), _augment(G, b)
     a = np.empty(pool.M)
     with np.errstate(over="ignore", invalid="ignore"):
-        X32, y32 = X.astype(np.float32), y.astype(np.float32)
-        G32, b32 = G.astype(np.float32), b.astype(np.float32)
+        X1_32, Gb32 = X1.astype(np.float32), Gb.astype(np.float32)
+        y32 = y.astype(np.float32)
         for j in range(0, pool.M, M):
-            a[j:j + M] = y32 @ _cosines(X32, G32[j:j + M], b32[j:j + M])
+            a[j:j + M] = y32 @ _cosines(X1_32, Gb32[j:j + M])
         err = _screen_error(G, b, X, y)
         bad = ~np.isfinite(a) | np.isnan(err)
         a[bad], err[bad] = 0.0, np.inf
@@ -221,7 +246,7 @@ def _select(pool: RandomFeatureMap, y, X, M: int) -> RandomFeatureMap:
     near = np.flatnonzero(~out & (lo <= cut_hi))
     for j in range(0, len(near), M):
         idx = near[j:j + M]
-        a[idx] = y @ _cosines(X, G[idx], b[idx])
+        a[idx] = y @ _cosines(X1, Gb[idx])
     # stable: ties keep the lower candidate index
     best = near[np.argsort(-np.abs(a[near]), kind="stable")]
     keep = np.sort(np.concatenate([sure, best[:M - len(sure)]]))

@@ -148,6 +148,14 @@ class TestRfEmbed:
         for r, x in enumerate(X):
             np.testing.assert_allclose(Z[r], rf_embed(m, x), atol=1e-15)
 
+    def test_float32_map_is_its_float64_copy(self):
+        m = rks_map(3, 7, 1.0, seed=5)
+        m32 = RandomFeatureMap(m.frequencies.astype(np.float32),
+                               m.phases.astype(np.float32))
+        m64 = RandomFeatureMap(m32.frequencies.astype(float), m32.phases.astype(float))
+        X = np.random.default_rng(5).uniform(0, 1, (20, 3))
+        np.testing.assert_array_equal(rf_embed(m32, X), rf_embed(m64, X))
+
     def test_peak_memory_is_one_output(self):
         m = rks_map(2, 500, 1.0, seed=3)
         X = np.random.default_rng(3).uniform(0, 1, (2000, 2))
@@ -159,17 +167,39 @@ class TestRfEmbed:
             tracemalloc.stop()
         assert peak <= 1.1 * Z.nbytes, (peak, Z.nbytes)
 
+    @pytest.mark.parametrize("D", [1, 2, 7, 33])
+    def test_within_its_bound_of_np_cos_of_the_same_gemm(self, D):
+        # the GEMM with [G | b] / 2 gives exactly half of t = X1 Gb^T, so only
+        # the cosine, the scale and the reference's own roundings differ;
+        # M = 1 and one point take numpy's matrix-vector paths
+        rng = np.random.default_rng(D)
+        for M, N in product((1, 2, 129), (1, 2000)):
+            m = rks_map(D, M, 2.0, seed=M)
+            Gb = np.column_stack([m.frequencies, m.phases])
+            X = rng.uniform(-0.5, 1.5, (N, D))
+            for x in (X, X[0]):
+                t = np.append(x, np.ones(x.shape[:-1] + (1,)), axis=-1) @ Gb.T
+                np.testing.assert_allclose(
+                    rf_embed(m, x), np.cos(t) / np.sqrt(M), rtol=0,
+                    atol=RF_ATOL / np.sqrt(M))
+
 
 # the float64 tangent-formula cosine against np.cos, absolutely: 6 u64 by
 # _cosines' derivation, 3 u64 measured
 COS_ATOL = 2.0 ** -50
+# rf_embed against np.cos(t) / sqrt(M), in units of 1/sqrt(M): 13/2 u64 for
+# _cosines at s = fl(1 / fl(sqrt(M))), 2 u64 for s against 1/sqrt(M), and
+# 4 u64 for the reference (np.cos within 1 ulp, fl(sqrt(M)) and the
+# quotient); 12.5 u64 to first order, 13 u64 with the second
+RF_ATOL = 13 * 2.0 ** -53
 
 
 def _cos_of(t):
-    """``_cosines`` of the arguments t, as one column (t + -0 is t)."""
+    """``_cosines`` of the arguments t, as one column: [t | 1] times [1 | -0]
+    (t + -0 is t)."""
     t = np.asarray(t)
-    one = np.ones((1, 1), t.dtype)
-    return baselines._cosines(t[:, None], one, -np.zeros(1, t.dtype))[:, 0]
+    X1 = np.stack([t, np.ones_like(t)], axis=1)
+    return baselines._cosines(X1, np.array([[1.0, -0.0]], t.dtype))[:, 0]
 
 
 class TestCosines:
@@ -339,10 +369,10 @@ class TestSelection:
         columns = []
         cosines = baselines._cosines
 
-        def counted(X, G, b):
-            if G.dtype == np.float64:
-                columns.append(len(G))
-            return cosines(X, G, b)
+        def counted(X1, Gb):
+            if Gb.dtype == np.float64:
+                columns.append(len(Gb))
+            return cosines(X1, Gb)
 
         monkeypatch.setattr(baselines, "_cosines", counted)
         pool = self._pool(M0=40)
@@ -365,10 +395,10 @@ class TestSelection:
         columns = []
         cosines = baselines._cosines
 
-        def counted(X, G, b):
-            if G.dtype == np.float64:
-                columns.append(len(G))
-            return cosines(X, G, b)
+        def counted(X1, Gb):
+            if Gb.dtype == np.float64:
+                columns.append(len(Gb))
+            return cosines(X1, Gb)
 
         monkeypatch.setattr(baselines, "_cosines", counted)
         lkrf_select(RandomFeatureMap(freqs, phases), y, X, 3)

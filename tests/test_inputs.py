@@ -26,8 +26,8 @@ import pytest
 import scipy.sparse as sp
 
 from eof import bench
-from eof.baselines import (eerf_select, kernel_estimate, lkrf_select, orf_map,
-                           rf_embed, rks_map)
+from eof.baselines import (RandomFeatureMap, eerf_select, kernel_estimate,
+                           lkrf_select, orf_map, rf_embed, rks_map)
 from eof.design import (IndexSet, enumerate_sparse_grid, entropic_select,
                         level_for_feature_count, select_design, sparse_grid_size,
                         truncate_random)
@@ -302,6 +302,21 @@ MALFORMED += [
     ("synthetic_rkhs_dataset", lambda t: bench.synthetic_rkhs_dataset(n_centers=0),
      InvalidData),
     ("enumerate_sparse_grid", lambda t: enumerate_sparse_grid(3, 53), InvalidLevel),
+]
+# random-feature shapes: a batch of more than two axes, a batch where
+# kernel_estimate takes one point, and maps whose frequencies are not (M, D)
+# with M, D >= 1 or whose phases are not (M,)
+MALFORMED += [
+    ("rf_embed", lambda t: rf_embed(POOL, np.zeros((2, 3, 2))), DimError),
+    ("kernel_estimate", lambda t: kernel_estimate(POOL, np.zeros((3, 2)), [0.1, 0.2]),
+     DimError),
+    ("kernel_estimate", lambda t: kernel_estimate(POOL, [0.1, 0.2], np.zeros((3, 2))),
+     DimError),
+    ("RandomFeatureMap", lambda t: RandomFeatureMap(np.ones((3, 2)), np.ones(4)),
+     DimError),
+    ("RandomFeatureMap", lambda t: RandomFeatureMap(np.ones(3), np.ones(3)), DimError),
+    ("RandomFeatureMap", lambda t: RandomFeatureMap(np.ones((0, 2)), np.ones(0)),
+     DimError),
 ]
 
 
