@@ -4,8 +4,7 @@ The library constructs compactly-supported, mutually orthogonal features of
 product-form (Sturm-Liouville) kernels, offers the entropy-maximizing subset
 (``entropic_select``), embeds data into sparse feature vectors, trains
 ridge / logistic models on the result, and benchmarks against four
-random-feature baselines.  ``eof train --num-features`` and the benchmark
-use ``select_design``: a seeded random M-subset of the smallest full design.
+random-feature baselines.
 """
 
 from .design import (IndexSet, enumerate_sparse_grid, entropic_select,

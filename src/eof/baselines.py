@@ -7,34 +7,15 @@ feature map
 
 with phases b_m ~ U[0, 2pi).  With single-cosine features and random phases
 E[z(x)^T z(x')] converges to k(x, x') / 2, so ``kernel_estimate`` doubles
-the dot product to obtain the unbiased kernel estimator.
-
-Every cosine block is one GEMM of X1 = [X | 1] by Gb = [G | b], so the
-phase is inside the cosine argument t = X1 Gb^T (``_cosines``).  In
-float64 the GEMM takes Gb / 2, an exact power-of-two scale, and gives t / 2;
-the block is then s cos t = 2 s / (1 + u^2) - s with u = tan(t / 2), the
-scale s = 1/sqrt(M) of ``rf_embed`` folded into the last two steps.  numpy
-vectorizes float64 tan where it dispatches to AVX-512 but leaves float64 cos
-scalar, so a block takes 4-5x less time there (and some 25% more where
-numpy has no AVX-512 path).  It is within 13/2 s u64 (7.2e-16 s) of s cos t
-absolutely, u64 = 2^-53; the features are O(s), so that is the error that
-reaches a fit.
+the dot product to obtain the unbiased kernel estimator.  Every cosine block
+comes from ``_cosines``.
 
 RKS draws frequencies from a scaled Cauchy (Laplace kernel); ORF builds
 orthogonal blocks approximating a Gaussian kernel; LKRF and EERF draw an
 oversampled Cauchy pool and keep the top-M candidates by label alignment
-|a| = |y^T z|, the same rule for both, so they differ only in their pool
+(``_select``), the same rule for both, so they differ only in their pool
 seed.  The rule ranks only and never rescales surviving features; it is a
 simple stand-in for the original reweighting procedures.
-
-Selection scores the pool M candidates at a time, so besides the (M0,)
-alignment vector it holds one N x M cosine block, the size of the map that
-``rf_embed`` builds next: O(N M + M0) memory, not O(N M0).  It screens the
-pool in float32, where the cosine is some 4x faster than in float64, and
-bounds each candidate's float32 error from closed-form quantities.  Only the
-candidates whose |a| interval straddles the cut are scored again in float64:
-those candidates, M at a time, with the same block formula.  So the kept set
-is exactly the one the float64 |a| of the whole pool gives.
 """
 
 from __future__ import annotations
@@ -61,10 +42,12 @@ class RandomFeatureMap:
     phases: np.ndarray        # (M,)
 
     def __post_init__(self):
-        shape = np.shape(self.frequencies)
-        if len(shape) != 2 or min(shape) < 1 or np.shape(self.phases) != shape[:1]:
+        for name in ("frequencies", "phases"):   # nested lists too, dtype kept
+            object.__setattr__(self, name, np.asarray(getattr(self, name)))
+        shape = self.frequencies.shape
+        if len(shape) != 2 or min(shape) < 1 or self.phases.shape != shape[:1]:
             raise DimError(f"frequencies must be (M, D) with M, D >= 1 and phases "
-                           f"(M,), got {shape} and {np.shape(self.phases)}")
+                           f"(M,), got {shape} and {self.phases.shape}")
 
     @property
     def M(self) -> int:
@@ -123,25 +106,30 @@ def _augment(A, last) -> np.ndarray:
 
 def _cosines(X1, Gb, s=1.0) -> np.ndarray:
     """s cos t with t = X1 Gb^T, X1 = [X | 1] and Gb = [G | b], built in one
-    buffer in the inputs' dtype from one GEMM.
+    buffer in the inputs' dtype from one GEMM, so the phase is added inside
+    the product, not in a pass of its own.
 
     float32 (the selection screen, s = 1) takes ``np.cos``.  float64 takes
     2 s / (1 + u^2) - s with u = tan(t / 2), the GEMM forming t / 2 from
     Gb / 2: a power-of-two scale commutes with every rounding, so that is
-    t halved, exactly but for underflow.  numpy's float64 tan is within
-    1 ulp (2 u64 relative, u64 = 2^-53; its own accuracy tests' bound), and
-    the square, the sum, the quotient and the difference round once each
-    (2 s is exact).  With p = 2 s / (1 + u^2), an error e relative in u^2
-    moves p by at most p e u^2 / (1 + u^2) <= s e / 2, so tan and the square
-    give (2 * 2 + 1) / 2 s u64, and rounding 1 + u^2 moves p by at most
-    p u64 <= 2 s u64.  While p >= s / 2 the difference is exact (Sterbenz)
-    and the quotient errs by at most half an ulp of p <= 2 s, 2 s u64; below
-    that the quotient errs by at most s u64 / 2 and the difference s u64.
-    So the result is within 13/2 s u64 of s cos t absolutely, to first
-    order; at s = 1 half an ulp of p <= 2 is u64, which gives 6 u64
-    (6.7e-16), and 3 u64 (3.3e-16) is the largest difference from
-    ``np.cos`` measured there.  +-0, +-inf and NaN give what ``np.cos``
-    gives.
+    t halved, exactly but for underflow.  numpy vectorizes float64 tan where
+    it dispatches to AVX-512 but leaves float64 cos scalar, so a block takes
+    4-5x less time there (and some 25% more where numpy has no AVX-512 path).
+
+    numpy's float64 tan is within 1 ulp (2 u64 relative, u64 = 2^-53; its
+    own accuracy tests' bound), and the square, the sum, the quotient and
+    the difference round once each (2 s is exact).  With p = 2 s / (1 + u^2),
+    an error e relative in u^2 moves p by at most p e u^2 / (1 + u^2) <=
+    s e / 2, so tan and the square give (2 * 2 + 1) / 2 s u64, and rounding
+    1 + u^2 moves p by at most p u64 <= 2 s u64.  While p >= s / 2 the
+    difference is exact (Sterbenz) and the quotient errs by at most half an
+    ulp of p <= 2 s, 2 s u64; below that the quotient errs by at most
+    s u64 / 2 and the difference s u64.  So the result is within 13/2 s u64
+    of s cos t absolutely, to first order, and the features are O(s), so
+    that is the error that reaches a fit; at s = 1 half an ulp of p <= 2 is
+    u64, which gives 6 u64 (6.7e-16), and 3 u64 (3.3e-16) is the largest
+    difference from ``np.cos`` measured there.  +-0, +-inf and NaN give what
+    ``np.cos`` gives.
     """
     if np.result_type(X1, Gb) != np.float64:
         Z = X1 @ Gb.T
@@ -213,17 +201,19 @@ def _screen_error(G, b, X, y) -> np.ndarray:
 
 def _select(pool: RandomFeatureMap, y, X, M: int) -> RandomFeatureMap:
     """Keep the top-M pool candidates by label alignment |a| = |y^T Z| over
-    the raw cosine matrix Z of the training points, built M columns at a time.
+    the raw cosine matrix Z of the training points, built M columns at a time:
+    besides the (M0,) alignments it holds one N x M block, the size of the map
+    that ``rf_embed`` builds next, so O(N M + M0) memory, not O(N M0).
 
-    The pool is screened in float32 and each |a| bracketed by
+    The pool is screened in float32, where the cosine is some 4x faster than
+    in float64, and each |a| bracketed by
     ``_screen_error``: a candidate whose upper bound lies below the M-th
     largest lower bound is certainly out, one whose lower bound lies above
     the (M+1)-th largest upper bound certainly in.  The candidates that are
     neither are scored again in float64, those candidates, M at a time, and
     the remaining places go to the largest |a| of those by the stable rule
-    (ties keep the lower index).  The kept set is the float64 top-M of the whole pool; a
-    non-finite float32 alignment (overflow) counts as unbounded.  LKRF and
-    EERF both select by this rule, so they differ only in their pool seed.
+    (ties keep the lower index).  The kept set is the float64 top-M of the
+    whole pool; a non-finite float32 alignment (overflow) counts as unbounded.
     """
     check_M(M, pool.M)
     X = _finite_point(X, pool.dim, 2)
@@ -254,12 +244,11 @@ def _select(pool: RandomFeatureMap, y, X, M: int) -> RandomFeatureMap:
 
 
 def lkrf_select(pool: RandomFeatureMap, y, X, M: int) -> RandomFeatureMap:
-    """Keep the top-M pool candidates by label alignment |y^T z|: EERF's
-    rule, until LKRF gets its own reweighting, so only the pool seed differs."""
+    """Keep the top-M pool candidates by label alignment |y^T z| (``_select``):
+    EERF's rule, until LKRF gets its own reweighting."""
     return _select(pool, y, X, M)
 
 
 def eerf_select(pool: RandomFeatureMap, y, X, M: int) -> RandomFeatureMap:
-    """Keep the top-M pool candidates by label alignment |y^T z|, the rule
-    ``lkrf_select`` shares; only the pool seed differs."""
+    """Keep the top-M pool candidates by label alignment |y^T z| (``_select``)."""
     return _select(pool, y, X, M)

@@ -1,10 +1,9 @@
 """End-to-end benchmark pipeline: CSV in, method comparison out.
 
-The pipeline standardizes inputs to the unit cube (min-max fit on the
-training split only), estimates the bandwidth from the mean 50th-nearest-
-neighbor distance, builds the requested feature maps, trains ridge or
-logistic models with lambda = N^{-1/2} by default, and aggregates test
-errors over repeated seeded runs.
+``load_csv`` and ``standardize`` make a ``Dataset`` on [0,1]^D,
+``estimate_sigma`` gives the one bandwidth that every method uses, and
+``run_benchmark`` fits and scores each (method, M) cell through
+``fit_and_score`` over repeated seeded runs; ``report`` renders the cells.
 """
 
 from __future__ import annotations
@@ -12,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 import os
 import time
 import warnings
@@ -350,7 +350,8 @@ def run_benchmark(dataset: Dataset, methods: Sequence[str], M_grid: Sequence[int
 
     A method not in ``ALL_METHODS`` (``InvalidChoice``), a bad M (``InvalidM``),
     or ``runs`` that is not an integer >= 1, a bad seed or a bad lambda
-    (``InvalidData``) stops before any work."""
+    (``InvalidData``) stops before any work.  A run that raises a library
+    error is left out of its cell's errors and listed in its ``failures``."""
     for m in methods:
         check_choice(m, ALL_METHODS, "method")
     for M in M_grid:
@@ -407,10 +408,13 @@ def synthetic_rkhs_dataset(N_train: int = 2000, N_test: int = 500, D: int = 2,
     """Noisy samples of a small kernel expansion f* = sum_j c_j k(., x_j).
 
     ``N_train``, ``N_test`` and ``n_centers`` that are not integers >= 1 raise
-    ``InvalidData``, a bad seed too."""
+    ``InvalidData``, as do a bad seed and a ``noise`` that is neither 0 (the
+    noiseless target) nor a positive real."""
     check_int(N_train, "N_train", InvalidData)
     check_int(N_test, "N_test", InvalidData)
     check_int(n_centers, "n_centers", InvalidData)
+    if not isinstance(noise, numbers.Real) or isinstance(noise, bool) or noise != 0:
+        check_positive(noise, "noise")
     rng = np.random.default_rng(check_seed(seed))
     spec = KernelSpec(kernel, omega=omega, dim=D)
     centers = rng.uniform(0.0, 1.0, (n_centers, D))

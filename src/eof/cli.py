@@ -53,8 +53,8 @@ def _add_data_flags(p):
 
 
 def _add_kernel_flags(p):
-    p.add_argument("--kernel", choices=["laplace", "sobolev", "bb"],
-                   default="laplace")
+    p.add_argument("--kernel", default=kernels.LAPLACE, choices=[
+        kernels.LAPLACE, kernels.SOBOLEV, kernels.BROWNIAN_BRIDGE])
     p.add_argument("--omega", type=_omega, default=1.0)
 
 

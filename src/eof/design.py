@@ -82,7 +82,10 @@ class IndexSet:
     def columns(self, k: int, digits):
         """Columns of level vector ``k`` at per-row positions, given as one
         int64 array of (i_d - 1) / 2 per dimension, and the mask of rows whose
-        position the design does not keep (``None`` if ``k`` is complete)."""
+        position the design does not keep (``None`` if ``k`` is complete).
+        A complete level vector adds its offset to the code; a partial one
+        finds the code among its kept codes by binary search, so the lookup
+        never holds more than the design's own codes, however deep ``k`` is."""
         code = np.zeros(len(digits[0]), dtype=np.int64)
         for radix, digit in zip(self._radix[k].tolist(), digits):
             if radix > 1:   # level 1 has the single code 0
@@ -159,7 +162,8 @@ def sparse_grid_size(D: int, n: int) -> int:
 
 
 def enumerate_sparse_grid(D: int, n: int) -> IndexSet:
-    """All indices with |l| <= n + D - 1, sorted by the canonical key."""
+    """All indices with |l| <= n + D - 1, sorted by the canonical key.  Only
+    the level vectors are listed, so it costs O(#levels), not O(M)."""
     check_dim(D)
     _check_levels(n)
     # every code of a layer needs |l| - D bits: check each layer's first up front
@@ -178,9 +182,11 @@ def entropic_select(candidates: IndexSet, C: Mapping[FeatureIndex, float],
                     M: int) -> IndexSet:
     """Keep the M candidates with the largest design constants.
 
-    Ties break by the canonical (|l|, l, i) order.  With a cardinality-only
-    budget, top-M is the exact optimum of the selection objective.  M outside
-    1..len(candidates) raises ``InvalidM``.
+    Ties break by the canonical (|l|, l, i) order.  Ranked by ``norm_const``,
+    the kept set is the sparse-grid design for bb and sobolev, and for
+    Laplace only while omega 2^-l is small: at omega = 10.65, over a pool
+    larger than the smallest full design, it takes deep axis-aligned level
+    vectors such as (1, 4).  M outside 1..len(candidates) raises ``InvalidM``.
     """
     check_M(M, len(candidates))
     ranked = sorted(candidates, key=lambda idx: (-float(C[idx]), idx.sort_key()))

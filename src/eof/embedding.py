@@ -1,22 +1,11 @@
 """Sparse feature embedding and truncated kernel reconstruction.
 
 For each level vector in the design, at most one position index can be
-nonzero at a given point (supports within a level have disjoint interiors);
-``design.py`` alone knows the rule that finds it and the column layout.
-``embed_batch`` goes through the rows in equal blocks of at most
-``_ROW_BLOCK``.  For one block it evaluates the 1-D feature at the position
-the design hands it once per (dimension, level) pair, for all the block's
-rows at once, and fills those rows of an (N, L) table of columns and
-values, a group of level vectors at a time, in the design's canonical
-order; so the profiles and scratch are sized by the block, not by N.
-``IndexSet.columns`` turns the positions' digits into columns and, for a
-level vector that truncation left partial, flags the rows whose position
-the design does not keep.  Each row's columns are then sorted, so the two
-tables are the CSR's indices and data as they stand; dropping the zeros in
-place finishes the matrix, with no mask or compressed copy beside it.  A
-point thus costs O(#levels) array steps.  The scale factor of every level
-vector comes from one ``expansion_coeff`` call over the design's (L, D)
-level array.  ``embed`` is the one-row case and returns a 1 x M CSR row.
+nonzero at a given point (supports within a level have disjoint interiors),
+so a point costs O(#levels) array steps and its row of the feature matrix
+holds at most one entry per level vector (``embed_batch``).  ``design.py``
+alone knows the rule that finds that position and the column layout, so
+this module does no layout arithmetic.
 """
 
 from __future__ import annotations
@@ -39,19 +28,25 @@ _ROW_BLOCK = 4096   # rows per pass over the design: bounds the 1-D profiles' sc
 
 
 def embed(spec: KernelSpec, S: IndexSet, x, scale: str = SCALE_SQRT) -> sp.csr_matrix:
-    """Feature vector z(x) over the columns of ``S``, as a 1 x M CSR row."""
+    """Feature vector z(x) over the columns of ``S``, as a 1 x M CSR row: byte
+    for byte row 0 of ``embed_batch`` on that one point."""
     return embed_batch(spec, S, np.atleast_1d(x)[None], scale=scale)
 
 
 def embed_batch(spec: KernelSpec, S: IndexSet, X,
                 scale: str = SCALE_SQRT) -> sp.csr_matrix:
     """Embed N points into an N x M CSR matrix with sorted column indices
-    and no stored zeros.  Row i of an (N, L) table holds its column and
-    value in each level vector; the tables become the CSR's indices and
-    data, with row pointers 0, L, 2L, ..., and the zeros are then dropped
-    in place.  The rows are filled in equal blocks of at most
-    ``_ROW_BLOCK``, each with its own 1-D profiles and scratch; every entry
-    is the same product for any block size.
+    and no stored zeros.  The rows go in equal blocks of at most
+    ``_ROW_BLOCK``; for one block the 1-D feature is evaluated once per
+    (dimension, level) pair, at the position the design hands it, for all
+    the block's rows at once, so the profiles and scratch are sized by the
+    block, not by N, and every entry is the same product for any block
+    size.  Row i of an (N, L) table holds its column (from
+    ``IndexSet.columns``) and value in each level vector, in the design's
+    canonical order, so each row's columns are sorted: the tables are the
+    CSR's indices and data as they stand, with row pointers 0, L, 2L, ...,
+    and dropping the zeros in place finishes the matrix, with no mask or
+    compressed copy beside it.
 
     A 1-D value is exactly 0 on an even node, and NaN inside a support whose
     step Wronskian is bad (see ``_profile_1d``).  A row whose product is NaN

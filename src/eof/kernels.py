@@ -126,10 +126,11 @@ def _wronskian(spec: KernelSpec, a, b):
 
 
 def _step_wronskian(spec: KernelSpec, a, b):
-    """``_wronskian`` across one step, to divide by.  p and q lose their
-    difference over a deep level's step, so it rounds to 0 (or is not
-    finite); there it is NaN, so dividing by it warns of nothing and every
-    value built on it is NaN."""
+    """``_wronskian`` across one step, to divide by.  It is a difference of
+    nearly equal products, so precision falls past about level 40; deeper,
+    p and q lose their difference over the step, so it rounds to 0 (or is
+    not finite); there it is NaN, so dividing by it warns of nothing and
+    every value built on it is NaN."""
     w = _wronskian(spec, a, b)
     return np.where(np.isfinite(w) & (w != 0.0), w, np.nan)
 

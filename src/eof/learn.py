@@ -1,18 +1,13 @@
 """Regularized linear models over sparse or dense feature matrices.
 
 Ridge and every damped Newton step of logistic regression solve one system,
-(F^T diag(dn) F + shift I) x = b (``_solve``).  For a sparse feature
-matrix it runs Jacobi-preconditioned conjugate gradients on the operator
-v -> F^T (dn * (F v)) + shift v, so each iteration costs O(nnz(F)) and no
-M x M array is formed; the Jacobi diagonal is summed a row block at a time,
-so the solve adds one row block of temporaries beyond F.  Dense features (the
-random-feature baselines) form the Gram and solve it directly in O(M^3).
-Ridge uses the normal equations (dn = 1); logistic uses the logistic weights
-dn = s (1 - s) / N.  s = sigma(-m) at the margins m = y F w is numpy's
-1 / (1 + e^m), the formula of scipy's ``expit``, so fitting imports no
-scipy.special; eof imports numpy and scipy.sparse only.  The regularizer
-enters as lambda * N inside the normal equations so that lambda is
-comparable across sample sizes; the default follows lambda = N^{-1/2}.
+(F^T diag(dn) F + shift I) x = b (``_solve``), so a sparse F costs O(nnz(F))
+per iteration and no M x M array is formed.  Ridge uses the normal
+equations (dn = 1); logistic uses the logistic weights dn = s (1 - s) / N.
+s = sigma(-m) at the margins m = y F w is numpy's 1 / (1 + e^m), the formula
+of scipy's ``expit``, so fitting imports no scipy.special; eof imports numpy
+and scipy.sparse only.  The regularizer enters as lambda * N inside the
+normal equations so that lambda is comparable across sample sizes.
 """
 
 from __future__ import annotations
@@ -45,7 +40,8 @@ def default_lambda(N: int) -> float:
 
 
 def _features(F, cols=None):
-    """F as float64 CSR or array (float64 input is not copied).  It must be 2-D
+    """F, dense or any scipy sparse matrix of any numeric dtype, as float64 CSR
+    or array, converted once (float64 input is not copied).  It must be 2-D
     with ``cols`` columns when given (``DimError``) and finite (``InvalidData``)."""
     F = (F.tocsr().astype(np.float64, copy=False) if sp.issparse(F)
          else np.asarray(F, dtype=np.float64))
@@ -104,10 +100,13 @@ def _solve(F, b, shift, dn=None):
     """Solve (F^T diag(dn) F + shift I) x = b; dn defaults to all ones.
 
     F is a float64 array or CSR matrix, as ``_features`` returns it.
-    Dense F: the Gram plus ``np.linalg.solve``.  Sparse F: Jacobi-preconditioned
-    conjugate gradients on the matrix-free operator; raises
-    ``ConvergenceError`` with the relative residual if it is still above
-    ``CG_RTOL`` after ``CG_MAX_ITER * M`` iterations.
+    Dense F (the random-feature baselines): the Gram plus
+    ``np.linalg.solve``, O(M^3).  Sparse F: Jacobi-preconditioned conjugate
+    gradients on the operator v -> F^T (dn * (F v)) + shift v, each
+    iteration O(nnz(F)) and the diagonal summed a row block at a time
+    (``_jacobi_diag``), so the solve adds one row block of temporaries beyond
+    F; raises ``ConvergenceError`` with the relative residual if it is still
+    above ``CG_RTOL`` after ``CG_MAX_ITER * M`` iterations.
     """
     M = F.shape[1]
     if not sp.issparse(F):
@@ -230,14 +229,22 @@ def save_model(model: Model, path, metadata: Optional[dict] = None) -> None:
                          np.asarray(model.weights, dtype=float).tolist()))
 
 
-_FIELDS = {"lambda": float, "nnz_F": int, "task": TASKS.index}
+def _finite(text) -> float:
+    """``float(text)``; ``ValueError`` unless it is finite."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
+_FIELDS = {"lambda": _finite, "nnz_F": int, "task": TASKS.index}
 
 
 def load_model(path) -> Model:
-    """Read a model written by ``save_model``.  A weight, ``lambda`` or
-    ``nnz_F`` that is not a number, or a ``task`` other than regression or
-    classification, raises ``InvalidData`` naming the line; bytes that do not
-    decode as text raise it naming the file."""
+    """Read a model written by ``save_model``.  A weight or ``lambda`` that is
+    not a finite number, an ``nnz_F`` that is not an integer, or a ``task``
+    other than regression or classification raises ``InvalidData`` naming
+    the line; bytes that do not decode as text raise it naming the file."""
     meta, weights = {}, []
     with open(path) as fh:
         try:
@@ -250,7 +257,7 @@ def load_model(path) -> Model:
                     meta[key] = value
                     _FIELDS.get(key, str)(value)
                 elif line:
-                    weights.append(float(line))
+                    weights.append(_finite(line))
         except UnicodeDecodeError as exc:   # a ValueError too, so it comes first
             raise InvalidData(f"{path}: does not decode as {exc.encoding} text") from None
         except ValueError:

@@ -156,6 +156,17 @@ class TestRfEmbed:
         X = np.random.default_rng(5).uniform(0, 1, (20, 3))
         np.testing.assert_array_equal(rf_embed(m32, X), rf_embed(m64, X))
 
+    def test_map_from_nested_lists_is_its_array_map(self):
+        m = rks_map(2, 12, 1.0, seed=8)
+        listed = RandomFeatureMap(m.frequencies.tolist(), m.phases.tolist())
+        X = np.random.default_rng(8).uniform(0, 1, (30, 2))
+        y = np.random.default_rng(9).standard_normal(30)
+        np.testing.assert_array_equal(rf_embed(listed, X), rf_embed(m, X))
+        assert kernel_estimate(listed, X[0], X[1]) == kernel_estimate(m, X[0], X[1])
+        kept, want = lkrf_select(listed, y, X, 4), lkrf_select(m, y, X, 4)
+        np.testing.assert_array_equal(kept.frequencies, want.frequencies)
+        np.testing.assert_array_equal(kept.phases, want.phases)
+
     def test_peak_memory_is_one_output(self):
         m = rks_map(2, 500, 1.0, seed=3)
         X = np.random.default_rng(3).uniform(0, 1, (2000, 2))

@@ -1,4 +1,6 @@
 import os
+import re
+import shlex
 import subprocess
 import sys
 
@@ -449,3 +451,18 @@ def test_train_clf_loads_no_special_functions(tmp_path):
                          capture_output=True, text=True).stdout
     assert "error rate" in out
     assert out.splitlines()[-1] == "False"
+
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
+def test_readme_cli_examples_parse():
+    # the ```sh block of README's CLI section, as the Library example is run
+    with open(README, encoding="utf-8") as fh:
+        section = fh.read().split("\n## CLI\n", 1)[1]
+    block = re.search(r"^```sh\n(.*?)^```", section, re.S | re.M).group(1)
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("eof ")]
+    assert {argv[1] for argv in commands} == {"embed", "train", "bench"}
+    for argv in commands:
+        build_parser().parse_args(argv[1:])

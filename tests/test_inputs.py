@@ -319,6 +319,15 @@ MALFORMED += [
      DimError),
 ]
 
+# non-finite numbers in a model file, and a noise level that is not 0 or a
+# positive real
+MALFORMED += [("load_model", lambda t, w=w: load_model(_model_file(t, ["1.0", w])),
+               InvalidData) for w in ("nan", "inf", "-inf")]
+MALFORMED += [("load_model", lambda t, v=v: load_model(_model_file(t, **{"lambda": v})),
+               InvalidData) for v in ("nan", "inf")]
+MALFORMED += [("synthetic_rkhs_dataset", lambda t, v=v: bench.synthetic_rkhs_dataset(
+    N_train=20, N_test=5, noise=v), InvalidData)
+    for v in (np.nan, np.inf, -np.inf, -0.05, "0.05", None, True, np.array([0.05]))]
 
 @pytest.mark.parametrize("entry, call, error", MALFORMED,
                          ids=[f"{row[0]}-{n}" for n, row in enumerate(MALFORMED)])
@@ -403,6 +412,24 @@ def test_model_file_error_names_the_line(tmp_path):
     assert (list(model.weights), model.lam, model.nnz_F, model.task) == \
         ([1.0, -2.5], 0.5, 3, "classification")
 
+
+def test_non_finite_model_number_names_the_line(tmp_path):
+    with pytest.raises(InvalidData, match="line 6: bad value 'nan'"):
+        load_model(_model_file(tmp_path, ["1.0", "nan"]))
+    with pytest.raises(InvalidData, match="line 2: bad value '# lambda=inf'"):
+        load_model(_model_file(tmp_path, **{"lambda": "inf"}))
+    # lambda 0, Model's default, still loads
+    assert load_model(_model_file(tmp_path, **{"lambda": "0.0"})).lam == 0.0
+
+
+def test_noise_is_zero_or_a_positive_real():
+    with pytest.raises(InvalidData, match=r"^noise must be a number in \(0, inf\)"):
+        bench.synthetic_rkhs_dataset(N_train=20, N_test=5, noise=-0.05)
+    # 0 gives the noiseless target
+    for zero in (0, 0.0, np.float64(0.0)):
+        ds = bench.synthetic_rkhs_dataset(N_train=20, N_test=5, noise=zero, seed=4)
+        same = bench.synthetic_rkhs_dataset(N_train=20, N_test=5, noise=1e-300, seed=4)
+        np.testing.assert_array_equal(ds.y_train, same.y_train)
 
 def test_column_targets_select_as_flat_targets():
     y = np.random.default_rng(3).standard_normal(10)
