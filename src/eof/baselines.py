@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimError, check_M, check_dim, check_positive, check_seed
+from .errors import (DimError, InvalidData, all_finite, check_M, check_dim,
+                     check_positive, check_seed)
 from .kernels import _finite_point
 from .learn import _targets
 
@@ -36,14 +37,22 @@ EERF = "eerf"
 
 @dataclass(frozen=True)
 class RandomFeatureMap:
-    """Frozen cosine feature map: just M frequency rows and M phases."""
+    """Frozen cosine feature map: just M frequency rows and M phases, each
+    cast to float (nested lists too).  A value that does not cast, or is
+    not finite, raises ``InvalidData`` naming its field."""
 
     frequencies: np.ndarray   # (M, D)
     phases: np.ndarray        # (M,)
 
     def __post_init__(self):
-        for name in ("frequencies", "phases"):   # nested lists too, dtype kept
-            object.__setattr__(self, name, np.asarray(getattr(self, name)))
+        for name in ("frequencies", "phases"):
+            try:
+                value = np.asarray(getattr(self, name), dtype=float)
+            except (TypeError, ValueError):
+                raise InvalidData(f"{name} must be real numbers") from None
+            if not all_finite(value):
+                raise InvalidData(f"{name} hold a NaN or an infinity")
+            object.__setattr__(self, name, value)
         shape = self.frequencies.shape
         if len(shape) != 2 or min(shape) < 1 or self.phases.shape != shape[:1]:
             raise DimError(f"frequencies must be (M, D) with M, D >= 1 and phases "

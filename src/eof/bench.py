@@ -22,7 +22,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import baselines, learn
-from .design import select_design, sparse_grid_size
+from .design import (enumerate_sparse_grid, level_for_feature_count,
+                     select_design, sparse_grid_size)
 from .embedding import SCALE_PLAIN, embed_batch
 from .errors import (DegenerateData, EofError, InvalidData, ParseError,
                      all_finite, check_choice, check_dim, check_int, check_M,
@@ -74,11 +75,13 @@ class Dataset:
 @dataclass
 class BenchResult:
     """One (method, M) cell of ``run_benchmark``: ``errors`` and ``failures``
-    (``"Type: message"``) of its runs in seed order, the successful runs' mean
-    ``t_train`` (wall time of a whole run: features, fit and scoring; NaN if
-    no run succeeded) and rounded ``nnz_F``, and ``M0``, the full design (eof)
-    or pool (LKRF/EERF) size, else 0.  Derived: ``mean_error``, ``std_error``
-    and ``n_failed``."""
+    (``"Type: message"``) of its runs in seed order, one entry per run, an
+    eof run that reuses an earlier run's fit included; ``t_train``, the mean
+    wall time of the successful runs that were computed (a whole run:
+    features, fit and scoring, and the first eof run's shared embedding;
+    NaN if no run succeeded); the successful runs' rounded mean ``nnz_F``;
+    and ``M0``, the full design (eof) or pool (LKRF/EERF) size, else 0.
+    Derived: ``mean_error``, ``std_error`` and ``n_failed``."""
 
     method: str
     M: int
@@ -315,32 +318,74 @@ def fit_and_score(dataset: Dataset, featurize: Callable, lam: float):
     return model, learn.test_error(model, featurize(dataset.X_test), dataset.y_test)
 
 
-def _one_run(dataset: Dataset, method: str, M: int, run_seed: int,
-             sigma: float, lam: float):
-    D = dataset.D
-    if method == EOF_METHOD:
+class _EofRuns:
+    """The eof runs of one ``run_benchmark`` call.  The first to run embeds
+    both splits once, at plain scale, on the full design of the grid's
+    largest M, and carries that cost; while that raises, every eof run
+    raises it.  Full designs are prefixes of each other in the canonical
+    order, so every design ``select_design`` draws is a column subset of
+    that one, and a run's features are its design's columns
+    (``IndexSet.columns_of``) sliced from the shared embedding, the bytes
+    that ``embed_batch`` gives that design.  A run whose design is one that
+    an earlier run of its cell fitted (a full design, drawn by every seed)
+    takes that fit's error and nnz."""
+
+    def __init__(self, dataset: Dataset, sigma: float, lam: float, M_max: int):
+        self.dataset, self.sigma, self.lam, self.M_max = dataset, sigma, lam, M_max
+        self.spec = self.full = self.splits = None
+
+    def _embed_splits(self):
+        D = self.dataset.D
         # matched kernel: Cauchy(sigma) frequencies approximate the Laplace
         # kernel exp(-sigma ||x-x'||_1), which these features expand
-        spec = KernelSpec("laplace", omega=sigma, dim=D)
-        S = select_design(spec, M, run_seed)
+        self.spec = KernelSpec("laplace", omega=self.sigma, dim=D)
+        self.full = enumerate_sparse_grid(D, level_for_feature_count(D, self.M_max))
         # unnormalized basis columns: ridge weights absorb the level constants
-        featurize = partial(embed_batch, spec, S, scale=SCALE_PLAIN)
-        M0 = sparse_grid_size(D, S.level)
+        self.splits = tuple(embed_batch(self.spec, self.full, X, scale=SCALE_PLAIN)
+                            for X in (self.dataset.X_train, self.dataset.X_test))
+
+    def _featurize(self, cols, X):
+        """The columns ``cols`` of split ``X``'s shared embedding."""
+        train, test = self.splits
+        return (test if X is self.dataset.X_test else train)[:, cols]
+
+    def run(self, M: int, run_seed: int, fitted: dict):
+        """``(error, nnz_F, M0, fit)`` of one run; ``fitted`` maps the cell's
+        designs, by their columns, to their error and nnz."""
+        if self.splits is None:
+            self._embed_splits()
+        S = select_design(self.spec, M, run_seed)
+        cols = self.full.columns_of(S)
+        M0 = sparse_grid_size(self.dataset.D, S.level)
+        key = cols.tobytes()
+        if key in fitted:
+            return (*fitted[key], M0, False)
+        model, err = fit_and_score(self.dataset, partial(self._featurize, cols),
+                                   self.lam)
+        fitted[key] = err, model.nnz_F
+        return err, model.nnz_F, M0, True
+
+
+def _one_run(dataset: Dataset, method: str, M: int, run_seed: int,
+             sigma: float, lam: float, eof_runs: _EofRuns, fitted: dict):
+    """``(error, nnz_F, M0, fit)`` of one run: ``fit`` is false for an eof
+    run that reused an earlier fit (``_EofRuns``)."""
+    if method == EOF_METHOD:
+        return eof_runs.run(M, run_seed, fitted)
+    D = dataset.D
+    M0 = 0
+    if method == baselines.RKS:
+        fmap = baselines.rks_map(D, M, sigma, run_seed)
+    elif method == baselines.ORF:
+        fmap = baselines.orf_map(D, M, sigma, run_seed)
     else:
-        M0 = 0
-        if method == baselines.RKS:
-            fmap = baselines.rks_map(D, M, sigma, run_seed)
-        elif method == baselines.ORF:
-            fmap = baselines.orf_map(D, M, sigma, run_seed)
-        else:
-            M0 = POOL_FACTOR * M
-            pool = baselines.rks_map(D, M0, sigma, run_seed)
-            select = (baselines.lkrf_select if method == baselines.LKRF
-                      else baselines.eerf_select)
-            fmap = select(pool, dataset.y_train, dataset.X_train, M)
-        featurize = partial(baselines.rf_embed, fmap)
-    model, err = fit_and_score(dataset, featurize, lam)
-    return err, model.nnz_F, M0
+        M0 = POOL_FACTOR * M
+        pool = baselines.rks_map(D, M0, sigma, run_seed)
+        select = (baselines.lkrf_select if method == baselines.LKRF
+                  else baselines.eerf_select)
+        fmap = select(pool, dataset.y_train, dataset.X_train, M)
+    model, err = fit_and_score(dataset, partial(baselines.rf_embed, fmap), lam)
+    return err, model.nnz_F, M0, True
 
 
 def run_benchmark(dataset: Dataset, methods: Sequence[str], M_grid: Sequence[int],
@@ -351,7 +396,9 @@ def run_benchmark(dataset: Dataset, methods: Sequence[str], M_grid: Sequence[int
     A method not in ``ALL_METHODS`` (``InvalidChoice``), a bad M (``InvalidM``),
     or ``runs`` that is not an integer >= 1, a bad seed or a bad lambda
     (``InvalidData``) stops before any work.  A run that raises a library
-    error is left out of its cell's errors and listed in its ``failures``."""
+    error is left out of its cell's errors and listed in its ``failures``.
+    The eof runs share one embedding of each split and fit each distinct
+    design of a cell once (``_EofRuns``)."""
     for m in methods:
         check_choice(m, ALL_METHODS, "method")
     for M in M_grid:
@@ -361,21 +408,26 @@ def run_benchmark(dataset: Dataset, methods: Sequence[str], M_grid: Sequence[int
     lam = (learn.default_lambda(dataset.N_train) if lam is None
            else check_positive(lam, "lambda"))
     sigma = estimate_sigma(dataset.X_train)
+    eof_runs = _EofRuns(dataset, sigma, lam, max(M_grid, default=1))
     results = []
     for mi, method in enumerate(methods):
         for Mi, M in enumerate(M_grid):
-            good, failures = [], []
+            good, failures, times, fitted = [], [], [], {}
             for r in range(runs):
                 t0 = time.perf_counter()
                 try:
-                    good.append((*_one_run(dataset, method, M,
-                                           _run_seed(seed, mi, Mi, r), sigma,
-                                           lam), time.perf_counter() - t0))
+                    err, nnz, M0, fit = _one_run(
+                        dataset, method, M, _run_seed(seed, mi, Mi, r), sigma,
+                        lam, eof_runs, fitted)
                 except EofError as exc:
                     failures.append(f"{type(exc).__name__}: {exc}")
-            errs, nnz, M0, t_train = zip(*good) if good else ((),) * 4
+                    continue
+                good.append((err, nnz, M0))
+                if fit:
+                    times.append(time.perf_counter() - t0)
+            errs, nnz, M0 = zip(*good) if good else ((),) * 3
             results.append(BenchResult(method, M, max(M0, default=0),
-                                       list(errs), failures, _mean(t_train),
+                                       list(errs), failures, _mean(times),
                                        round(_mean(nnz, 0))))
     return results
 

@@ -12,7 +12,8 @@ all 2^(|l|-D) features, else the sorted int64 mixed-radix codes of the digits
 (i_d - 1) / 2 that it keeps (first dimension most significant).  So columns
 are in canonical (|l|, l, i) order.  This module alone knows that layout:
 ``_digits`` finds a point's digits, ``IndexSet.columns`` alone composes them
-into columns and ``IndexSet.indices`` alone decomposes codes into positions.
+into columns, ``IndexSet.columns_of`` alone finds one design's columns in
+another and ``IndexSet.indices`` alone decomposes codes into positions.
 It also alone knows which full design a design comes from: ``IndexSet.level``
 reads it off the level vectors, so the rule that picks the full design behind
 an M-feature design (``select_design``) is not worked out again elsewhere.
@@ -91,12 +92,38 @@ class IndexSet:
             if radix > 1:   # level 1 has the single code 0
                 code *= radix
                 code += digit
+        return self._code_columns(k, code)
+
+    def _code_columns(self, k: int, code):
+        """``columns`` of level vector ``k`` at int64 codes."""
         kept = self.codes[k]
         if kept is None:
             return code + self.offsets[k], None
         # partial: the column is the code's rank among the kept codes
         at = np.minimum(np.searchsorted(kept, code), len(kept) - 1)
         return at + self.offsets[k], kept[at] != code
+
+    def columns_of(self, S: "IndexSet") -> np.ndarray:
+        """The int64 columns of this design that hold the columns of ``S``, in
+        S's order; ``InvalidIndex`` if S has a column this design lacks.  A
+        full design's columns are the first columns of every larger full
+        design, so a design's embedding is these columns of the embedding of
+        any full design that holds it.  A level vector's codes are the same
+        numbers in every design that has it."""
+        row = {l: k for k, l in enumerate(map(tuple, self.levels.tolist()))}
+        out = [np.empty(0, dtype=np.int64)]
+        for l, code, size in zip(map(tuple, S.levels.tolist()), S.codes,
+                                 np.diff(S.offsets).tolist()):
+            k = row.get(l)
+            if k is None:
+                raise InvalidIndex(f"level vector {l} is not in the design")
+            cols, dropped = self._code_columns(
+                k, np.arange(size, dtype=np.int64) if code is None else code)
+            if dropped is not None and dropped.any():
+                raise InvalidIndex(f"level vector {l} keeps a position "
+                                   f"that the design does not")
+            out.append(cols)
+        return np.concatenate(out)
 
     def __len__(self) -> int:
         return int(self.offsets[-1])

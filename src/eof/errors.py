@@ -20,7 +20,8 @@ class InvalidLevel(EofError):
 
 
 class InvalidIndex(EofError):
-    """A feature position is not an integer, or even, or out of range for its level."""
+    """A feature position is not an integer, or even, or out of range for its
+    level, or a column is not in the design it is looked up in."""
 
 
 class DimError(EofError):

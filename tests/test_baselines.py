@@ -213,6 +213,27 @@ def _cos_of(t):
     return baselines._cosines(X1, np.array([[1.0, -0.0]], t.dtype))[:, 0]
 
 
+class TestRandomFeatureMap:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "a"],
+                             ids=["nan", "inf", "-inf", "string"])
+    @pytest.mark.parametrize("field", ["frequencies", "phases"])
+    def test_value_that_is_not_a_finite_real_raises(self, field, bad):
+        values = {"frequencies": [[0.5, 1.0], [2.0, -1.0]], "phases": [0.5, 1.5]}
+        if field == "frequencies":
+            values[field][1][0] = bad
+        else:
+            values[field][1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidData, match=field):
+                RandomFeatureMap(**values)
+
+    def test_fields_are_float_arrays(self):
+        m = RandomFeatureMap([[1, 2]], [True])
+        assert (m.frequencies.dtype, m.phases.dtype) == (np.float64, np.float64)
+        assert m.frequencies.tolist() == [[1.0, 2.0]] and m.phases.tolist() == [1.0]
+
+
 class TestCosines:
     @pytest.mark.parametrize("lo, hi", [(0.0, 10.0), (10.0, 1e5),
                                         (1e5, 1e15), (1e15, 1e300)])

@@ -2,13 +2,16 @@ import os
 import time
 import tracemalloc
 import weakref
+from functools import partial
 
 import numpy as np
 import pytest
 
 from eof import baselines, bench, learn
-from eof.errors import (DegenerateData, EofError, InvalidData, InvalidM,
-                        InvalidPoint, ParseError)
+from eof.design import select_design
+from eof.embedding import SCALE_PLAIN, embed_batch
+from eof.errors import (DegenerateData, EofError, InvalidData, InvalidLevel,
+                        InvalidM, InvalidPoint, ParseError)
 from eof.kernels import KernelSpec, kernel_eval
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -499,11 +502,52 @@ class TestRunBenchmark:
     def test_t_train_times_the_whole_run(self, monkeypatch):
         def slow(*args, **kwargs):
             time.sleep(0.02)
-            return 0.5, 3, 0
+            return 0.5, 3, 0, True
 
         monkeypatch.setattr(bench, "_one_run", slow)
         (r,) = bench.run_benchmark(toy_dataset(), ["rks"], [4], runs=2, seed=0)
         assert r.t_train >= 0.02 and (r.errors, r.nnz_F) == ([0.5, 0.5], 3)
+
+    def test_t_train_is_the_mean_over_fitted_runs(self, monkeypatch):
+        # every seed draws the full design at M = 5, so one run fits it and
+        # three reuse that fit: a mean over all four would be under 0.015
+        real = bench.fit_and_score
+
+        def slow(*args, **kwargs):
+            time.sleep(0.02)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "fit_and_score", slow)
+        (r,) = bench.run_benchmark(toy_dataset(), ["eof"], [5], runs=4, seed=0)
+        assert r.t_train >= 0.02 and len(set(r.errors)) == 1 and r.n_failed == 0
+
+    def test_eof_errors_equal_the_unshared_embedding(self):
+        # each run's features are sliced from one embedding of each split at
+        # the largest full design; embedding its own design gives the same
+        # fit, to the bit: full sizes, truncations and a truncation of a
+        # lower level than the largest
+        ds, seed, grid = toy_dataset(seed=4), 6, [5, 6, 17, 20, 51]
+        res = bench.run_benchmark(ds, ["eof"], grid, runs=3, seed=seed)
+        spec = KernelSpec("laplace", omega=bench.estimate_sigma(ds.X_train), dim=2)
+        lam = learn.default_lambda(ds.N_train)
+        for Mi, (M, r) in enumerate(zip(grid, res)):
+            want = [bench.fit_and_score(
+                ds, partial(embed_batch, spec,
+                            select_design(spec, M, bench._run_seed(seed, 0, Mi, k)),
+                            scale=SCALE_PLAIN), lam) for k in range(3)]
+            assert r.errors == [err for _, err in want]
+            assert r.nnz_F == round(np.mean([m.nnz_F for m, _ in want]))
+
+    def test_shared_embedding_error_fails_every_eof_run(self, monkeypatch):
+        def deep(*args, **kwargs):
+            raise InvalidLevel("synthetic depth")
+
+        monkeypatch.setattr(bench, "embed_batch", deep)
+        res = bench.run_benchmark(toy_dataset(), ["eof", "rks"], [5, 6], runs=2,
+                                  seed=0)
+        assert [(r.method, len(r.errors), r.failures) for r in res] == (
+            [("eof", 0, ["InvalidLevel: synthetic depth"] * 2)] * 2
+            + [("rks", 2, [])] * 2)
 
 
 class TestFitAndScore:
@@ -535,19 +579,28 @@ class TestFitAndScore:
                                        ds.y_test)
 
     def test_every_bench_cell_fits_through_it_once_per_run(self, monkeypatch):
-        real = bench.fit_and_score
-        featurizers = []
+        # once per baseline run and once per distinct eof design of a cell:
+        # the full design at M = 5 once, the two seeds' truncations at M = 6
+        # once each; the eof runs embed each split once, at level 3 (M0 = 17)
+        real_fit, real_embed = bench.fit_and_score, bench.embed_batch
+        featurizers, embedded = [], []
 
         def counted(dataset, featurize, lam):
             featurizers.append(featurize.func)
-            return real(dataset, featurize, lam)
+            return real_fit(dataset, featurize, lam)
+
+        def embed(spec, S, X, **kwargs):
+            embedded.append((len(S), len(X)))
+            return real_embed(spec, S, X, **kwargs)
 
         monkeypatch.setattr(bench, "fit_and_score", counted)
-        res = bench.run_benchmark(toy_dataset(), bench.ALL_METHODS, [6, 9],
-                                  runs=2, seed=0)
+        monkeypatch.setattr(bench, "embed_batch", embed)
+        ds = toy_dataset()
+        res = bench.run_benchmark(ds, bench.ALL_METHODS, [5, 6], runs=2, seed=0)
         assert sum(len(r.errors) for r in res) == 20
-        assert featurizers == (
-            [bench.embed_batch] * 4 + [baselines.rf_embed] * 16)
+        assert featurizers.count(baselines.rf_embed) == 16
+        assert len(featurizers) == 3 + 16
+        assert embedded == [(17, ds.N_train), (17, ds.N_test)]
 
 
 class TestReport:

@@ -174,6 +174,42 @@ class TestIndexSet:
         embed_batch(spec, S, np.full((3, 2), 0.3))
 
 
+    @pytest.mark.parametrize("D, n", [(1, 5), (2, 5), (3, 4), (4, 3)])
+    def test_full_designs_are_prefixes_of_larger_ones(self, D, n):
+        full = enumerate_sparse_grid(D, n)
+        for m in range(1, n + 1):
+            cols = full.columns_of(enumerate_sparse_grid(D, m))
+            assert cols.dtype == np.int64
+            assert cols.tolist() == list(range(sparse_grid_size(D, m)))
+
+    @pytest.mark.parametrize("D, n, M, seed", [
+        (2, 5, 51, 0), (2, 5, 6, 3), (1, 6, 20, 3), (3, 4, 90, 11), (4, 3, 30, 2)])
+    def test_columns_of_a_truncation_are_its_indices(self, D, n, M, seed):
+        full = enumerate_sparse_grid(D, n)
+        S = select_design(KernelSpec("laplace", dim=D), M, seed)
+        where = {idx: j for j, idx in enumerate(full.indices)}
+        assert full.columns_of(S).tolist() == [where[idx] for idx in S]
+
+    def test_columns_of_a_partial_design_in_a_partial_one(self):
+        full = enumerate_sparse_grid(2, 4)
+        host = truncate_random(full, 30, seed=1)
+        S = IndexSet(host.indices[::3])
+        assert host.columns_of(S).tolist() == list(range(0, 30, 3))
+        assert len(host.columns_of(IndexSet())) == 0
+
+    def test_columns_of_a_design_it_does_not_hold_raise(self):
+        full = enumerate_sparse_grid(2, 3)
+        # a deeper level vector, a position a partial level vector drops, a
+        # complete level vector against a partial one, another dimension
+        deeper = enumerate_sparse_grid(2, 4)
+        partial = IndexSet(full.indices[:-1])
+        for host, S in ((full, deeper), (partial, full),
+                        (partial, IndexSet(full.indices[-1:])),
+                        (full, enumerate_sparse_grid(3, 1))):
+            with pytest.raises(InvalidIndex, match="not"):
+                host.columns_of(S)
+
+
 class TestEntropicSelect:
     def test_select_all_returns_full_set(self):
         S = enumerate_sparse_grid(2, 2)

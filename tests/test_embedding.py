@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 import scipy.sparse as sp
 
-from eof.design import IndexSet, enumerate_sparse_grid, truncate_random
+from eof.design import (IndexSet, enumerate_sparse_grid, select_design,
+                        sparse_grid_size, truncate_random)
 from eof.embedding import (SCALE_PLAIN, SCALE_SQRT, embed, embed_batch,
                            kernel_approx)
 from eof.errors import DimError, InvalidLevel, InvalidPoint
@@ -507,6 +508,31 @@ def test_embed_batch_is_canonical_csr(case):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype, name
             assert a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("kind", ["laplace", "sobolev", "bb"])
+@pytest.mark.parametrize("D, top", [(1, 6), (2, 5), (3, 4), (4, 3)])
+def test_full_design_column_slice_is_the_design_embedding(D, top, kind):
+    # run_benchmark embeds each split once on the largest full design and
+    # slices each design's columns from it: the bytes embed_batch gives
+    spec = KernelSpec(kind, omega=1.5, dim=D)
+    full = enumerate_sparse_grid(D, top)
+    X = np.vstack([_test_rows(D, top, 30, seed=D), np.full(D, 0.5)])
+    sizes = [sparse_grid_size(D, n) for n in range(1, top + 1)]
+    # every full size, and truncations of every level below the top
+    grid = sizes + [m + 1 for m in sizes[:-1]] + [(a + b) // 2
+                                                  for a, b in zip(sizes, sizes[1:])]
+    for scale in SCALES:
+        F = embed_batch(spec, full, X, scale=scale)
+        for M, seed in product(sorted(set(grid)), (0, 1)):
+            S = select_design(spec, M, seed)
+            got = F[:, full.columns_of(S)]
+            want = embed_batch(spec, S, X, scale=scale)
+            assert got.shape == want.shape
+            for name in ("indptr", "indices", "data"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype, (M, seed, name)
+                assert a.tobytes() == b.tobytes(), (M, seed, name)
 
 
 @pytest.mark.parametrize("rows", [3, 7])
