@@ -11,12 +11,11 @@ from __future__ import annotations
 import csv
 import io
 import math
-import numbers
 import os
 import time
 import warnings
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -27,7 +26,7 @@ from .design import (enumerate_sparse_grid, level_for_feature_count,
 from .embedding import SCALE_PLAIN, embed_batch
 from .errors import (DegenerateData, EofError, InvalidData, ParseError,
                      all_finite, check_choice, check_dim, check_int, check_M,
-                     check_positive, check_seed)
+                     check_positive, check_seed, is_real)
 from .kernels import KernelSpec, _finite_point, _kernel_rows
 
 EOF_METHOD = "eof"
@@ -75,13 +74,12 @@ class Dataset:
 @dataclass
 class BenchResult:
     """One (method, M) cell of ``run_benchmark``: ``errors`` and ``failures``
-    (``"Type: message"``) of its runs in seed order, one entry per run, an
-    eof run that reuses an earlier run's fit included; ``t_train``, the mean
-    wall time of the successful runs that were computed (a whole run:
-    features, fit and scoring, and the first eof run's shared embedding;
-    NaN if no run succeeded); the successful runs' rounded mean ``nnz_F``;
-    and ``M0``, the full design (eof) or pool (LKRF/EERF) size, else 0.
-    Derived: ``mean_error``, ``std_error`` and ``n_failed``."""
+    (``"Type: message"``) of its runs in seed order, one entry per run;
+    ``t_train``, the mean wall time of the runs that fitted, each a whole
+    run: features, fit and scoring, and the shared eof embedding in the run
+    that made it (NaN if no run fitted); the successful runs' rounded mean
+    ``nnz_F``; and ``M0``, the full design (eof) or pool (LKRF/EERF) size,
+    else 0.  Derived: ``mean_error``, ``std_error`` and ``n_failed``."""
 
     method: str
     M: int
@@ -318,61 +316,42 @@ def fit_and_score(dataset: Dataset, featurize: Callable, lam: float):
     return model, learn.test_error(model, featurize(dataset.X_test), dataset.y_test)
 
 
-class _EofRuns:
-    """The eof runs of one ``run_benchmark`` call.  The first to run embeds
-    both splits once, at plain scale, on the full design of the grid's
-    largest M, and carries that cost; while that raises, every eof run
-    raises it.  Full designs are prefixes of each other in the canonical
-    order, so every design ``select_design`` draws is a column subset of
-    that one, and a run's features are its design's columns
-    (``IndexSet.columns_of``) sliced from the shared embedding, the bytes
-    that ``embed_batch`` gives that design.  A run whose design is one that
-    an earlier run of its cell fitted (a full design, drawn by every seed)
-    takes that fit's error and nnz."""
+def _eof_embedding(dataset: Dataset, sigma: float, M_max: int):
+    """``(spec, full, (train, test))``: both splits embedded at plain scale on
+    the full design of the grid's largest M.  Full designs are prefixes of
+    each other in the canonical order, so every design ``select_design``
+    draws is a column subset of ``full``, and its columns
+    (``IndexSet.columns_of``) of these embeddings are the bytes that
+    ``embed_batch`` gives that design."""
+    D = dataset.D
+    # matched kernel: Cauchy(sigma) frequencies approximate the Laplace
+    # kernel exp(-sigma ||x-x'||_1), which these features expand
+    spec = KernelSpec("laplace", omega=sigma, dim=D)
+    full = enumerate_sparse_grid(D, level_for_feature_count(D, M_max))
+    # unnormalized basis columns: ridge weights absorb the level constants
+    return spec, full, tuple(embed_batch(spec, full, X, scale=SCALE_PLAIN)
+                             for X in (dataset.X_train, dataset.X_test))
 
-    def __init__(self, dataset: Dataset, sigma: float, lam: float, M_max: int):
-        self.dataset, self.sigma, self.lam, self.M_max = dataset, sigma, lam, M_max
-        self.spec = self.full = self.splits = None
 
-    def _embed_splits(self):
-        D = self.dataset.D
-        # matched kernel: Cauchy(sigma) frequencies approximate the Laplace
-        # kernel exp(-sigma ||x-x'||_1), which these features expand
-        self.spec = KernelSpec("laplace", omega=self.sigma, dim=D)
-        self.full = enumerate_sparse_grid(D, level_for_feature_count(D, self.M_max))
-        # unnormalized basis columns: ridge weights absorb the level constants
-        self.splits = tuple(embed_batch(self.spec, self.full, X, scale=SCALE_PLAIN)
-                            for X in (self.dataset.X_train, self.dataset.X_test))
-
-    def _featurize(self, cols, X):
-        """The columns ``cols`` of split ``X``'s shared embedding."""
-        train, test = self.splits
-        return (test if X is self.dataset.X_test else train)[:, cols]
-
-    def run(self, M: int, run_seed: int, fitted: dict):
-        """``(error, nnz_F, M0, fit)`` of one run; ``fitted`` maps the cell's
-        designs, by their columns, to their error and nnz."""
-        if self.splits is None:
-            self._embed_splits()
-        S = select_design(self.spec, M, run_seed)
-        cols = self.full.columns_of(S)
-        M0 = sparse_grid_size(self.dataset.D, S.level)
-        key = cols.tobytes()
-        if key in fitted:
-            return (*fitted[key], M0, False)
-        model, err = fit_and_score(self.dataset, partial(self._featurize, cols),
-                                   self.lam)
-        fitted[key] = err, model.nnz_F
-        return err, model.nnz_F, M0, True
+def _eof_columns(dataset: Dataset, splits, cols, X):
+    """The columns ``cols`` of the shared embedding of ``dataset``'s split
+    ``X``."""
+    train, test = splits
+    return (test if X is dataset.X_test else train)[:, cols]
 
 
 def _one_run(dataset: Dataset, method: str, M: int, run_seed: int,
-             sigma: float, lam: float, eof_runs: _EofRuns, fitted: dict):
-    """``(error, nnz_F, M0, fit)`` of one run: ``fit`` is false for an eof
-    run that reused an earlier fit (``_EofRuns``)."""
-    if method == EOF_METHOD:
-        return eof_runs.run(M, run_seed, fitted)
+             sigma: float, eof: Callable):
+    """``(featurize, M0, key)`` of one run, ``key`` naming its fit: an eof
+    run's design columns in the shared embedding ``eof()``, else the run seed,
+    which alone draws the map."""
     D = dataset.D
+    if method == EOF_METHOD:
+        spec, full, splits = eof()
+        S = select_design(spec, M, run_seed)
+        cols = full.columns_of(S)
+        return (partial(_eof_columns, dataset, splits, cols),
+                sparse_grid_size(D, S.level), cols.tobytes())
     M0 = 0
     if method == baselines.RKS:
         fmap = baselines.rks_map(D, M, sigma, run_seed)
@@ -384,8 +363,7 @@ def _one_run(dataset: Dataset, method: str, M: int, run_seed: int,
         select = (baselines.lkrf_select if method == baselines.LKRF
                   else baselines.eerf_select)
         fmap = select(pool, dataset.y_train, dataset.X_train, M)
-    model, err = fit_and_score(dataset, partial(baselines.rf_embed, fmap), lam)
-    return err, model.nnz_F, M0, True
+    return partial(baselines.rf_embed, fmap), M0, run_seed
 
 
 def run_benchmark(dataset: Dataset, methods: Sequence[str], M_grid: Sequence[int],
@@ -397,8 +375,11 @@ def run_benchmark(dataset: Dataset, methods: Sequence[str], M_grid: Sequence[int
     or ``runs`` that is not an integer >= 1, a bad seed or a bad lambda
     (``InvalidData``) stops before any work.  A run that raises a library
     error is left out of its cell's errors and listed in its ``failures``.
-    The eof runs share one embedding of each split and fit each distinct
-    design of a cell once (``_EofRuns``)."""
+    Each run names its fit by a key (``_one_run``), and a cell fits each key
+    once: its later runs with that key take that fit's error and nnz.  The
+    eof runs share one embedding of each split (``_eof_embedding``), made by
+    the first eof run that gets through it; while it raises, each eof run
+    lists the error and the next one tries again."""
     for m in methods:
         check_choice(m, ALL_METHODS, "method")
     for M in M_grid:
@@ -408,7 +389,8 @@ def run_benchmark(dataset: Dataset, methods: Sequence[str], M_grid: Sequence[int
     lam = (learn.default_lambda(dataset.N_train) if lam is None
            else check_positive(lam, "lambda"))
     sigma = estimate_sigma(dataset.X_train)
-    eof_runs = _EofRuns(dataset, sigma, lam, max(M_grid, default=1))
+    # cache stores no exception, so a failed embedding is retried
+    eof = cache(partial(_eof_embedding, dataset, sigma, max(M_grid, default=1)))
     results = []
     for mi, method in enumerate(methods):
         for Mi, M in enumerate(M_grid):
@@ -416,15 +398,16 @@ def run_benchmark(dataset: Dataset, methods: Sequence[str], M_grid: Sequence[int
             for r in range(runs):
                 t0 = time.perf_counter()
                 try:
-                    err, nnz, M0, fit = _one_run(
-                        dataset, method, M, _run_seed(seed, mi, Mi, r), sigma,
-                        lam, eof_runs, fitted)
+                    featurize, M0, key = _one_run(
+                        dataset, method, M, _run_seed(seed, mi, Mi, r), sigma, eof)
+                    if key not in fitted:
+                        model, err = fit_and_score(dataset, featurize, lam)
+                        fitted[key] = err, model.nnz_F
+                        times.append(time.perf_counter() - t0)
                 except EofError as exc:
                     failures.append(f"{type(exc).__name__}: {exc}")
                     continue
-                good.append((err, nnz, M0))
-                if fit:
-                    times.append(time.perf_counter() - t0)
+                good.append((*fitted[key], M0))
             errs, nnz, M0 = zip(*good) if good else ((),) * 3
             results.append(BenchResult(method, M, max(M0, default=0),
                                        list(errs), failures, _mean(times),
@@ -465,7 +448,7 @@ def synthetic_rkhs_dataset(N_train: int = 2000, N_test: int = 500, D: int = 2,
     check_int(N_train, "N_train", InvalidData)
     check_int(N_test, "N_test", InvalidData)
     check_int(n_centers, "n_centers", InvalidData)
-    if not isinstance(noise, numbers.Real) or isinstance(noise, bool) or noise != 0:
+    if not is_real(noise) or noise != 0:
         check_positive(noise, "noise")
     rng = np.random.default_rng(check_seed(seed))
     spec = KernelSpec(kernel, omega=omega, dim=D)

@@ -26,13 +26,13 @@ listed).  ``FeatureIndex`` objects are built on request.
 from __future__ import annotations
 
 from itertools import combinations
-from math import comb
+from math import comb, isnan
 from typing import Mapping, Tuple
 
 import numpy as np
 
-from .errors import (DimError, InvalidIndex, InvalidLevel, check_dim, check_int,
-                     check_M, check_seed)
+from .errors import (DimError, InvalidData, InvalidIndex, InvalidLevel, check_dim,
+                     check_int, check_M, check_seed, is_real)
 from .features import FeatureIndex
 from .kernels import KernelSpec, _check_levels
 
@@ -213,11 +213,26 @@ def entropic_select(candidates: IndexSet, C: Mapping[FeatureIndex, float],
     the kept set is the sparse-grid design for bb and sobolev, and for
     Laplace only while omega 2^-l is small: at omega = 10.65, over a pool
     larger than the smallest full design, it takes deep axis-aligned level
-    vectors such as (1, 4).  M outside 1..len(candidates) raises ``InvalidM``.
+    vectors such as (1, 4).  M outside 1..len(candidates) raises ``InvalidM``,
+    and a candidate's constant that is missing, not a real number or NaN
+    raises ``InvalidData`` naming it; +-inf ranks, as ``norm_const``
+    overflows to inf at a large omega h.
     """
     check_M(M, len(candidates))
-    ranked = sorted(candidates, key=lambda idx: (-float(C[idx]), idx.sort_key()))
+    ranked = sorted(candidates,
+                    key=lambda idx: (-_design_constant(C, idx), idx.sort_key()))
     return IndexSet(ranked[:M])
+
+
+def _design_constant(C: Mapping[FeatureIndex, float], idx: FeatureIndex) -> float:
+    """``C[idx]`` as a float, under ``entropic_select``'s rule."""
+    if idx not in C:
+        raise InvalidData(f"no design constant for {idx}")
+    c = C[idx]
+    if not is_real(c) or isnan(c):
+        raise InvalidData(f"design constant of {idx} must be a real number, "
+                          f"got {c!r}")
+    return float(c)
 
 
 def truncate_random(full: IndexSet, M: int, seed: int) -> IndexSet:

@@ -43,6 +43,11 @@ def is_integer(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
+def is_real(v) -> bool:
+    """Whether ``v`` is a real number: numpy's too, but not a bool."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
 def check_int(value, what, error, low=1, high=float("inf")):
     """``value``; ``error`` unless an integer (``is_integer``) in ``low..high``:
     the one integer rule, behind D, M, seeds, counts and sizes."""
@@ -80,9 +85,8 @@ class InvalidData(EofError):
 
 
 def check_positive(value, what, below=float("inf")):
-    """``value``; ``InvalidData`` unless a real number, not a bool, in (0, below)."""
-    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and 0 < value < below):
+    """``value``; ``InvalidData`` unless a real number (``is_real``) in (0, below)."""
+    if not (is_real(value) and 0 < value < below):
         raise InvalidData(f"{what} must be a number in (0, {below}), got {value!r}")
     return value
 

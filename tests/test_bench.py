@@ -119,9 +119,10 @@ class TestReadTable:
         ("a,b\n1,2\n3,\n", 3, 2),
         ("a,b\n1,2\n3\n", 3, None),
         ("a,b\n1,2,\n", 2, None),
-        ("a,b\n1,2\n" + "1" * 200_000 + ",2\n", 3, None)],
+        ("a,b\n1,2\n" + "1" * 200_000 + ",2\n", 3, None),
+        ('"a","b"\n"1","2"\n"3","x"\n', 3, 2)],
         ids=["nan", "inf", "overflow", "empty-cell", "ragged",
-             "trailing-comma", "field-over-csv-limit"])
+             "trailing-comma", "field-over-csv-limit", "quoted-non-number"])
     def test_errors_keep_row_and_column(self, tmp_path, text, row, col):
         path = tmp_path / "t.csv"
         _write_text(path, text)
@@ -500,13 +501,19 @@ class TestRunBenchmark:
         assert min(hi) >= 2 * min(lo), (lo, hi)
 
     def test_t_train_times_the_whole_run(self, monkeypatch):
+        # a run's time holds _one_run, which draws the map, besides the fit
+        ds = toy_dataset()
+        (want,) = bench.run_benchmark(ds, ["rks"], [4], runs=2, seed=0)
+        real = bench._one_run
+
         def slow(*args, **kwargs):
             time.sleep(0.02)
-            return 0.5, 3, 0, True
+            return real(*args, **kwargs)
 
         monkeypatch.setattr(bench, "_one_run", slow)
-        (r,) = bench.run_benchmark(toy_dataset(), ["rks"], [4], runs=2, seed=0)
-        assert r.t_train >= 0.02 and (r.errors, r.nnz_F) == ([0.5, 0.5], 3)
+        (r,) = bench.run_benchmark(ds, ["rks"], [4], runs=2, seed=0)
+        assert r.t_train >= 0.02
+        assert (r.errors, r.nnz_F) == (want.errors, want.nnz_F)
 
     def test_t_train_is_the_mean_over_fitted_runs(self, monkeypatch):
         # every seed draws the full design at M = 5, so one run fits it and
@@ -548,6 +555,27 @@ class TestRunBenchmark:
         assert [(r.method, len(r.errors), r.failures) for r in res] == (
             [("eof", 0, ["InvalidLevel: synthetic depth"] * 2)] * 2
             + [("rks", 2, [])] * 2)
+
+    def test_failed_shared_embedding_is_retried_by_the_next_eof_run(
+            self, monkeypatch):
+        # the first embedding call raises, so the first run fails; the second
+        # run embeds both splits, fits the full design at M = 5 and carries
+        # the embedding's cost, and every later run takes its columns
+        real, calls, delay = bench.embed_batch, [], 0.05
+
+        def embed(*args, **kwargs):
+            calls.append(len(calls))
+            if len(calls) == 1:
+                raise InvalidLevel("synthetic depth")
+            time.sleep(delay)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "embed_batch", embed)
+        res = bench.run_benchmark(toy_dataset(), ["eof"], [5, 17], runs=2, seed=0)
+        assert [(len(r.errors), r.failures) for r in res] == [
+            (1, ["InvalidLevel: synthetic depth"]), (2, [])]
+        assert len(calls) == 3
+        assert res[0].t_train >= 2 * delay
 
 
 class TestFitAndScore:

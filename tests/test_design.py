@@ -10,7 +10,7 @@ from eof.design import (IndexSet, enumerate_sparse_grid, entropic_select,
                         level_for_feature_count, select_design,
                         sparse_grid_size, truncate_random)
 from eof.embedding import embed_batch
-from eof.errors import DimError, InvalidIndex, InvalidLevel, InvalidM
+from eof.errors import DimError, InvalidData, InvalidIndex, InvalidLevel, InvalidM
 from eof.features import FeatureIndex
 from eof.kernels import KernelSpec, norm_const
 
@@ -248,6 +248,23 @@ class TestEntropicSelect:
         best = max(sum(C[i] for i in sub)
                    for sub in itertools.combinations(pool, M))
         assert got == pytest.approx(best, rel=1e-12)
+
+    def test_infinite_constants_rank_first(self):
+        # norm_const overflows to inf at a large omega h; -inf ranks last
+        S = enumerate_sparse_grid(1, 3)
+        C = {idx: 1.0 for idx in S}
+        C[S.indices[3]], C[S.indices[0]] = np.inf, -np.inf
+        assert entropic_select(S, C, 1).indices == (S.indices[3],)
+        assert S.indices[0] not in entropic_select(S, C, len(S) - 1).indices
+
+    @pytest.mark.parametrize("bad", [None, np.nan, "1.0"],
+                             ids=["missing", "nan", "string"])
+    def test_bad_constant_names_its_feature(self, bad):
+        S = enumerate_sparse_grid(2, 3)
+        C = {idx: bad for idx in S.indices[1:2] if bad is not None}
+        C.update((idx, 1.0) for idx in S if idx != S.indices[1])
+        with pytest.raises(InvalidData, match=r"FeatureIndex\(l=\(1, 2\)"):
+            entropic_select(S, C, 2)
 
     def test_oversized_m_raises(self):
         # like truncate_random and the LKRF/EERF selection: no warning, no clamp

@@ -11,14 +11,14 @@ runs, dataset counts and the column count of a full design), levels
 (``errors.check_choice``).  A wrong shape, a D that is not an integer >= 1,
 or a feature index with no component or with level and position vectors of
 different lengths raises ``DimError``, a non-finite point ``InvalidPoint``,
-a bad target, feature, positive real, seed, run or dataset count or model
-file, no rows to fit or score, or a custom kernel without callable p and q
-``InvalidData``, a bad M ``InvalidM``, a level that is not an integer in
-1..1022 or is too deep for a custom kernel's (p, q), or a full design of over
-2^63 - 1 columns ``InvalidLevel``, a position that is not an odd integer in
-1..2^l - 1 or a feature listed twice in a design ``InvalidIndex``, and an
-unknown kernel kind, scale, task, method or report format ``InvalidChoice``,
-which is a ``ValueError`` as well.
+a bad target, feature, design constant, positive real, seed, run or dataset
+count or model file, no rows to fit or score, or a custom kernel without
+callable p and q ``InvalidData``, a bad M ``InvalidM``, a level that is not
+an integer in 1..1022 or is too deep for a custom kernel's (p, q), or a full
+design of over 2^63 - 1 columns ``InvalidLevel``, a position that is not an
+odd integer in 1..2^l - 1 or a feature listed twice in a design
+``InvalidIndex``, and an unknown kernel kind, scale, task, method or report
+format ``InvalidChoice``, which is a ``ValueError`` as well.
 """
 
 import numpy as np
@@ -328,6 +328,13 @@ MALFORMED += [("load_model", lambda t, v=v: load_model(_model_file(t, **{"lambda
 MALFORMED += [("synthetic_rkhs_dataset", lambda t, v=v: bench.synthetic_rkhs_dataset(
     N_train=20, N_test=5, noise=v), InvalidData)
     for v in (np.nan, np.inf, -np.inf, -0.05, "0.05", None, True, np.array([0.05]))]
+# a design constant that is missing, not a number or NaN (which would rank
+# by input order)
+S2_ONES = {idx: 1.0 for idx in S2}
+MALFORMED += [("entropic_select", lambda t, C=C: entropic_select(S2, C, 3), InvalidData)
+              for C in ({**S2_ONES, S2.indices[1]: np.nan},
+                        {**S2_ONES, S2.indices[1]: "a"},
+                        {idx: 1.0 for idx in S2.indices[1:]})]
 
 @pytest.mark.parametrize("entry, call, error", MALFORMED,
                          ids=[f"{row[0]}-{n}" for n, row in enumerate(MALFORMED)])
