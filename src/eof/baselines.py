@@ -13,9 +13,9 @@ comes from ``_cosines``.
 RKS draws frequencies from a scaled Cauchy (Laplace kernel); ORF builds
 orthogonal blocks approximating a Gaussian kernel; LKRF and EERF draw an
 oversampled Cauchy pool and keep the top-M candidates by label alignment
-(``_select``), the same rule for both, so they differ only in their pool
-seed.  The rule ranks only and never rescales surviving features; it is a
-simple stand-in for the original reweighting procedures.
+(``eerf_select``, which ``lkrf_select`` names too), so they differ only in
+their pool seed.  The rule ranks only and never rescales surviving
+features; it is a simple stand-in for the original reweighting procedures.
 """
 
 from __future__ import annotations
@@ -175,7 +175,7 @@ TINY32 = float(np.finfo(np.float32).tiny)
 
 def _screen_error(G, b, X, y) -> np.ndarray:
     """Bound on |a32 - a64| per candidate, a32 and a64 being its label
-    alignment ``y^T cos(X g + b)`` as ``_select`` computes it from
+    alignment ``y^T cos(X g + b)`` as ``eerf_select`` computes it from
     ``_cosines`` in float32 and in float64, b inside the GEMM.  It bounds
     ||a32| - |a64|| too, so it brackets |a|, the one key LKRF and EERF both
     rank by.
@@ -208,7 +208,7 @@ def _screen_error(G, b, X, y) -> np.ndarray:
     return S * U32 * ((2 * D + 6) * t_max + 2 * N + 10)
 
 
-def _select(pool: RandomFeatureMap, y, X, M: int) -> RandomFeatureMap:
+def eerf_select(pool: RandomFeatureMap, y, X, M: int) -> RandomFeatureMap:
     """Keep the top-M pool candidates by label alignment |a| = |y^T Z| over
     the raw cosine matrix Z of the training points, built M columns at a time:
     besides the (M0,) alignments it holds one N x M block, the size of the map
@@ -252,12 +252,5 @@ def _select(pool: RandomFeatureMap, y, X, M: int) -> RandomFeatureMap:
     return RandomFeatureMap(pool.frequencies[keep], pool.phases[keep])
 
 
-def lkrf_select(pool: RandomFeatureMap, y, X, M: int) -> RandomFeatureMap:
-    """Keep the top-M pool candidates by label alignment |y^T z| (``_select``):
-    EERF's rule, until LKRF gets its own reweighting."""
-    return _select(pool, y, X, M)
-
-
-def eerf_select(pool: RandomFeatureMap, y, X, M: int) -> RandomFeatureMap:
-    """Keep the top-M pool candidates by label alignment |y^T z| (``_select``)."""
-    return _select(pool, y, X, M)
+# LKRF runs EERF's rule until it gets its own reweighting (ROADMAP item 12)
+lkrf_select = eerf_select

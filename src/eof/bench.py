@@ -21,8 +21,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import baselines, learn
-from .design import (enumerate_sparse_grid, level_for_feature_count,
-                     select_design, sparse_grid_size)
+from .design import full_design, select_design, sparse_grid_size
 from .embedding import SCALE_PLAIN, embed_batch
 from .errors import (DegenerateData, EofError, InvalidData, ParseError,
                      all_finite, check_choice, check_dim, check_int, check_M,
@@ -318,16 +317,16 @@ def fit_and_score(dataset: Dataset, featurize: Callable, lam: float):
 
 def _eof_embedding(dataset: Dataset, sigma: float, M_max: int):
     """``(spec, full, (train, test))``: both splits embedded at plain scale on
-    the full design of the grid's largest M.  Full designs are prefixes of
-    each other in the canonical order, so every design ``select_design``
-    draws is a column subset of ``full``, and its columns
-    (``IndexSet.columns_of``) of these embeddings are the bytes that
+    ``full = full_design(D, M_max)``, M_max the grid's largest M.  Full
+    designs are prefixes of each other in the canonical order, so every
+    design ``select_design`` draws is a column subset of ``full``, and its
+    columns (``IndexSet.columns_of``) of these embeddings are the bytes that
     ``embed_batch`` gives that design."""
     D = dataset.D
     # matched kernel: Cauchy(sigma) frequencies approximate the Laplace
     # kernel exp(-sigma ||x-x'||_1), which these features expand
     spec = KernelSpec("laplace", omega=sigma, dim=D)
-    full = enumerate_sparse_grid(D, level_for_feature_count(D, M_max))
+    full = full_design(D, M_max)
     # unnormalized basis columns: ridge weights absorb the level constants
     return spec, full, tuple(embed_batch(spec, full, X, scale=SCALE_PLAIN)
                              for X in (dataset.X_train, dataset.X_test))

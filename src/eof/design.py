@@ -14,9 +14,10 @@ are in canonical (|l|, l, i) order.  This module alone knows that layout:
 ``_digits`` finds a point's digits, ``IndexSet.columns`` alone composes them
 into columns, ``IndexSet.columns_of`` alone finds one design's columns in
 another and ``IndexSet.indices`` alone decomposes codes into positions.
-It also alone knows which full design a design comes from: ``IndexSet.level``
-reads it off the level vectors, so the rule that picks the full design behind
-an M-feature design (``select_design``) is not worked out again elsewhere.
+It also alone knows which full design a design comes from: the rule that
+picks the full design behind M features is read only by ``full_design``
+(behind ``select_design`` and the bench's shared embedding), and
+``IndexSet.level`` reads the level back off a design's level vectors.
 A code of over 61 bits, or a full design of over 2^63 - 1 columns (from
 n = 58 at D = 2, 53 at D = 3, 49 at D = 4 and 39 at D = 8), raises
 ``InvalidLevel`` (in ``enumerate_sparse_grid`` before any level vector is
@@ -132,8 +133,9 @@ class IndexSet:
     def level(self) -> int:
         """The level n of the smallest full design that holds every column:
         max |l| - D + 1 (0 for an empty design).  For ``select_design(spec,
-        M, seed)`` it is ``level_for_feature_count(D, M)``, as the M > |S_{n-1}|
-        kept columns cannot all miss the top layer |l| = n + D - 1."""
+        M, seed)`` it is the level of ``full_design(D, M)``, as the
+        M > |S_{n-1}| kept columns cannot all miss the top layer
+        |l| = n + D - 1."""
         if not len(self.levels):
             return 0
         return int(self.levels.sum(axis=1).max()) - self.dim + 1
@@ -257,11 +259,13 @@ def level_for_feature_count(D: int, M: int) -> int:
     return n
 
 
-def select_design(spec: KernelSpec, M: int, seed: int) -> IndexSet:
-    """The M-feature design that the bench and the CLI train on.
+def full_design(D: int, M: int) -> IndexSet:
+    """The smallest full design that holds M features."""
+    return enumerate_sparse_grid(D, level_for_feature_count(D, M))
 
-    A uniformly random M-subset of the smallest full design that holds M
-    (all of it when M is a full design size).
-    """
-    full = enumerate_sparse_grid(spec.dim, level_for_feature_count(spec.dim, M))
-    return truncate_random(full, M, seed)
+
+def select_design(spec: KernelSpec, M: int, seed: int) -> IndexSet:
+    """The M-feature design that the bench and the CLI train on: a uniformly
+    random M-subset of ``full_design(D, M)`` (all of it when M is a full
+    design size)."""
+    return truncate_random(full_design(spec.dim, M), M, seed)

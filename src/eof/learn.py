@@ -8,6 +8,9 @@ s = sigma(-m) at the margins m = y F w is numpy's 1 / (1 + e^m), the formula
 of scipy's ``expit``, so fitting imports no scipy.special; eof imports numpy
 and scipy.sparse only.  The regularizer enters as lambda * N inside the
 normal equations so that lambda is comparable across sample sizes.
+Both solvers stop by module constants, read at call time and taken by no
+argument: ``CG_RTOL`` and ``CG_MAX_ITER`` for conjugate gradients,
+``NEWTON_TOL`` and ``NEWTON_MAX_ITER`` for the Newton loop.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import (ConvergenceError, DimError, InvalidData, all_finite,
-                     check_choice, check_int, check_positive)
+                     check_choice, check_int, check_positive, is_integer,
+                     is_real)
 
 REGRESSION = "regression"
 CLASSIFICATION = "classification"
@@ -155,15 +159,15 @@ def ridge_fit(F, y, lam: float) -> Model:
     return _model(F, _solve(F, b, lam * F.shape[0]), lam, REGRESSION)
 
 
-def logistic_fit(F, y, lam: float, tol: float = NEWTON_TOL) -> Model:
+def logistic_fit(F, y, lam: float) -> Model:
     """L2-regularized logistic regression on labels in {-1, +1}.
 
     Minimizes (1/N) sum log(1 + exp(-y_i F_i w)) + lam ||w||^2 by damped
     Newton; raises ``ConvergenceError`` (with the last gradient norm) if the
-    gradient norm is still above ``tol`` after ``NEWTON_MAX_ITER`` iterations.
+    gradient norm is still not below ``NEWTON_TOL`` after ``NEWTON_MAX_ITER``
+    iterations.
     """
     check_positive(lam, "lambda")
-    check_positive(tol, "tol")
     F = _features(F)
     y = _targets(y, F.shape[0], CLASSIFICATION)
     N, M = F.shape
@@ -176,7 +180,7 @@ def logistic_fit(F, y, lam: float, tol: float = NEWTON_TOL) -> Model:
             s = 1.0 / (1.0 + np.exp(m))
         grad = -np.asarray(F.T @ (y * s)).ravel() / N + 2.0 * lam * w
         gnorm = float(np.linalg.norm(grad))
-        if gnorm < tol:
+        if gnorm < NEWTON_TOL:
             return _model(F, w, lam, CLASSIFICATION)
         if it == NEWTON_MAX_ITER:
             break
@@ -212,21 +216,40 @@ MODEL_FORMAT = "eof-model-v1"
 
 def save_model(model: Model, path, metadata: Optional[dict] = None) -> None:
     """Write a model as version-tagged flat text: header lines, then weights.
-    A metadata key or value holding a line break raises ``InvalidData`` before
-    the file is opened, as it would end its header line early."""
-    meta = dict(metadata or {})
-    meta.setdefault("task", model.task)
-    meta.setdefault("lambda", repr(float(model.lam)))
-    meta.setdefault("nnz_F", model.nnz_F)
-    for key, value in meta.items():
-        if any(c in f"{key}={value}" for c in "\n\r"):
+    Whatever ``load_model`` would reject raises ``InvalidData`` naming its
+    field before the file is opened: weights that are not a finite 1-D array
+    of reals, a ``lam`` that is not a finite real, a ``task`` outside
+    ``TASKS``, an ``nnz_F`` that is not an integer, or a metadata key or
+    value that holds a line break (it would end its header line early) or
+    that ``load_model``'s header rule rejects."""
+    try:
+        weights = np.asarray(model.weights, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidData("model weights must be real numbers") from None
+    if weights.ndim != 1:
+        raise InvalidData(f"model weights must be 1-D, got {weights.ndim}-D")
+    if not all_finite(weights):
+        raise InvalidData("model weights hold a NaN or an infinity")
+    if not is_real(model.lam):
+        raise InvalidData(f"model lam must be a real number, got {model.lam!r}")
+    if not is_integer(model.nnz_F):
+        raise InvalidData(f"model nnz_F must be an integer, got {model.nnz_F!r}")
+    meta = {"task": model.task, "lambda": repr(float(model.lam)),
+            "nnz_F": model.nnz_F}
+    for key, value in [*meta.items(), *(metadata or {}).items()]:
+        text = f"{key}={value}"
+        if any(c in text for c in "\n\r"):
             raise InvalidData(f"model metadata {key!r} holds a line break")
+        try:
+            _header(text)
+        except ValueError:
+            raise InvalidData(f"model {key} {value!r} would not load") from None
+    meta.update(metadata or {})
     with open(path, "w") as fh:
         fh.write(f"# {MODEL_FORMAT}\n")
         for key in sorted(meta):
             fh.write(f"# {key}={meta[key]}\n")
-        fh.write("".join(f"{w!r}\n" for w in
-                         np.asarray(model.weights, dtype=float).tolist()))
+        fh.write("".join(f"{w!r}\n" for w in weights.tolist()))
 
 
 def _finite(text) -> float:
@@ -238,6 +261,14 @@ def _finite(text) -> float:
 
 
 _FIELDS = {"lambda": _finite, "nnz_F": int, "task": TASKS.index}
+
+
+def _header(text):
+    """``(key, value)`` of a header line's text ``key=value``; ``ValueError``
+    if the value breaks its key's rule in ``_FIELDS``."""
+    key, _, value = text.strip().partition("=")
+    _FIELDS.get(key, str)(value)
+    return key, value
 
 
 def load_model(path) -> Model:
@@ -253,9 +284,8 @@ def load_model(path) -> Model:
             for lnum, line in enumerate(fh, start=2):
                 line = line.strip()
                 if line.startswith("#"):
-                    key, _, value = line[1:].strip().partition("=")
+                    key, value = _header(line[1:])
                     meta[key] = value
-                    _FIELDS.get(key, str)(value)
                 elif line:
                     weights.append(_finite(line))
         except UnicodeDecodeError as exc:   # a ValueError too, so it comes first

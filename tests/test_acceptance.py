@@ -154,7 +154,7 @@ def test_criterion_5_solver_correctness():
         F = sp.csr_matrix(g.standard_normal((120, 8)) *
                           (g.uniform(size=(120, 8)) > 0.5))
         y = np.sign(g.standard_normal(120))
-        model = logistic_fit(F, y, 0.05, tol=1e-6)
+        model = logistic_fit(F, y, 0.05)
         from scipy.special import expit
         m = y * np.asarray(F @ model.weights)
         grad = -np.asarray(F.T @ (y * expit(-m))) / 120 + 0.1 * model.weights

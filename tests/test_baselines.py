@@ -283,7 +283,8 @@ def test_non_finite_points_raise_invalid_point(bad):
             call()
 
 
-@pytest.mark.parametrize("select", [lkrf_select, eerf_select])
+@pytest.mark.parametrize("select", [lkrf_select, eerf_select],
+                         ids=["lkrf_select", "eerf_select"])
 def test_labels_checked_before_scoring(select):
     pool = rks_map(2, 40, 1.0, seed=0)
     rng = np.random.default_rng(1)
@@ -321,16 +322,18 @@ class TestSelection:
                 np.testing.assert_array_equal(got.frequencies,
                                               pool.frequencies[:M])
 
+    def test_lkrf_runs_the_eerf_rule(self):
+        assert lkrf_select is eerf_select
+
     @staticmethod
-    def _full_matrix_keep(pool, y, X, M, select):
+    def _full_matrix_keep(pool, y, X, M):
         """The float64 top-M over the whole N x M0 cosine matrix."""
         a = y @ np.cos(X @ pool.frequencies.T + pool.phases)
-        score = a ** 2 if select is lkrf_select else np.abs(a) / len(y)
-        return np.sort(np.argsort(-score, kind="stable")[:M])
+        return np.sort(np.argsort(-np.abs(a), kind="stable")[:M])
 
     def _assert_full_matrix_choice(self, pool, y, X, M):
         for select in (lkrf_select, eerf_select):
-            keep = self._full_matrix_keep(pool, y, X, M, select)
+            keep = self._full_matrix_keep(pool, y, X, M)
             got = select(pool, y, X, M)
             np.testing.assert_array_equal(got.frequencies,
                                           pool.frequencies[keep])
@@ -380,7 +383,7 @@ class TestSelection:
             Z = np.cos(X @ freqs[[0, 15, 4]].T + phases[[0, 15, 4]])
             y = Z @ np.array([3.0, 2.0, 1.0])
             y -= y.mean()
-            keep = self._full_matrix_keep(pool, y, X, 3, lkrf_select)
+            keep = self._full_matrix_keep(pool, y, X, 3)
             assert {0, 15} < set(keep) and len({4, 25} & set(keep)) == 1
             kept.add(tuple(keep))
             self._assert_full_matrix_choice(pool, y, X, 3)

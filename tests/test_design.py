@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eof.design import (IndexSet, enumerate_sparse_grid, entropic_select,
-                        level_for_feature_count, select_design,
+from eof.design import (IndexSet, entropic_select, enumerate_sparse_grid,
+                        full_design, level_for_feature_count, select_design,
                         sparse_grid_size, truncate_random)
 from eof.embedding import embed_batch
 from eof.errors import DimError, InvalidData, InvalidIndex, InvalidLevel, InvalidM
@@ -326,3 +326,17 @@ class TestLevelForFeatureCount:
                 n = level_for_feature_count(D, M)
                 assert sparse_grid_size(D, n) >= M
                 assert n == 1 or sparse_grid_size(D, n - 1) < M
+
+
+class TestFullDesign:
+    @pytest.mark.parametrize("D", [1, 2, 3, 8])
+    def test_is_the_full_design_that_select_design_draws_from(self, D):
+        spec = KernelSpec("laplace", omega=1.0, dim=D)
+        for M in range(1, 201):
+            full = full_design(D, M)
+            assert full.codes == (None,) * len(full.levels)
+            for seed in range(3):
+                S = select_design(spec, M, seed)
+                want = enumerate_sparse_grid(D, S.level)
+                assert full.levels.tolist() == want.levels.tolist()
+                assert len(full.columns_of(S)) == M

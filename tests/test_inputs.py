@@ -3,7 +3,7 @@
 Each kind of input has one checking function: points
 (``kernels._finite_point``), targets (``learn._targets``, at least one row),
 features (``learn._features``), positive reals (``errors.check_positive``:
-omega, sigma, lambda, tol and the split ratio), integers (``errors.check_int``:
+omega, sigma, lambda and the split ratio), integers (``errors.check_int``:
 seeds through ``errors.check_seed``, the dimension D through
 ``errors.check_dim``, the feature count M through ``errors.check_M``, bench
 runs, dataset counts and the column count of a full design), levels
@@ -250,7 +250,7 @@ POSITIVE_READERS = [
     ("KernelSpec", lambda v: KernelSpec("sobolev", omega=v)),
     ("ridge_fit", lambda v: ridge_fit(F10, np.ones(10), v)),
     ("logistic_fit", lambda v: logistic_fit(F10, Y10, v)),
-    ("logistic_fit", lambda v: logistic_fit(F10, Y10, 0.1, tol=v)),
+    ("logistic_fit", lambda v: logistic_fit(sp.csr_matrix(F10), Y10, v)),
     ("run_benchmark", lambda v: bench.run_benchmark(SMALL, ["eof"], [5], 1, 0, lam=v)),
     ("rks_map", lambda v: rks_map(2, 4, v, 0)),
     ("orf_map", lambda v: orf_map(2, 4, v, 0)),

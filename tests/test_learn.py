@@ -117,7 +117,7 @@ class TestLogisticFit:
         F = rng.standard_normal((100, 6))
         y = np.sign(rng.standard_normal(100))
         lam = 0.05
-        model = logistic_fit(F, y, lam, tol=1e-6)
+        model = logistic_fit(F, y, lam)
         m = y * (F @ model.weights)
         grad = -F.T @ (y * expit(-m)) / 100 + 2 * lam * model.weights
         assert np.linalg.norm(grad) < 1e-6
@@ -150,8 +150,9 @@ class TestLogisticFit:
         F = rng.standard_normal((60, 5))
         y = np.sign(rng.standard_normal(60))
         monkeypatch.setattr(learn, "NEWTON_MAX_ITER", 1)
+        monkeypatch.setattr(learn, "NEWTON_TOL", 1e-14)
         with pytest.raises(ConvergenceError) as err:
-            logistic_fit(F, y, 0.01, tol=1e-14)
+            logistic_fit(F, y, 0.01)
         assert err.value.grad_norm > 0.0
 
     def test_overshooting_step_is_halved(self, monkeypatch):
@@ -410,6 +411,43 @@ class TestModelSerialization:
         with pytest.raises(InvalidData, match=re.escape(repr(next(iter(meta))))):
             save_model(Model(np.array([1.0])), path, meta)
         assert not path.exists()
+
+    @pytest.mark.parametrize("model, meta, field", [
+        (Model(np.array([1.0, np.nan])), None, "weights"),
+        (Model(np.array([[1.0]])), None, "weights"),
+        (Model(np.array(["a"])), None, "weights"),
+        (Model(np.array([1.0]), lam=np.inf), None, "lambda"),
+        (Model(np.array([1.0]), lam="0.5"), None, "lam"),
+        (Model(np.array([1.0]), task="foo"), None, "task"),
+        (Model(np.array([1.0]), nnz_F=2.5), None, "nnz_F"),
+        (Model(np.array([1.0]), nnz_F=True), None, "nnz_F"),
+        (Model(np.array([1.0])), {"lambda": "nan"}, "lambda"),
+        (Model(np.array([1.0])), {"task": "foo"}, "task"),
+        (Model(np.array([1.0])), {"nnz_F": "3.0"}, "nnz_F")],
+        ids=["nan-weight", "2-D-weights", "string-weight", "inf-lam", "string-lam",
+             "unknown-task", "float-nnz_F", "bool-nnz_F", "nan-lambda-metadata",
+             "unknown-task-metadata", "float-nnz_F-metadata"])
+    def test_unloadable_model_is_rejected_before_writing(self, tmp_path, model,
+                                                         meta, field):
+        path = tmp_path / "model.txt"
+        with pytest.raises(InvalidData, match=f"^model {field} "):
+            save_model(model, path, meta)
+        assert not path.exists()
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False)),
+           st.floats(allow_nan=False, allow_infinity=False),
+           st.sampled_from((REGRESSION, CLASSIFICATION)),
+           st.integers(-2 ** 70, 2 ** 70))
+    def test_saved_model_loads_back_equal(self, tmp_path_factory, weights, lam,
+                                          task, nnz_F):
+        model = Model(np.array(weights, dtype=float), lam=lam, task=task,
+                      nnz_F=nnz_F)
+        path = tmp_path_factory.mktemp("model") / "model.txt"
+        save_model(model, path)
+        back = load_model(path)
+        np.testing.assert_array_equal(back.weights, model.weights)
+        assert (back.lam, back.task, back.nnz_F) == (lam, task, nnz_F)
 
     def test_header_carries_format_name(self, tmp_path):
         path = tmp_path / "model.txt"
