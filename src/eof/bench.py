@@ -417,13 +417,12 @@ def run_benchmark(dataset: Dataset, methods: Sequence[str], M_grid: Sequence[int
 _COLUMNS = ("method", "M", "M0", "T_train", "nnz_F", "mean_error", "std_error")
 
 
-def report(results: Sequence[BenchResult], fmt: str = "text",
-           include_timing: bool = True) -> str:
+def report(results: Sequence[BenchResult], fmt: str = "text") -> str:
     """Render results as ``"csv"`` or as an aligned ``"text"`` table."""
     check_choice(fmt, ("csv", "text"), "report format")
     table = [list(_COLUMNS)] + [
         [r.method, str(r.M), str(r.M0) if r.M0 else "",
-         f"{r.t_train:.4f}" if include_timing else "",
+         f"{r.t_train:.4f}",
          str(r.nnz_F), f"{r.mean_error:.6g}", f"{r.std_error:.6g}"]
         for r in results]
     if fmt == "csv":

@@ -13,7 +13,7 @@ from eof.design import (IndexSet, enumerate_sparse_grid, select_design,
                         sparse_grid_size, truncate_random)
 from eof.embedding import (SCALE_PLAIN, SCALE_SQRT, embed, embed_batch,
                            kernel_approx)
-from eof.errors import DimError, InvalidLevel, InvalidPoint
+from eof.errors import InvalidLevel
 from eof.features import FeatureIndex, phi_nd
 from eof.kernels import KernelSpec, expansion_coeff, kernel_eval
 
@@ -121,14 +121,6 @@ class TestEmbedBatch:
         F = embed_batch(spec, S, X)
         assert F.nnz <= 100 * comb(5, 2)
         np.testing.assert_allclose(F.toarray(), dense_oracle(spec, S, X), atol=1e-12)
-
-    def test_ragged_input_rejected(self):
-        spec = KernelSpec("bb", dim=2)
-        S = enumerate_sparse_grid(2, 2)
-        with pytest.raises(DimError):
-            embed_batch(spec, S, np.array([[0.1], [0.2]]))
-        with pytest.raises(DimError):
-            embed_batch(spec, S, np.array([0.1, 0.2]))
 
     @settings(deadline=None, max_examples=60)
     @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 4), st.integers(1, 5),
@@ -571,20 +563,6 @@ def test_invalid_level_names_first_level_vector_over_all_blocks(monkeypatch, row
     with pytest.raises(InvalidLevel, match=r"level vector \(54, 1\) is too deep"):
         embed_batch(custom2, S, X[:4], scale=SCALE_PLAIN)
     assert embed_batch(custom2, S, X[1:4], scale=SCALE_PLAIN).nnz == 0
-
-
-@pytest.mark.parametrize("embed_fn", [
-    lambda spec, S, x: embed(spec, S, x),
-    lambda spec, S, x: embed_batch(spec, S, np.array([x, [0.5, 0.5]])),
-    lambda spec, S, x: phi_nd(spec, next(iter(S)), x)],
-    ids=["embed", "embed_batch", "phi_nd"])
-@pytest.mark.parametrize("x, strict", [
-    ([np.nan, 0.5], False), ([0.2, np.inf], False), ([0.2, -np.inf], True),
-    ([1.5, 0.5], True), ([0.5, -0.1], True)])
-def test_invalid_points_raise_invalid_point(embed_fn, x, strict):
-    spec = KernelSpec("laplace", omega=1.0, dim=2, strict=strict)
-    with pytest.raises(InvalidPoint):
-        embed_fn(spec, enumerate_sparse_grid(2, 3), x)
 
 
 @pytest.mark.parametrize("embed_fn", [

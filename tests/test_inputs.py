@@ -19,6 +19,14 @@ design of over 2^63 - 1 columns ``InvalidLevel``, a position that is not an
 odd integer in 1..2^l - 1 or a feature listed twice in a design
 ``InvalidIndex``, and an unknown kernel kind, scale, task, method or report
 format ``InvalidChoice``, which is a ``ValueError`` as well.
+
+``MALFORMED`` is the one home of every check that a malformed input at an
+entry point raises an error of a given type: a new rule or entry point adds a
+row here, not a ``pytest.raises`` in its module's tests.  A test of more than
+the type stays with its module: an error's message, the row or column it
+names, or what the call leaves undone (no file written, no run started).  A
+row's id is its entry point and its position, so rows are appended and
+earlier ids keep their number.
 """
 
 import numpy as np
@@ -37,7 +45,7 @@ from eof.errors import (DimError, EofError, InvalidChoice, InvalidData,
                         all_finite)
 from eof.features import FeatureIndex, hierarchical_surplus, phi_1d, phi_nd
 from eof.kernels import (KernelSpec, expansion_coeff, kernel_eval, norm_const,
-                         surplus_beta_1d)
+                         surplus_alpha_1d, surplus_beta_1d)
 from eof.learn import (CLASSIFICATION, MODEL_FORMAT, Model, fit, load_model,
                        logistic_fit, predict, ridge_fit)
 from eof.learn import test_error as error_of
@@ -150,7 +158,7 @@ MALFORMED = [
      InvalidData),
     ("load_model", lambda t: load_model(_model_file(t, nnz_F="1.5")), InvalidData),
     ("load_model", lambda t: load_model(_model_file(t, task="bogus")), InvalidData),
-    # kernel dimension D < 1 (rows appended so that earlier ids keep their number)
+    # kernel dimension D < 1
     ("KernelSpec", lambda t: KernelSpec("laplace", dim=0), DimError),
     ("enumerate_sparse_grid", lambda t: enumerate_sparse_grid(0, 3), DimError),
     # omega
@@ -279,8 +287,7 @@ MALFORMED += [(entry, lambda t, read=read, v=v: read(v), InvalidData)
 MALFORMED += [(entry, lambda t, read=read, s=s: read(s), InvalidData)
               for entry, read in SEED_READERS for s in (-1, 1.5, True, "a")]
 # no rows to fit, select on or score (the target rule), dataset counts that
-# are not integers >= 1, and a full design of over 2^63 - 1 columns; appended
-# after the generated rows, so that earlier ids keep their number
+# are not integers >= 1, and a full design of over 2^63 - 1 columns
 MALFORMED += [
     ("ridge_fit", lambda t: ridge_fit(np.zeros((0, 4)), np.zeros(0), 0.1), InvalidData),
     ("ridge_fit", lambda t: ridge_fit(sp.csr_matrix((0, 4)), np.zeros(0), 0.1),
@@ -335,6 +342,53 @@ MALFORMED += [("entropic_select", lambda t, C=C: entropic_select(S2, C, 3), Inva
               for C in ({**S2_ONES, S2.indices[1]: np.nan},
                         {**S2_ONES, S2.indices[1]: "a"},
                         {idx: 1.0 for idx in S2.indices[1:]})]
+# a point outside the cube under the strict flag, levels and positions out of
+# range, M = 0, a model file of another format, one row to split, no runs, a
+# 1-D point of the wrong length and non-finite points of the random-feature maps
+MALFORMED += [
+    ("kernel_eval", lambda t: kernel_eval(KernelSpec("laplace", dim=1, strict=True),
+                                          [1.5], [1.0]), InvalidPoint),
+    ("FeatureIndex", lambda t: FeatureIndex((2,), (2,)), InvalidIndex),
+    ("FeatureIndex", lambda t: FeatureIndex((2,), (5,)), InvalidIndex),
+    ("FeatureIndex", lambda t: FeatureIndex((0,), (1,)), InvalidLevel),
+    ("phi_1d", lambda t: phi_1d(BB, 2, 2, 0.5), InvalidIndex),
+    ("norm_const", lambda t: norm_const(BB, (0,)), InvalidLevel),
+    ("norm_const", lambda t: norm_const(KernelSpec("laplace"), (-1,)), InvalidLevel),
+    ("enumerate_sparse_grid", lambda t: enumerate_sparse_grid(2, 0), InvalidLevel),
+    ("truncate_random", lambda t: truncate_random(S2, 0, 0), InvalidM),
+    ("load_model", lambda t: load_model(_bytes_file(t, b"# some-other-format\n1.0\n")),
+     InvalidData),
+    ("standardize", lambda t: bench.standardize(
+        bench.RawData(np.zeros((1, 1)), np.zeros(1), "t", "regression")), InvalidData),
+    ("run_benchmark", lambda t: bench.run_benchmark(SMALL, ["rks"], [8], runs=0,
+                                                    seed=0), InvalidData),
+    ("rf_embed", lambda t: rf_embed(POOL, [0.1, 0.2, 0.3]), DimError),
+    ("rf_embed", lambda t: rf_embed(POOL, [0.1, np.inf]), InvalidPoint),
+    ("kernel_estimate", lambda t: kernel_estimate(POOL, [0.1, np.nan], [0.2, 0.3]),
+     InvalidPoint),
+    ("kernel_estimate", lambda t: kernel_estimate(POOL, [0.2, 0.3], [-np.inf, 0.1]),
+     InvalidPoint),
+]
+# level 0, alone and in a level array, at both surplus coefficients
+MALFORMED += [(entry, lambda t, coeff=coeff, level=level: coeff(BB, level, 1),
+               InvalidLevel)
+              for entry, coeff in (("surplus_alpha_1d", surplus_alpha_1d),
+                                   ("surplus_beta_1d", surplus_beta_1d))
+              for level in (0, np.array([2, 0]))]
+# a non-finite point, and a point outside [0, 1]^D in strict mode, at each
+# multilevel entry point
+MULTILEVEL_READERS = [
+    ("embed", lambda spec, x: embed(spec, S2, x)),
+    ("embed_batch", lambda spec, x: embed_batch(spec, S2, np.array([x, [0.5, 0.5]]))),
+    ("phi_nd", lambda spec, x: phi_nd(spec, S2.indices[0], x)),
+]
+MALFORMED += [(entry, lambda t, read=read, x=x, strict=strict: read(
+    KernelSpec("laplace", omega=1.0, dim=2, strict=strict), x), InvalidPoint)
+    for entry, read in MULTILEVEL_READERS
+    for x, strict in (([np.nan, 0.5], False), ([0.2, np.inf], False),
+                      ([0.2, -np.inf], True), ([1.5, 0.5], True),
+                      ([0.5, -0.1], True))]
+
 
 @pytest.mark.parametrize("entry, call, error", MALFORMED,
                          ids=[f"{row[0]}-{n}" for n, row in enumerate(MALFORMED)])
@@ -440,7 +494,6 @@ def test_noise_is_zero_or_a_positive_real():
 
 def test_column_targets_select_as_flat_targets():
     y = np.random.default_rng(3).standard_normal(10)
-    for select in (lkrf_select, eerf_select):
-        flat = select(POOL, y, X10, 4)
-        column = select(POOL, y[:, None], X10, 4)
-        np.testing.assert_array_equal(flat.frequencies, column.frequencies)
+    flat = eerf_select(POOL, y, X10, 4)
+    column = eerf_select(POOL, y[:, None], X10, 4)
+    np.testing.assert_array_equal(flat.frequencies, column.frequencies)
